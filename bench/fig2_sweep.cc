@@ -39,6 +39,10 @@ int main(int argc, char** argv) {
   };
 
   experiments::ParallelExecutor executor(opt.jobs);
+  // Both policies are scored against one shared Linux run per seed.
+  constexpr experiments::SchedulerKind kPolicies[] = {
+      experiments::SchedulerKind::kLatestQuantum,
+      experiments::SchedulerKind::kQuantaWindow};
 
   for (auto set : {experiments::Fig2Set::kSaturated,
                    experiments::Fig2Set::kIdleBus,
@@ -51,12 +55,11 @@ int main(int argc, char** argv) {
       const auto& app = workload::paper_application(name);
       const auto w =
           experiments::make_fig2_workload(set, app, cfg.machine.bus);
-      const auto latest = experiments::parallel_sweep_improvement(
-          w, experiments::SchedulerKind::kLatestQuantum,
-          experiments::SchedulerKind::kLinux, cfg, seeds, executor);
-      const auto window = experiments::parallel_sweep_improvement(
-          w, experiments::SchedulerKind::kQuantaWindow,
-          experiments::SchedulerKind::kLinux, cfg, seeds, executor);
+      const auto improvements = experiments::parallel_sweep_improvements(
+          w, kPolicies, experiments::SchedulerKind::kLinux, cfg, seeds,
+          executor);
+      const auto& latest = improvements[0];
+      const auto& window = improvements[1];
       table.add_row({name, fmt(latest), fmt(window),
                      "[" + stats::Table::pct(window.min_pct) + ", " +
                          stats::Table::pct(window.max_pct) + "]"});

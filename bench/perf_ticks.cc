@@ -6,6 +6,7 @@
 //     "tick_bench": { ticks, wall_s, ticks_per_sec, allocs, allocs_per_tick,
 //                     batched_ticks, batches, batched_frac },
 //     "tick_bench_traced": { ..., events, dropped, overhead_pct },
+//     "tick_bench_linux": { ..., batched_ticks, batches, batched_frac },
 //     "tick_bench_managed": { ..., fault_overhead_pct },
 //     "sweep":      { seeds, runs, serial_wall_s, parallel_wall_s, workers,
 //                     speedup, results_identical }
@@ -20,6 +21,11 @@
 //   covers the tracing-off hook; tick_bench_traced repeats the bench with
 //   the tracer enabled (events land in the preallocated ring, so it must
 //   stay allocation-free too) and reports the wall-clock overhead.
+// * tick_bench_linux repeats the untraced bench under the Linux 2.4
+//   baseline, whose batching rests on LinuxScheduler::quiescent_until and
+//   its deferred timeslice charge. --smoke asserts it batches and stays
+//   allocation-free, so a change that puts the paper's baseline arm back on
+//   per-tick stepping fails CI instead of only slowing the sweeps.
 // * sweep runs the same multi-seed improvement sweep twice — through the
 //   serial reference path and through the ThreadPool-backed harness — and
 //   reports both wall clocks. The two must produce bit-identical statistics
@@ -101,18 +107,24 @@ struct TickBench {
   std::uint64_t dropped = 0;  ///< traced variant only
 };
 
+double batched_frac(const TickBench& b) {
+  return b.ticks > 0 ? static_cast<double>(b.batched_ticks) /
+                           static_cast<double>(b.ticks)
+                     : 0.0;
+}
+
 /// Single-engine microbench: one barriered application + two BBMA streamers
-/// (the Fig.-1 contention set) stepped `ticks` times with OS noise active,
-/// so the barrier, saturation and noise paths all run. The tracer (disabled
-/// or enabled) is attached before the measured region; its ring is
-/// preallocated, so neither mode may allocate per tick.
-TickBench bench_ticks(std::uint64_t ticks, bool trace_enabled) {
+/// (the Fig.-1 contention set) under scheduler `kind`, stepped `ticks` times
+/// with OS noise active, so the barrier, saturation and noise paths all
+/// run. The tracer (disabled or enabled) is attached before the measured
+/// region; its ring is preallocated, so neither mode may allocate per tick.
+TickBench bench_ticks(std::uint64_t ticks, bool trace_enabled,
+                      experiments::SchedulerKind kind) {
   experiments::ExperimentConfig cfg;
   const auto w = workload::fig1_with_bbma(
       workload::paper_application("Raytrace"), cfg.machine.bus);
-  sim::Engine engine(
-      cfg.machine, cfg.engine,
-      experiments::make_scheduler(experiments::SchedulerKind::kPinned, cfg));
+  sim::Engine engine(cfg.machine, cfg.engine,
+                     experiments::make_scheduler(kind, cfg));
   obs::Tracer tracer({.enabled = trace_enabled});
   engine.set_tracer(&tracer);
   for (const auto& spec : w.jobs) engine.add_job(spec);
@@ -272,8 +284,13 @@ int main(int argc, char** argv) {
     sweep_scale = 0.03;
   }
 
-  const TickBench tb = bench_ticks(ticks, /*trace_enabled=*/false);
-  const TickBench tt = bench_ticks(ticks, /*trace_enabled=*/true);
+  using experiments::SchedulerKind;
+  const TickBench tb =
+      bench_ticks(ticks, /*trace_enabled=*/false, SchedulerKind::kPinned);
+  const TickBench tt =
+      bench_ticks(ticks, /*trace_enabled=*/true, SchedulerKind::kPinned);
+  const TickBench tl =
+      bench_ticks(ticks, /*trace_enabled=*/false, SchedulerKind::kLinux);
   const TickBench tm = bench_managed_ticks(ticks, /*faults_enabled=*/false);
   const TickBench tf = bench_managed_ticks(ticks, /*faults_enabled=*/true);
   const SweepBench sb = bench_sweep(seeds, workers, sweep_scale);
@@ -294,6 +311,10 @@ int main(int argc, char** argv) {
       "\"ticks_per_sec\": %.1f, \"allocs\": %llu, "
       "\"allocs_per_tick\": %.6f, \"events\": %llu, \"dropped\": %llu, "
       "\"overhead_pct\": %.2f},\n"
+      "  \"tick_bench_linux\": {\"ticks\": %llu, \"wall_s\": %.6f, "
+      "\"ticks_per_sec\": %.1f, \"allocs\": %llu, "
+      "\"allocs_per_tick\": %.6f, \"batched_ticks\": %llu, "
+      "\"batches\": %llu, \"batched_frac\": %.4f},\n"
       "  \"tick_bench_managed\": {\"ticks\": %llu, \"wall_s\": %.6f, "
       "\"ticks_per_sec\": %.1f, \"allocs\": %llu, "
       "\"allocs_per_tick\": %.6f, \"batched_ticks\": %llu, "
@@ -306,15 +327,15 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(tb.ticks), tb.wall_s, tb.ticks_per_sec,
       static_cast<unsigned long long>(tb.allocs), tb.allocs_per_tick,
       static_cast<unsigned long long>(tb.batched_ticks),
-      static_cast<unsigned long long>(tb.batches),
-      tb.ticks > 0
-          ? static_cast<double>(tb.batched_ticks) /
-                static_cast<double>(tb.ticks)
-          : 0.0,
+      static_cast<unsigned long long>(tb.batches), batched_frac(tb),
       static_cast<unsigned long long>(tt.ticks), tt.wall_s, tt.ticks_per_sec,
       static_cast<unsigned long long>(tt.allocs), tt.allocs_per_tick,
       static_cast<unsigned long long>(tt.events),
       static_cast<unsigned long long>(tt.dropped), overhead_pct,
+      static_cast<unsigned long long>(tl.ticks), tl.wall_s, tl.ticks_per_sec,
+      static_cast<unsigned long long>(tl.allocs), tl.allocs_per_tick,
+      static_cast<unsigned long long>(tl.batched_ticks),
+      static_cast<unsigned long long>(tl.batches), batched_frac(tl),
       static_cast<unsigned long long>(tm.ticks), tm.wall_s, tm.ticks_per_sec,
       static_cast<unsigned long long>(tm.allocs), tm.allocs_per_tick,
       static_cast<unsigned long long>(tm.batched_ticks),
@@ -347,6 +368,20 @@ int main(int argc, char** argv) {
                    "FAIL: quantum batching inactive in tick bench (0 of "
                    "%llu ticks batched)\n",
                    static_cast<unsigned long long>(tb.ticks));
+      ok = false;
+    }
+    if (tl.allocs_per_tick > 0.01) {
+      std::fprintf(stderr,
+                   "FAIL: Linux-baseline tick path allocates (%.4f "
+                   "allocs/tick, want ~0)\n",
+                   tl.allocs_per_tick);
+      ok = false;
+    }
+    if (tl.batched_ticks == 0) {
+      std::fprintf(stderr,
+                   "FAIL: quantum batching inactive under the Linux baseline "
+                   "(0 of %llu ticks batched)\n",
+                   static_cast<unsigned long long>(tl.ticks));
       ok = false;
     }
     if (tm.allocs_per_tick > 0.01) {

@@ -78,9 +78,20 @@ struct RunRequest {
 [[nodiscard]] std::vector<RunResult> run_workloads_parallel(
     std::span<const RunRequest> requests, int workers = 0);
 
-/// Parallel counterpart of sweep_improvement(): same seeds, same samples,
-/// same summary, bit-identical to the serial path — the 2*seeds underlying
-/// simulations just run concurrently.
+/// Parallel counterpart of sweep_improvement() for several policies scored
+/// against one baseline. Each seed's baseline runs once and serves every
+/// policy: seed s owns the policies.size() + 1 consecutive tasks from
+/// s * (policies.size() + 1), its baseline run first, then one run per
+/// policy. Result p is bit-identical to sweep_improvement(workload,
+/// policies[p], baseline, cfg, seeds) at any worker count.
+[[nodiscard]] std::vector<ImprovementStats> parallel_sweep_improvements(
+    const workload::Workload& workload,
+    std::span<const SchedulerKind> policies, SchedulerKind baseline,
+    const ExperimentConfig& cfg, int seeds, ParallelExecutor& executor);
+
+/// One-policy case of parallel_sweep_improvements(): same seeds, same
+/// samples, same summary as sweep_improvement(), with the 2*seeds
+/// simulations run concurrently.
 [[nodiscard]] ImprovementStats parallel_sweep_improvement(
     const workload::Workload& workload, SchedulerKind policy,
     SchedulerKind baseline, const ExperimentConfig& cfg, int seeds,

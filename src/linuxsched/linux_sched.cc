@@ -2,13 +2,31 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace bbsched::linuxsched {
 
 using sim::Cpu;
 using sim::Machine;
+using sim::SimTime;
 using sim::ThreadCtx;
 using sim::ThreadState;
+
+namespace {
+
+/// Number of one-tick charges after which a counter holding `c` > 0 is
+/// exhausted (<= 0), as charge_running() applies them. While the counter
+/// stays positive each charge is exact (an integral step off a double at
+/// least as large), so the count is ceil(c / tick); exact sign tests settle
+/// the rounding of the division.
+SimTime ticks_to_expiry(double c, double tick) {
+  double k = std::max(1.0, std::ceil(c / tick));
+  while (k > 1.0 && c - (k - 1.0) * tick <= 0.0) k -= 1.0;
+  while (c - k * tick > 0.0) k += 1.0;
+  return static_cast<SimTime>(k);
+}
+
+}  // namespace
 
 void LinuxScheduler::start(Machine& m, trace::ScheduleTrace& /*trace*/) {
   rng_.reseed(cfg_.seed);
@@ -91,7 +109,19 @@ void LinuxScheduler::reschedule_idle(Machine& m, int tid,
   }
 }
 
-void LinuxScheduler::tick(Machine& m, sim::SimTime now,
+void LinuxScheduler::charge_running(const Machine& m, SimTime span) {
+  const double tick = static_cast<double>(tick_us_);
+  const SimTime ticks = span / tick_us_;
+  const double rest = static_cast<double>(span % tick_us_);
+  for (const auto& cpu : m.cpus()) {
+    if (cpu.thread == Cpu::kIdle) continue;
+    double& c = counters_[static_cast<std::size_t>(cpu.thread)];
+    for (SimTime k = 0; k < ticks; ++k) c -= tick;
+    if (rest != 0.0) c -= rest;
+  }
+}
+
+void LinuxScheduler::tick(Machine& m, SimTime now,
                           trace::ScheduleTrace& trace) {
   // New threads (jobs admitted after start) get a fresh slice.
   if (counters_.size() < m.threads().size()) {
@@ -100,17 +130,15 @@ void LinuxScheduler::tick(Machine& m, sim::SimTime now,
   }
   was_blocked_.resize(m.threads().size(), false);
 
-  // Charge the tasks that ran since the previous invocation (the engine
-  // calls us once per tick, before executing it).
-  const double elapsed =
-      has_last_now_ ? static_cast<double>(now - last_now_) : 0.0;
+  // Charge the tasks that ran since the previous invocation. The engine
+  // calls us before every tick it executes in full; the ticks of a batch
+  // (see quiescent_until) are skipped and charged here, one at a time.
+  if (has_last_now_ && now > last_now_) {
+    if (tick_us_ == 0) tick_us_ = now - last_now_;
+    charge_running(m, now - last_now_);
+  }
   last_now_ = now;
   has_last_now_ = true;
-  for (auto& cpu : m.cpus()) {
-    if (cpu.thread != Cpu::kIdle) {
-      counters_[static_cast<std::size_t>(cpu.thread)] -= elapsed;
-    }
-  }
 
   maybe_epoch_refill(m);
 
@@ -162,6 +190,53 @@ void LinuxScheduler::tick(Machine& m, sim::SimTime now,
                    best, cpu, 0.0});
     }
   }
+}
+
+SimTime LinuxScheduler::quiescent_until(const Machine& m, SimTime now) const {
+  // Mirror tick() top to bottom; any step that would act pins the result to
+  // `now`. Until the first two tick() calls have shown the tick length, the
+  // deferred charge could not be replayed, so never batch before then.
+  const sim::SoAStore& s = m.store();
+  const std::size_t n = s.size();
+  if (tick_us_ == 0 || counters_.size() < n || was_blocked_.size() < n) {
+    return now;
+  }
+
+  // Wake-up bookkeeping, then the epoch-refill test.
+  int ready = 0;
+  int ready_left = 0;  // ready threads with timeslice left
+  for (std::size_t i = 0; i < n; ++i) {
+    if (was_blocked_[i] != (s.state[i] == ThreadState::kBarrierWait)) {
+      return now;
+    }
+    if (s.state[i] != ThreadState::kReady) continue;
+    ++ready;
+    if (counters_[i] > 0.0) ++ready_left;
+  }
+  if (ready > 0 && ready_left == 0) return now;
+
+  // Runners keep their CPUs until a timeslice runs out.
+  int placed = 0;
+  int placed_left = 0;
+  SimTime until = sim::kForever;
+  const double tick = static_cast<double>(tick_us_);
+  for (const auto& cpu : m.cpus()) {
+    if (cpu.thread == Cpu::kIdle) continue;
+    ++placed;
+    const double c = counters_[static_cast<std::size_t>(cpu.thread)];
+    if (c <= 0.0) continue;
+    ++placed_left;
+    until = std::min(until, last_now_ + ticks_to_expiry(c, tick) * tick_us_);
+  }
+
+  // schedule(): placed threads are ready, so the waiting (ready, unplaced)
+  // ones are counted by difference. An idle CPU takes any waiting thread;
+  // an expired runner yields only to one with timeslice left.
+  if (ready > placed && placed < static_cast<int>(m.cpus().size())) {
+    return now;
+  }
+  if (ready_left > placed_left && placed > placed_left) return now;
+  return std::max(until, now);
 }
 
 }  // namespace bbsched::linuxsched

@@ -51,6 +51,15 @@ class LinuxScheduler final : public sim::Scheduler {
   void tick(sim::Machine& m, sim::SimTime now,
             trace::ScheduleTrace& trace) override;
 
+  /// Quantum batching support (sim::Scheduler contract): `now` while the
+  /// next tick() would size its tables for new threads, handle a barrier
+  /// wake-up, refill an epoch, or place or replace a thread; otherwise the
+  /// first tick at which a running thread's timeslice runs out. The running
+  /// threads' charge for the ticks in between is deferred to the next
+  /// tick(), which replays it one tick at a time.
+  [[nodiscard]] sim::SimTime quiescent_until(const sim::Machine& m,
+                                             sim::SimTime now) const override;
+
   [[nodiscard]] const char* name() const override { return "linux-2.4"; }
 
   /// Remaining timeslice of a thread (µs); exposed for tests.
@@ -75,6 +84,11 @@ class LinuxScheduler final : public sim::Scheduler {
   /// causes the migrations the paper blames for LU-CB/Water-nsqr slowdowns.
   void reschedule_idle(sim::Machine& m, int tid, trace::ScheduleTrace& trace);
 
+  /// Charges every running thread for the `span` µs since the previous
+  /// tick(): one tick_us_ subtraction per elapsed tick, so a span the engine
+  /// batched is charged exactly as per-tick calls would have charged it.
+  void charge_running(const sim::Machine& m, sim::SimTime span);
+
   LinuxSchedConfig cfg_;
   std::vector<double> counters_;
   /// Thread states observed at the previous tick, to detect wakeups.
@@ -82,6 +96,9 @@ class LinuxScheduler final : public sim::Scheduler {
   std::uint64_t epochs_ = 0;
   sim::SimTime last_now_ = 0;
   bool has_last_now_ = false;
+  /// Spacing of the engine's tick grid, learned from the first two tick()
+  /// calls; 0 until then, and quiescent_until() declines to batch meanwhile.
+  sim::SimTime tick_us_ = 0;
   stats::Rng rng_{1337};
 };
 

@@ -107,8 +107,16 @@ void SignalGate::on_block() {
   // tolerating inverted delivery of consecutive block/unblock intents. A
   // release (manager died) also ends the suspension: the releasing thread
   // wakes us with an unblock signal and the flag breaks the loop.
+  //
+  // The unblock signal stays masked from the loop check until sigsuspend
+  // unmasks it atomically: an unblock landing in between stays pending and
+  // ends the sigsuspend, instead of running just before it and leaving the
+  // thread asleep. The handler's entry mask comes back when it returns.
+  sigset_t unblock_set;
+  sigemptyset(&unblock_set);
+  sigaddset(&unblock_set, kUnblockSignal);
   sigset_t wait_mask;
-  pthread_sigmask(SIG_BLOCK, nullptr, &wait_mask);
+  pthread_sigmask(SIG_BLOCK, &unblock_set, &wait_mask);
   sigdelset(&wait_mask, kUnblockSignal);
 
   while (!released_.load(std::memory_order_relaxed) &&

@@ -7,9 +7,10 @@
 //  * a thread suspends only while (received blocks) > (received unblocks) —
 //    the paper's counting rule that tolerates inversion of block/unblock
 //    delivery when quanta are short;
-//  * suspension happens inside the signal handler via sigsuspend with the
-//    unblock signal unmasked, so an unblock always wakes the thread and the
-//    condition is re-checked.
+//  * suspension happens inside the signal handler via sigsuspend, which
+//    atomically unmasks the unblock signal (masked while the condition is
+//    checked), so an unblock always wakes the thread and the condition is
+//    re-checked.
 //
 // Everything touched from handlers is a lock-free atomic or an
 // async-signal-safe call (pthread_kill, sigsuspend).

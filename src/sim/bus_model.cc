@@ -110,6 +110,10 @@ const BusResolution& BusModel::resolve(std::span<const double> demands,
     } else {
       for (int iter = 0; iter < 64; ++iter) {
         const double mid = 0.5 * (lo + hi);
+        // Once the midpoint rounds onto an endpoint the bracket can no
+        // longer shrink: every later iteration would leave 0.5 * (lo + hi)
+        // equal to this `mid`, so stopping here yields the same `x` bits.
+        if (mid == lo || mid == hi) break;
         if (granted_sum(mid) > out.effective_capacity) {
           lo = mid;
         } else {

@@ -34,11 +34,20 @@ class Scheduler {
   /// guaranteed to be a no-op — neither mutating the machine nor any
   /// scheduler-internal state — PROVIDED thread states, placements and the
   /// job set do not change in the interim. The engine uses this to batch
-  /// event-free ticks (DESIGN.md §11); any event that could invalidate the
-  /// premise ends the batch and resumes per-tick stepping. The conservative
-  /// default (`now`) declares the scheduler never quiescent, which disables
-  /// batching for implementations that do not opt in (LinuxScheduler's
-  /// timeslice accounting mutates state every tick, for example).
+  /// event-free ticks (DESIGN.md §11): it skips the tick() calls inside a
+  /// batch, and any event that could invalidate the premise ends the batch
+  /// and resumes per-tick stepping.
+  ///
+  /// One exception to "no-op": bookkeeping that depends only on elapsed
+  /// time and the frozen placements (LinuxScheduler's timeslice charge) may
+  /// be deferred to the next tick() call, which must replay it one tick at
+  /// a time so the result is bit-identical to per-tick calls. The tick
+  /// length is the spacing of the `now` values tick() sees; after a `now`
+  /// answer the next tick() comes exactly one tick later, so a scheduler
+  /// can learn the length by answering `now` until it has seen two calls.
+  /// The conservative default (`now`) declares the scheduler never
+  /// quiescent, which disables batching for implementations that do not
+  /// opt in.
   [[nodiscard]] virtual SimTime quiescent_until(const Machine& machine,
                                                 SimTime now) const {
     (void)machine;

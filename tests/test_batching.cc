@@ -4,6 +4,9 @@
 // per tick (max_batch_ticks = 1). The workloads are chosen to cross every
 // event class mid-run: open-system arrivals, OS-noise window boundaries,
 // spin-grace expiry, I/O issue/wake edges, barrier wake-ups and completions.
+// Under the Linux 2.4 baseline the scheduler's own state must match too:
+// a batch defers its timeslice charge to the next tick(), so the counters
+// and the epoch-refill count are compared as well.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +15,7 @@
 
 #include "core/managed_scheduler.h"
 #include "experiments/runner.h"
+#include "linuxsched/linux_sched.h"
 #include "sim/engine.h"
 #include "sim/scheduler.h"
 #include "workload/demand_models.h"
@@ -41,6 +45,8 @@ struct RunSnapshot {
   std::vector<SimTime> completions;
   std::vector<trace::Event> events;
   std::vector<trace::RunInterval> intervals;
+  std::vector<double> counters;  ///< LinuxScheduler timeslice counters
+  std::uint64_t epochs = 0;      ///< LinuxScheduler epoch refills
 };
 
 struct RunSpec {
@@ -63,6 +69,16 @@ RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
   eng.run_until(s.until);
 
   RunSnapshot out;
+  if (const auto* lx =
+          dynamic_cast<const linuxsched::LinuxScheduler*>(&eng.scheduler())) {
+    // A batched run charges the timeslices of the ticks it skipped at the
+    // scheduler's next tick(); one more full step settles both runs.
+    eng.step();
+    for (const auto& t : eng.machine().threads()) {
+      out.counters.push_back(lx->counter(t.id));
+    }
+    out.epochs = lx->epochs();
+  }
   out.end = eng.now();
   const auto& st = eng.stats();
   out.total_ticks = st.total_ticks;
@@ -121,6 +137,8 @@ void expect_identical(const RunSnapshot& a, const RunSnapshot& b) {
     EXPECT_EQ(a.intervals[i].thread_id, b.intervals[i].thread_id);
     EXPECT_EQ(a.intervals[i].cpu, b.intervals[i].cpu);
   }
+  EXPECT_EQ(a.counters, b.counters);  // bitwise
+  EXPECT_EQ(a.epochs, b.epochs);
 }
 
 std::unique_ptr<sim::Scheduler> pinned() {
@@ -132,6 +150,10 @@ std::unique_ptr<sim::Scheduler> managed() {
   mcfg.overhead_base_us = 300;
   mcfg.overhead_per_app_us = 50;
   return std::make_unique<core::ManagedScheduler>(mcfg);
+}
+
+std::unique_ptr<sim::Scheduler> linux_baseline() {
+  return std::make_unique<linuxsched::LinuxScheduler>();
 }
 
 // The Fig.-1 contention set under a pinned scheduler with OS noise: the
@@ -162,6 +184,26 @@ TEST(Batching, ManagedSchedulerIsBitIdentical) {
   const RunSnapshot stepped = run(s, managed(), 1);
   EXPECT_GT(batched.batched_ticks, 0u) << "batching never engaged";
   expect_identical(batched, stepped);
+}
+
+// The Linux 2.4 baseline on the Fig. 2 sets, run to completion: slice
+// expiries, epoch refills, barrier wake-ups and wake-time migrations all
+// bound its batches, and every skipped tick's charge is replayed later.
+TEST(Batching, LinuxSchedulerFig2SetsAreBitIdentical) {
+  for (const char* app : {"SP", "LU-CB"}) {
+    for (auto make : {workload::fig2_saturated, workload::fig2_idle_bus,
+                      workload::fig2_mixed}) {
+      RunSpec s;
+      const auto w = make(workload::paper_application(app), s.machine.bus);
+      s.jobs = w.jobs;
+      s.until = 600'000'000;  // ends when the finite jobs complete
+      const RunSnapshot batched = run(s, linux_baseline(), 4096);
+      const RunSnapshot stepped = run(s, linux_baseline(), 1);
+      SCOPED_TRACE(w.name);
+      EXPECT_GT(batched.batched_ticks, 0u) << "batching never engaged";
+      expect_identical(batched, stepped);
+    }
+  }
 }
 
 // I/O jobs: issue points interrupt batches mid-tick, wake edges bound the
@@ -195,6 +237,7 @@ TEST(Batching, IoIssueAndWakeEdgesAreBitIdentical) {
 
 // Open-system arrivals land mid-run at times that would fall inside a batch
 // if the horizon ignored them; completions of the finite jobs end batches.
+// Under Linux each arrival also grows the scheduler's counter table.
 TEST(Batching, ArrivalsMidBatchAreBitIdentical) {
   RunSpec s;
   s.engine.os_noise_interval_us = 0;  // long batches => arrivals must bound
@@ -214,14 +257,16 @@ TEST(Batching, ArrivalsMidBatchAreBitIdentical) {
   late.work_us = 200'000.0;
   s.arrivals = {{137'000, late}, {512'000, late}};
   s.until = 2'000'000;
-  const RunSnapshot batched = run(s, pinned(), 4096);
-  const RunSnapshot stepped = run(s, pinned(), 1);
-  EXPECT_GT(batched.batched_ticks, 0u);
-  expect_identical(batched, stepped);
+  for (auto make : {pinned, linux_baseline}) {
+    const RunSnapshot batched = run(s, make(), 4096);
+    const RunSnapshot stepped = run(s, make(), 1);
+    EXPECT_GT(batched.batched_ticks, 0u);
+    expect_identical(batched, stepped);
+  }
 }
 
 // Randomized sweep: heterogeneous mixes (bursty/phased demand, barriers,
-// warmth-sensitive apps) across seeds, under both schedulers. Any divergence
+// warmth-sensitive apps) across seeds, under every scheduler. Any divergence
 // between the replay arithmetic and the full path shows up as a bitwise
 // mismatch in some seed.
 TEST(Batching, RandomizedMixesAreBitIdentical) {
@@ -242,6 +287,13 @@ TEST(Batching, RandomizedMixesAreBitIdentical) {
       const RunSnapshot batched = run(s, managed(), 4096);
       const RunSnapshot stepped = run(s, managed(), 1);
       SCOPED_TRACE("managed seed " + std::to_string(seed));
+      expect_identical(batched, stepped);
+    }
+    {
+      const RunSnapshot batched = run(s, linux_baseline(), 4096);
+      const RunSnapshot stepped = run(s, linux_baseline(), 1);
+      SCOPED_TRACE("linux seed " + std::to_string(seed));
+      EXPECT_GT(batched.batched_ticks, 0u);
       expect_identical(batched, stepped);
     }
   }

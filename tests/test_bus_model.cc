@@ -3,6 +3,9 @@
 // paper's §3 measurements.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "sim/bus_model.h"
@@ -131,6 +134,121 @@ TEST(BusModelResolve, SelfConsistentGrants) {
   for (std::size_t i = 0; i < demands.size(); ++i) {
     EXPECT_NEAR(r.granted[i] * r.slowdown[i], demands[i], 1e-6);
   }
+}
+
+// ---- the bisection's early exit changes no bit ----
+
+std::uint64_t bits(double x) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+/// Reference copy of BusModel::resolve with the bisection fixed at 64
+/// iterations, as it ran before the early exit.
+BusResolution resolve_fixed_64(const BusModel& m,
+                               const std::vector<double>& demands,
+                               const std::vector<double>& weights) {
+  const BusConfig& cfg = m.config();
+  const std::size_t n = demands.size();
+  BusResolution out;
+  out.slowdown.assign(n, 1.0);
+  out.granted.assign(n, 0.0);
+  std::vector<double> alphas(n);
+  std::vector<double> inv_w(n);
+  double total_demand = 0.0;
+  int demanding = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    total_demand += demands[i];
+    alphas[i] = m.alpha(demands[i]);
+    inv_w[i] = weights.empty() ? 1.0 : 1.0 / weights[i];
+    if (demands[i] > cfg.demanding_threshold_tps) ++demanding;
+  }
+  out.effective_capacity = m.effective_capacity(demanding);
+  if (total_demand <= 0.0) return out;
+  out.offered_rho = total_demand / out.effective_capacity;
+  auto granted_sum = [&](double x) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      sum += demands[i] / (1.0 + alphas[i] * (x - 1.0) * inv_w[i]);
+    }
+    return sum;
+  };
+  const double rho = std::min(out.offered_rho, 1.0);
+  const double x_light = 1.0 + cfg.queueing_kappa * rho * rho;
+  double x = x_light;
+  if (granted_sum(x_light) > out.effective_capacity) {
+    out.saturated = true;
+    double lo = x_light;
+    double hi = cfg.max_stretch;
+    if (granted_sum(hi) > out.effective_capacity) {
+      x = hi;
+    } else {
+      for (int iter = 0; iter < 64; ++iter) {
+        const double mid = 0.5 * (lo + hi);
+        if (granted_sum(mid) > out.effective_capacity) {
+          lo = mid;
+        } else {
+          hi = mid;
+        }
+      }
+      x = 0.5 * (lo + hi);
+    }
+  }
+  out.stretch = x;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.slowdown[i] = 1.0 + alphas[i] * (x - 1.0) * inv_w[i];
+    out.granted[i] = demands[i] / out.slowdown[i];
+    out.total_granted += out.granted[i];
+  }
+  if (out.total_granted > out.effective_capacity) {
+    const double scale = out.effective_capacity / out.total_granted;
+    out.total_granted = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.granted[i] *= scale;
+      if (out.granted[i] > 0.0) out.slowdown[i] = demands[i] / out.granted[i];
+      out.total_granted += out.granted[i];
+    }
+  }
+  return out;
+}
+
+TEST(BusModelResolve, BisectionEarlyExitMatchesFixedIterations) {
+  const BusModel m(default_bus());
+  BusWorkspace ws;
+  std::uint64_t state = 0x2545f4914f6cdd1dULL;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  auto uniform = [&](double lo, double hi) {
+    return lo + (hi - lo) * static_cast<double>(next() >> 11) * 0x1.0p-53;
+  };
+  int saturated = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::vector<double> demands(1 + next() % 8);
+    for (auto& d : demands) d = uniform(0.0, 24.0);
+    std::vector<double> weights;
+    if (trial % 2 == 1) {  // every other vector with arbitration weights
+      weights.resize(demands.size());
+      for (auto& w : weights) w = uniform(1.0, 4.0);
+    }
+    const BusResolution want = resolve_fixed_64(m, demands, weights);
+    const BusResolution& got = m.resolve(demands, weights, ws);
+    if (want.saturated) ++saturated;
+    ASSERT_EQ(got.saturated, want.saturated) << "trial " << trial;
+    EXPECT_EQ(bits(got.stretch), bits(want.stretch)) << "trial " << trial;
+    ASSERT_EQ(got.slowdown.size(), demands.size());
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+      EXPECT_EQ(bits(got.slowdown[i]), bits(want.slowdown[i]))
+          << "trial " << trial << " agent " << i;
+      EXPECT_EQ(bits(got.granted[i]), bits(want.granted[i]))
+          << "trial " << trial << " agent " << i;
+    }
+  }
+  EXPECT_GT(saturated, 1000) << "too few saturated vectors to bisect";
 }
 
 // ---- calibration against the paper's §3 numbers ----

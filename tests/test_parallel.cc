@@ -47,6 +47,36 @@ TEST(ParallelSweep, BitIdenticalToSerialAtAnyWorkerCount) {
   }
 }
 
+TEST(ParallelSweep, MultiPolicySweepMatchesSinglePolicySweeps) {
+  // One baseline run per seed, scored against every policy, must reproduce
+  // each policy's own sweep bit for bit, serial or parallel.
+  const auto cfg = quick_config();
+  const auto w = workload::fig2_mixed(
+      workload::paper_application("Volrend"), cfg.machine.bus);
+  const int seeds = 3;
+  const SchedulerKind policies[] = {SchedulerKind::kLatestQuantum,
+                                    SchedulerKind::kQuantaWindow};
+  std::vector<ImprovementStats> serial;
+  for (const auto policy : policies) {
+    serial.push_back(
+        sweep_improvement(w, policy, SchedulerKind::kLinux, cfg, seeds));
+  }
+
+  for (int workers : {1, 2, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ParallelExecutor executor(workers);
+    const auto multi = parallel_sweep_improvements(
+        w, policies, SchedulerKind::kLinux, cfg, seeds, executor);
+    ASSERT_EQ(multi.size(), 2u);
+    for (std::size_t p = 0; p < multi.size(); ++p) {
+      expect_identical(multi[p], serial[p]);
+      expect_identical(multi[p], parallel_sweep_improvement(
+                                     w, policies[p], SchedulerKind::kLinux,
+                                     cfg, seeds, executor));
+    }
+  }
+}
+
 TEST(ParallelSweep, ExecutorReusableAcrossSweeps) {
   const auto cfg = quick_config();
   const auto w = workload::fig2_idle_bus(

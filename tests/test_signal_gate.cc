@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "runtime/signal_gate.h"
@@ -25,6 +26,17 @@ bool eventually(Pred pred) {
     std::this_thread::sleep_for(5ms);
   }
   return pred();
+}
+
+/// Busy-polls `pred` until it holds or `limit` passes. It never sleeps: the
+/// race the caller probes is microseconds wide.
+template <typename Pred>
+bool poll_until(Pred pred, std::chrono::steady_clock::duration limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+  }
+  return true;
 }
 
 struct Worker {
@@ -116,6 +128,34 @@ TEST_F(SignalGateTest, RepeatedBlockUnblockCycles) {
   const std::uint64_t before = w.work.load();
   ASSERT_TRUE(eventually([&] { return w.work.load() > before; }));
   w.join();
+}
+
+TEST_F(SignalGateTest, UnblockRacingSuspensionIsNeverLost) {
+  // The suspended flag rises just before sigsuspend, so an unblock sent the
+  // instant it flips can land between the gate's loop check and the
+  // sigsuspend call. That unblock must stay pending until sigsuspend
+  // unmasks it; a lost one leaves the thread asleep until the next signal.
+  Worker w;
+  w.start();
+  auto& gate = SignalGate::instance();
+  const int slot = w.slot.load();
+
+  std::string failure;
+  for (int pair = 0; pair < 10'000 && failure.empty(); ++pair) {
+    gate.signal_slot(slot, kBlockSignal);
+    if (!poll_until([&] { return gate.is_suspended(slot); }, 2s)) {
+      failure = "pair " + std::to_string(pair) + " never suspended";
+      break;
+    }
+    gate.signal_slot(slot, kUnblockSignal);
+    if (!poll_until([&] { return !gate.is_suspended(slot); }, 2s)) {
+      failure = "pair " + std::to_string(pair) + " lost its unblock";
+    }
+  }
+  // A failed pair leaves the worker suspended; one more unblock frees it.
+  if (!failure.empty()) gate.signal_slot(slot, kUnblockSignal);
+  w.join();
+  EXPECT_TRUE(failure.empty()) << failure;
 }
 
 TEST_F(SignalGateTest, LeaderForwardsBlockToSiblings) {

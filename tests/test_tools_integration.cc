@@ -9,11 +9,14 @@
 
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -48,6 +51,25 @@ pid_t spawn(const std::vector<std::string>& args) {
   return pid;
 }
 
+/// Polls until a UNIX-domain listener at `path` accepts a connection (each
+/// probe connection is closed at once), for up to ~10 s.
+bool wait_until_listening(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) return false;
+    const bool connected =
+        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof addr) == 0;
+    ::close(fd);
+    if (connected) return true;
+    ::usleep(10 * 1000);
+  }
+  return false;
+}
+
 int wait_exit(pid_t pid) {
   int status = 0;
   ::waitpid(pid, &status, 0);
@@ -68,7 +90,8 @@ TEST(ToolsIntegration, DaemonSchedulesKernelProcesses) {
                               "--quantum-ms=40", "--procs=1",
                               "--run-seconds=3", "--status-interval=0"});
   ASSERT_GT(daemon, 0);
-  ::usleep(300 * 1000);  // let it bind
+  ASSERT_TRUE(wait_until_listening(socket_path))
+      << "daemon never listened on " << socket_path;
 
   const pid_t k1 =
       spawn({kernel, "--socket=" + socket_path, "--kind=synthetic",
