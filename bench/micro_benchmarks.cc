@@ -19,21 +19,33 @@ namespace {
 
 using namespace bbsched;
 
+// Both resolve benches use the workspace overload, as the engine does.
 void BM_BusResolveUnsaturated(benchmark::State& state) {
   const sim::BusModel model((sim::BusConfig()));
   std::vector<double> demands(static_cast<std::size_t>(state.range(0)), 1.5);
+  sim::BusWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.resolve(demands));
+    benchmark::DoNotOptimize(model.resolve(demands, {}, ws));
   }
 }
 BENCHMARK(BM_BusResolveUnsaturated)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_BusResolveSaturated(benchmark::State& state) {
-  // Saturation engages the bisection (the expensive path).
+  // Saturation engages the bisection (the expensive path). Fig. 2's
+  // "2 Apps + 4 BBMA" mix per CPU, tiled to n agents: half SP threads
+  // (9.3 trans/µs, weight 1), half BBMA streamers (23.6, weight 1.5).
+  // Unequal coefficients, so the Jensen start is not already the root.
   const sim::BusModel model((sim::BusConfig()));
-  std::vector<double> demands(static_cast<std::size_t>(state.range(0)), 23.6);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> demands(n, 9.3);
+  std::vector<double> weights(n, 1.0);
+  for (std::size_t i = n / 2; i < n; ++i) {
+    demands[i] = 23.6;
+    weights[i] = 1.5;
+  }
+  sim::BusWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.resolve(demands));
+    benchmark::DoNotOptimize(model.resolve(demands, weights, ws));
   }
 }
 BENCHMARK(BM_BusResolveSaturated)->Arg(2)->Arg(4)->Arg(8)->Arg(16);

@@ -16,7 +16,9 @@
 //   two streaming microbenchmarks) and reports throughput plus heap
 //   allocations per tick, counted by a global operator-new override. After
 //   the workspace refactor the steady-state tick path performs no heap
-//   allocation, and --smoke asserts it stays that way. The baseline run has
+//   allocation, and --smoke requires exactly 0 allocations in the measured
+//   region of tick_bench, tick_bench_traced, tick_bench_linux and
+//   tick_bench_managed (all after warm-up). The baseline run has
 //   a *disabled* obs::Tracer attached, so the zero-alloc assertion also
 //   covers the tracing-off hook; tick_bench_traced repeats the bench with
 //   the tracer enabled (events land in the preallocated ring, so it must
@@ -346,17 +348,16 @@ int main(int argc, char** argv) {
 
   if (smoke) {
     bool ok = true;
-    if (tb.allocs_per_tick > 0.01) {
-      std::fprintf(stderr,
-                   "FAIL: tick path allocates (%.4f allocs/tick, want ~0)\n",
-                   tb.allocs_per_tick);
+    if (tb.allocs != 0) {
+      std::fprintf(stderr, "FAIL: tick path allocates (%llu allocs, want 0)\n",
+                   static_cast<unsigned long long>(tb.allocs));
       ok = false;
     }
-    if (tt.allocs_per_tick > 0.01) {
+    if (tt.allocs != 0) {
       std::fprintf(stderr,
-                   "FAIL: traced tick path allocates (%.4f allocs/tick; the "
-                   "ring is preallocated, want ~0)\n",
-                   tt.allocs_per_tick);
+                   "FAIL: traced tick path allocates (%llu allocs; the ring "
+                   "is preallocated, want 0)\n",
+                   static_cast<unsigned long long>(tt.allocs));
       ok = false;
     }
     if (tt.events == 0) {
@@ -370,11 +371,11 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(tb.ticks));
       ok = false;
     }
-    if (tl.allocs_per_tick > 0.01) {
+    if (tl.allocs != 0) {
       std::fprintf(stderr,
-                   "FAIL: Linux-baseline tick path allocates (%.4f "
-                   "allocs/tick, want ~0)\n",
-                   tl.allocs_per_tick);
+                   "FAIL: Linux-baseline tick path allocates (%llu allocs, "
+                   "want 0)\n",
+                   static_cast<unsigned long long>(tl.allocs));
       ok = false;
     }
     if (tl.batched_ticks == 0) {
@@ -384,11 +385,11 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(tl.ticks));
       ok = false;
     }
-    if (tm.allocs_per_tick > 0.01) {
+    if (tm.allocs != 0) {
       std::fprintf(stderr,
                    "FAIL: managed tick path with disabled fault injection "
-                   "allocates (%.4f allocs/tick, want ~0)\n",
-                   tm.allocs_per_tick);
+                   "allocates (%llu allocs, want 0)\n",
+                   static_cast<unsigned long long>(tm.allocs));
       ok = false;
     }
     if (!sb.results_identical) {

@@ -23,11 +23,12 @@
 //
 // Sum(granted_i(X)) is strictly decreasing in X (for Sum(d_i) > 0), so the
 // saturation equation Sum(granted_i(X)) = C_eff has a unique root which we
-// find by bisection. Below saturation X is the mild queueing inflation
-// X_light(rho). The same X for all threads models a fair (FIFO-arbitrated)
-// bus where every transaction experiences the same queueing delay; the
-// per-thread impact differs through alpha_i. This is the asymmetry the
-// paper measures.
+// find by bisection (see "Certified bracket" below for how the bisection
+// avoids most of its evaluations). Below saturation X is the mild queueing
+// inflation X_light(rho). The same X for all threads models a fair
+// (FIFO-arbitrated) bus where every transaction experiences the same
+// queueing delay; the per-thread impact differs through alpha_i. This is
+// the asymmetry the paper measures.
 //
 // Arbitration weights: back-to-back streaming writers (the BBMA
 // microbenchmark) are burst-friendly — posted writes and open-page locality
@@ -41,6 +42,36 @@
 // more of the saturation cost onto the ordinary applications. This is what
 // lets one application + two BBMA reach the paper's 2-3x slowdowns while
 // two identical application instances stay in the 41-61% band.
+//
+// Certified bracket. The bisection's lo/hi/mid sequence is the output's
+// definition, so it is kept; what changes is which midpoints are
+// evaluated. Write g(X) = Sum d_i / (1 + c_i (X - 1)), c_i = alpha_i / w_i,
+// in exact arithmetic on the stored doubles, and g_fp for the computed sum.
+//
+//  * g is non-increasing for X >= 1, since d_i >= 0 and c_i >= 0.
+//  * Each computed term carries five roundings (X - 1, * alpha, * 1/w,
+//    1 +, d /) and the running sum n - 1 more, all on non-negative values,
+//    so |g_fp - g| <= gamma * g with gamma = gamma_{n+4} = (n+4)u/(1-(n+4)u),
+//    u = 2^-53.
+//  * If g_fp(a) > C (1 + 4 gamma), then for every X <= a:
+//    g_fp(X) >= (1 - gamma) g(X) >= (1 - gamma) g(a)
+//            >= g_fp(a) (1 - gamma) / (1 + gamma) > C,
+//    so the bisection would set lo = X; symmetrically g_fp(b) < C (1 - 4 gamma)
+//    proves g_fp(X) < C, hence hi = X, for every X >= b. These midpoints are
+//    skipped, and stretch, slowdown and granted keep their bits.
+//  * 2 gamma of margin would do in exact arithmetic; the other 2 gamma
+//    absorbs the rounding of the thresholds C (1 +- 4 gamma) themselves
+//    (about 3u), which gamma >= 5u covers. Underflow adds at most
+//    n * 2^-1075 per sum, far inside that slack for C >= 2^-900.
+//
+// Newton steps on the convex g, from the Jensen point
+// 1 + (D/C - 1) D / Sum d_i c_i (a lower bound on the root), only place the
+// candidates a and b; each is trusted only after its own check, and a side
+// whose check fails stays uncertified. A non-finite Newton step or an input
+// outside the bound's preconditions (a demand that is negative or not
+// finite, an alpha or an inverse weight outside [0, 1], i.e. a weight below
+// 1, a bisection range [lo, hi] that is empty or not inside [1, DBL_MAX],
+// C < 2^-900) leaves both sides uncertified: the plain bisection.
 #pragma once
 
 #include <span>
@@ -82,6 +113,16 @@ struct BusWorkspace {
   /// The resolution resolve() returned; valid until the next resolve()
   /// into the same workspace.
   BusResolution result;
+
+  /// Passes over the agents the last resolve() made to evaluate the
+  /// granted sum (Newton steps included); reset on every call.
+  [[nodiscard]] int granted_sum_evals() const noexcept {
+    return granted_sum_evals_;
+  }
+
+ private:
+  friend class BusModel;
+  int granted_sum_evals_ = 0;
 };
 
 /// Stateless solver for the contention model; one instance per machine.

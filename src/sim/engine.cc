@@ -31,6 +31,9 @@ Engine::Engine(const MachineConfig& mcfg, const EngineConfig& ecfg,
   assert(ecfg_.tick_us > 0);
   noise_until_.assign(static_cast<std::size_t>(mcfg.num_cpus), 0);
   noise_next_.assign(static_cast<std::size_t>(mcfg.num_cpus), 0);
+  // At most one stolen resident per CPU. Warm-up rarely meets a batch with
+  // one, so without this the first such batch would allocate mid-run.
+  batch_stolen_.reserve(static_cast<std::size_t>(mcfg.num_cpus));
   if (ecfg_.os_noise_interval_us > 0) {
     for (auto& next : noise_next_) {
       next = static_cast<SimTime>(

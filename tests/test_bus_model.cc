@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -213,8 +214,35 @@ BusResolution resolve_fixed_64(const BusModel& m,
   return out;
 }
 
+/// Asserts that `got` carries the bits of `want`.
+void expect_same_bits(const BusResolution& got, const BusResolution& want,
+                      int trial) {
+  ASSERT_EQ(got.saturated, want.saturated) << "trial " << trial;
+  EXPECT_EQ(bits(got.stretch), bits(want.stretch)) << "trial " << trial;
+  ASSERT_EQ(got.slowdown.size(), want.slowdown.size()) << "trial " << trial;
+  for (std::size_t i = 0; i < want.slowdown.size(); ++i) {
+    EXPECT_EQ(bits(got.slowdown[i]), bits(want.slowdown[i]))
+        << "trial " << trial << " agent " << i;
+    EXPECT_EQ(bits(got.granted[i]), bits(want.granted[i]))
+        << "trial " << trial << " agent " << i;
+  }
+}
+
+// resolve() skips every midpoint its certified bracket decides (header
+// comment of bus_model.h); the reference evaluates them all.
 TEST(BusModelResolve, BisectionEarlyExitMatchesFixedIterations) {
-  const BusModel m(default_bus());
+  // alpha_exponent 0.72 (the default), 1.0 (linear fast path) and 2.0,
+  // plus a stretch cap low enough that heavy vectors end at x = hi.
+  std::vector<BusModel> models;
+  for (double p : {0.72, 1.0, 2.0}) {
+    BusConfig cfg;
+    cfg.alpha_exponent = p;
+    models.emplace_back(cfg);
+  }
+  BusConfig capped;
+  capped.max_stretch = 1.6;
+  models.emplace_back(capped);
+
   BusWorkspace ws;
   std::uint64_t state = 0x2545f4914f6cdd1dULL;
   auto next = [&state] {
@@ -227,28 +255,108 @@ TEST(BusModelResolve, BisectionEarlyExitMatchesFixedIterations) {
     return lo + (hi - lo) * static_cast<double>(next() >> 11) * 0x1.0p-53;
   };
   int saturated = 0;
-  for (int trial = 0; trial < 4000; ++trial) {
-    std::vector<double> demands(1 + next() % 8);
-    for (auto& d : demands) d = uniform(0.0, 24.0);
-    std::vector<double> weights;
-    if (trial % 2 == 1) {  // every other vector with arbitration weights
-      weights.resize(demands.size());
-      for (auto& w : weights) w = uniform(1.0, 4.0);
+  int at_cap = 0;
+  int equal_coefficients = 0;
+  std::vector<int> evals4;  // saturated 4-agent vectors, uncapped configs
+  for (int trial = 0; trial < 8000; ++trial) {
+    const std::size_t model = static_cast<std::size_t>(trial) % models.size();
+    const BusModel& m = models[model];
+    const double threshold = m.config().demanding_threshold_tps;
+    // Half the vectors have the engine's 4 agents, the rest 1 to 32.
+    std::vector<double> demands(trial % 2 == 0 ? 4 : 1 + next() % 32);
+    for (auto& d : demands) {
+      switch (next() % 8) {
+        case 0:
+          d = 0.0;
+          break;
+        case 1:  // one ulp below, at, or one ulp above the threshold
+          d = threshold;
+          if (next() % 3 == 0) d = std::nextafter(d, 0.0);
+          if (next() % 3 == 0) d = std::nextafter(d, 2.0 * threshold);
+          break;
+        default:
+          d = uniform(0.0, 24.0);
+      }
     }
+    std::vector<double> weights;
+    switch (trial % 3) {
+      case 1:
+        weights.resize(demands.size());
+        for (auto& w : weights) w = uniform(1.0, 4.0);
+        break;
+      case 2:  // log-uniform in [1, 1000]
+        weights.resize(demands.size());
+        for (auto& w : weights) w = std::exp(uniform(0.0, std::log(1000.0)));
+        break;
+      default:
+        break;
+    }
+    // Every eighth vector has equal coefficients: the Jensen point is then
+    // the root itself.
+    const bool equal = trial % 8 == 1;
+    if (equal) {
+      std::fill(demands.begin(), demands.end(), uniform(4.0, 24.0));
+      std::fill(weights.begin(), weights.end(), uniform(1.0, 4.0));
+    }
+
     const BusResolution want = resolve_fixed_64(m, demands, weights);
     const BusResolution& got = m.resolve(demands, weights, ws);
-    if (want.saturated) ++saturated;
-    ASSERT_EQ(got.saturated, want.saturated) << "trial " << trial;
-    EXPECT_EQ(bits(got.stretch), bits(want.stretch)) << "trial " << trial;
-    ASSERT_EQ(got.slowdown.size(), demands.size());
-    for (std::size_t i = 0; i < demands.size(); ++i) {
-      EXPECT_EQ(bits(got.slowdown[i]), bits(want.slowdown[i]))
-          << "trial " << trial << " agent " << i;
-      EXPECT_EQ(bits(got.granted[i]), bits(want.granted[i]))
-          << "trial " << trial << " agent " << i;
+    expect_same_bits(got, want, trial);
+    if (!want.saturated) continue;
+    ++saturated;
+    if (want.stretch == m.config().max_stretch) ++at_cap;
+    if (equal) ++equal_coefficients;
+    if (demands.size() == 4 && model < 3) {
+      evals4.push_back(ws.granted_sum_evals());
     }
   }
-  EXPECT_GT(saturated, 1000) << "too few saturated vectors to bisect";
+  EXPECT_GT(saturated, 4000) << "too few saturated vectors to bisect";
+  EXPECT_GT(at_cap, 100) << "the x = hi branch went untested";
+  EXPECT_GT(equal_coefficients, 500);
+  // The fast path engages: the plain bisection needs ~58 evaluations.
+  ASSERT_GT(evals4.size(), 1000u);
+  std::nth_element(evals4.begin(), evals4.begin() + evals4.size() / 2,
+                   evals4.end());
+  EXPECT_LE(evals4[evals4.size() / 2], 20);
+}
+
+TEST(BusModelResolve, CertifiedBracketOnFig2MixedVector) {
+  // Fig. 2's "2 Apps + 4 BBMA" per-CPU vector: SP threads next to
+  // weighted streamers, the engine's common saturated shape.
+  const BusModel m(default_bus());
+  BusWorkspace ws;
+  const std::vector<double> demands{9.3, 9.3, 23.6, 23.6};
+  const std::vector<double> weights{1.0, 1.0, 1.5, 1.5};
+  const BusResolution want = resolve_fixed_64(m, demands, weights);
+  expect_same_bits(m.resolve(demands, weights, ws), want, 0);
+  EXPECT_TRUE(want.saturated);
+  EXPECT_LE(ws.granted_sum_evals(), 20);
+}
+
+TEST(BusModelResolve, OutOfRangeInputsTakeThePlainBisection) {
+  BusWorkspace ws;
+  // A negative exponent makes alpha > 1 for demands below the peak; the
+  // error bound no longer applies, so every midpoint is evaluated.
+  BusConfig steep;
+  steep.alpha_exponent = -0.5;
+  const BusModel m(steep);
+  const std::vector<double> demands{9.3, 12.0, 23.6, 23.6};
+  const BusResolution want = resolve_fixed_64(m, demands, {});
+  expect_same_bits(m.resolve(demands, {}, ws), want, 0);
+  EXPECT_TRUE(want.saturated);
+  EXPECT_GT(ws.granted_sum_evals(), 40);
+
+  // An infinite demand: no Newton step, and the stretch cap is hit.
+  const BusModel plain(default_bus());
+  const std::vector<double> inf_demand{9.3, HUGE_VAL};
+  const BusResolution want_inf = resolve_fixed_64(plain, inf_demand, {});
+  expect_same_bits(plain.resolve(inf_demand, {}, ws), want_inf, 1);
+  EXPECT_EQ(ws.granted_sum_evals(), 2);
+
+  // The counter resets on every call, also when nothing is demanded.
+  const std::vector<double> idle{0.0, 0.0};
+  (void)plain.resolve(idle, {}, ws);
+  EXPECT_EQ(ws.granted_sum_evals(), 0);
 }
 
 // ---- calibration against the paper's §3 numbers ----
