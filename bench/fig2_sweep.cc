@@ -6,7 +6,6 @@
 // Usage: fig2_sweep [--fast] [--csv] [--app=NAME] [--seeds=N] [--jobs=N]
 //                   [--trace-out=FILE] [--metrics-out=FILE]
 //   (default 5 seeds; sweeps fan out over the parallel harness)
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -22,8 +21,7 @@ int main(int argc, char** argv) {
   const auto opt = experiments::parse_cli(argc, argv);
   int seeds = 5;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seeds=", 0) == 0) seeds = std::atoi(arg.c_str() + 8);
+    experiments::cli_detail::int_flag(argv[0], argv[i], "--seeds", 1, seeds);
   }
 
   experiments::ExperimentConfig cfg;

@@ -9,7 +9,8 @@
 //     "tick_bench_linux": { ..., batched_ticks, batches, batched_frac },
 //     "tick_bench_managed": { ..., fault_overhead_pct },
 //     "sweep":      { seeds, runs, serial_wall_s, parallel_wall_s, workers,
-//                     speedup, results_identical }
+//                     speedup, results_identical },
+//     "alloc_gate": { "<set>/<policy>": allocs, ... }
 //   }
 //
 // * tick_bench drives a single engine for N ticks (barriered application +
@@ -33,11 +34,17 @@
 //   reports both wall clocks. The two must produce bit-identical statistics
 //   (also asserted under --smoke); the speedup tracks how well the harness
 //   scales on the host. With >= 4 hardware threads expect >= 2x.
+// * alloc_gate is the hot-path contract: the same tick bench for every
+//   policy in docs/POLICIES.md on two workloads, each row's allocations
+//   after warm-up. --smoke fails on any non-zero row, and on a
+//   degraded-mode row whose manager never degraded.
 //
 // Usage: perf_ticks [--ticks=N] [--seeds=N] [--workers=N] [--scale=X]
 //                   [--smoke]
 //   --smoke  tiny iteration counts + hard assertions (ctest label
 //            perf_smoke runs this so the bench stays green under tier-1)
+//   --ticks, --seeds and --workers exit 2 on a malformed value or one below
+//   1 (0 for --workers).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -45,7 +52,11 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
+#include "core/managed_scheduler.h"
 #include "experiments/cli.h"
 #include "experiments/parallel.h"
 #include "experiments/runner.h"
@@ -107,6 +118,7 @@ struct TickBench {
   std::uint64_t batches = 0;        ///< event-free batches entered
   std::uint64_t events = 0;   ///< traced variant only
   std::uint64_t dropped = 0;  ///< traced variant only
+  bool degraded = false;  ///< managed schedulers: ended in degraded mode
 };
 
 double batched_frac(const TickBench& b) {
@@ -115,16 +127,21 @@ double batched_frac(const TickBench& b) {
                      : 0.0;
 }
 
-/// Single-engine microbench: one barriered application + two BBMA streamers
-/// (the Fig.-1 contention set) under scheduler `kind`, stepped `ticks` times
-/// with OS noise active, so the barrier, saturation and noise paths all
-/// run. The tracer (disabled or enabled) is attached before the measured
-/// region; its ring is preallocated, so neither mode may allocate per tick.
+/// The Fig.-1 contention set: one barriered application + two BBMA
+/// streamers, so the barrier, saturation and noise paths all run.
+workload::Workload fig1_set(const experiments::ExperimentConfig& cfg) {
+  return workload::fig1_with_bbma(workload::paper_application("Raytrace"),
+                                  cfg.machine.bus);
+}
+
+/// Single-engine microbench: workload `w` under scheduler `kind` (built from
+/// `cfg`), stepped `ticks` times with OS noise active. The tracer (disabled
+/// or enabled) is attached before the measured region; its ring is
+/// preallocated, so neither mode may allocate per tick.
 TickBench bench_ticks(std::uint64_t ticks, bool trace_enabled,
-                      experiments::SchedulerKind kind) {
-  experiments::ExperimentConfig cfg;
-  const auto w = workload::fig1_with_bbma(
-      workload::paper_application("Raytrace"), cfg.machine.bus);
+                      experiments::SchedulerKind kind,
+                      const experiments::ExperimentConfig& cfg,
+                      const workload::Workload& w) {
   sim::Engine engine(cfg.machine, cfg.engine,
                      experiments::make_scheduler(kind, cfg));
   obs::Tracer tracer({.enabled = trace_enabled});
@@ -165,6 +182,10 @@ TickBench bench_ticks(std::uint64_t ticks, bool trace_enabled,
   out.batches = engine.stats().batches - batches_before;
   out.events = tracer.events().size();
   out.dropped = tracer.dropped();
+  if (const auto* managed =
+          dynamic_cast<const core::ManagedScheduler*>(&engine.scheduler())) {
+    out.degraded = managed->manager().degraded();
+  }
   return out;
 }
 
@@ -177,42 +198,66 @@ TickBench bench_managed_ticks(std::uint64_t ticks, bool faults_enabled) {
   cfg.managed.counter_faults.enabled = faults_enabled;
   cfg.managed.counter_faults.drop_prob = faults_enabled ? 0.10 : 0.0;
   cfg.managed.counter_faults.noise_prob = faults_enabled ? 0.10 : 0.0;
-  const auto w = workload::fig1_with_bbma(
-      workload::paper_application("Raytrace"), cfg.machine.bus);
-  sim::Engine engine(cfg.machine, cfg.engine,
-                     experiments::make_scheduler(
-                         experiments::SchedulerKind::kManagedCustom, cfg));
-  obs::Tracer tracer({.enabled = false});
-  engine.set_tracer(&tracer);
-  for (const auto& spec : w.jobs) engine.add_job(spec);
+  return bench_ticks(ticks, /*trace_enabled=*/false,
+                     experiments::SchedulerKind::kManagedCustom, cfg,
+                     fig1_set(cfg));
+}
 
-  for (int i = 0; i < 512; ++i) engine.step();
-  // Also warm the batch-replay scratch (step() never batches): one short
-  // run_until lets those vectors reach steady capacity before measuring.
-  engine.run_until(engine.now() + 2048 * engine.config().tick_us);
+/// One row of the allocation gate: a policy of docs/POLICIES.md measured
+/// by bench_ticks on one workload.
+struct GateRow {
+  std::string key;  ///< "<set>/<policy>"
+  TickBench bench;
+  bool want_degraded = false;  ///< the run must end in degraded mode
+};
 
-  const sim::SimTime until =
-      engine.now() + ticks * engine.config().tick_us;
-  const std::uint64_t ticks_before = engine.stats().total_ticks;
-  const std::uint64_t batched_before = engine.stats().batched_ticks;
-  const std::uint64_t batches_before = engine.stats().batches;
-  const std::uint64_t allocs_before =
-      g_allocs.load(std::memory_order_relaxed);
-  const auto start = Clock::now();
-  engine.run_until(until);
-  TickBench out;
-  out.wall_s = seconds_since(start);
-  out.ticks = engine.stats().total_ticks - ticks_before;
-  out.allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
-  out.ticks_per_sec =
-      out.wall_s > 0.0 ? static_cast<double>(out.ticks) / out.wall_s : 0.0;
-  out.allocs_per_tick =
-      out.ticks > 0
-          ? static_cast<double>(out.allocs) / static_cast<double>(out.ticks)
-          : 0.0;
-  out.batched_ticks = engine.stats().batched_ticks - batched_before;
-  out.batches = engine.stats().batches - batches_before;
-  return out;
+/// The hot-path contract (paper §4's bounded per-quantum overhead): after
+/// warm-up, no policy's election and tick path touches the heap. Every
+/// SchedulerKind runs on Fig. 1's Raytrace + 2 BBMA set and on Fig. 2's
+/// saturated SP set, plus the EWMA estimator, the credit tier with two
+/// reservations, and Latest with every counter sample dropped (the
+/// degraded round-robin fallback).
+std::vector<GateRow> bench_alloc_gate(std::uint64_t ticks) {
+  using experiments::SchedulerKind;
+  const experiments::ExperimentConfig cfg;
+  experiments::ExperimentConfig ewma = cfg;
+  ewma.managed.manager.policy = core::PolicyKind::kExponential;
+  experiments::ExperimentConfig blind = cfg;
+  blind.managed.counter_faults.enabled = true;
+  blind.managed.counter_faults.drop_prob = 1.0;
+
+  const std::pair<const char*, workload::Workload> sets[] = {
+      {"fig1", fig1_set(cfg)},
+      {"fig2", workload::fig2_saturated(workload::paper_application("SP"),
+                                        cfg.machine.bus)},
+  };
+  std::vector<GateRow> rows;
+  for (const auto& [set, w] : sets) {
+    const std::string prefix = std::string(set) + "/";
+    for (const SchedulerKind kind :
+         {SchedulerKind::kPinned, SchedulerKind::kLinux,
+          SchedulerKind::kLatestQuantum, SchedulerKind::kQuantaWindow,
+          SchedulerKind::kPredictiveThroughput,
+          SchedulerKind::kPredictiveFair, SchedulerKind::kEquipartition}) {
+      rows.push_back({prefix + experiments::to_string(kind),
+                      bench_ticks(ticks, false, kind, cfg, w)});
+    }
+    rows.push_back({prefix + "ewma",
+                    bench_ticks(ticks, false, SchedulerKind::kManagedCustom,
+                                ewma, w)});
+    workload::Workload reserved = w;
+    reserved.jobs[0].bw_reservation = 0.25;
+    reserved.jobs[1].bw_reservation = 0.15;
+    rows.push_back({prefix + "credit-reservation",
+                    bench_ticks(ticks, false,
+                                SchedulerKind::kCreditReservation, cfg,
+                                reserved)});
+    rows.push_back({prefix + "latest-degraded",
+                    bench_ticks(ticks, false, SchedulerKind::kLatestQuantum,
+                                blind, w),
+                    true});
+  }
+  return rows;
 }
 
 struct SweepBench {
@@ -274,10 +319,15 @@ int main(int argc, char** argv) {
   double sweep_scale = opt.time_scale != 1.0 ? opt.time_scale : 0.1;
   int workers = opt.jobs;  // --workers=N is an alias for --jobs=N
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--ticks=", 0) == 0) ticks = std::stoull(arg.substr(8));
-    if (arg.rfind("--seeds=", 0) == 0) seeds = std::stoi(arg.substr(8));
-    if (arg.rfind("--workers=", 0) == 0) workers = std::stoi(arg.substr(10));
+    const std::string_view arg = argv[i];
+    if (experiments::cli_detail::int_flag(argv[0], arg, "--ticks",
+                                          std::uint64_t{1}, ticks) ||
+        experiments::cli_detail::int_flag(argv[0], arg, "--seeds", 1,
+                                          seeds) ||
+        experiments::cli_detail::int_flag(argv[0], arg, "--workers", 0,
+                                          workers)) {
+      continue;
+    }
     if (arg == "--smoke") smoke = true;
   }
   if (smoke) {
@@ -287,15 +337,18 @@ int main(int argc, char** argv) {
   }
 
   using experiments::SchedulerKind;
-  const TickBench tb =
-      bench_ticks(ticks, /*trace_enabled=*/false, SchedulerKind::kPinned);
-  const TickBench tt =
-      bench_ticks(ticks, /*trace_enabled=*/true, SchedulerKind::kPinned);
-  const TickBench tl =
-      bench_ticks(ticks, /*trace_enabled=*/false, SchedulerKind::kLinux);
+  const experiments::ExperimentConfig cfg;
+  const workload::Workload fig1 = fig1_set(cfg);
+  const TickBench tb = bench_ticks(ticks, /*trace_enabled=*/false,
+                                   SchedulerKind::kPinned, cfg, fig1);
+  const TickBench tt = bench_ticks(ticks, /*trace_enabled=*/true,
+                                   SchedulerKind::kPinned, cfg, fig1);
+  const TickBench tl = bench_ticks(ticks, /*trace_enabled=*/false,
+                                   SchedulerKind::kLinux, cfg, fig1);
   const TickBench tm = bench_managed_ticks(ticks, /*faults_enabled=*/false);
   const TickBench tf = bench_managed_ticks(ticks, /*faults_enabled=*/true);
   const SweepBench sb = bench_sweep(seeds, workers, sweep_scale);
+  const std::vector<GateRow> gate = bench_alloc_gate(ticks);
 
   const double overhead_pct =
       tb.wall_s > 0.0 ? (tt.wall_s - tb.wall_s) / tb.wall_s * 100.0 : 0.0;
@@ -323,8 +376,8 @@ int main(int argc, char** argv) {
       "\"batches\": %llu, \"fault_overhead_pct\": %.2f},\n"
       "  \"sweep\": {\"seeds\": %d, \"runs\": %d, \"serial_wall_s\": %.6f, "
       "\"parallel_wall_s\": %.6f, \"workers\": %d, \"speedup\": %.3f, "
-      "\"results_identical\": %s}\n"
-      "}\n",
+      "\"results_identical\": %s},\n"
+      "  \"alloc_gate\": {",
       runtime::ThreadPool::hardware_workers(),
       static_cast<unsigned long long>(tb.ticks), tb.wall_s, tb.ticks_per_sec,
       static_cast<unsigned long long>(tb.allocs), tb.allocs_per_tick,
@@ -345,6 +398,11 @@ int main(int argc, char** argv) {
       fault_overhead_pct,
       sb.seeds, sb.runs, sb.serial_wall_s, sb.parallel_wall_s, sb.workers,
       sb.speedup, sb.results_identical ? "true" : "false");
+  for (std::size_t i = 0; i < gate.size(); ++i) {
+    std::printf("%s\"%s\": %llu", i == 0 ? "" : ", ", gate[i].key.c_str(),
+                static_cast<unsigned long long>(gate[i].bench.allocs));
+  }
+  std::printf("}\n}\n");
 
   if (smoke) {
     bool ok = true;
@@ -391,6 +449,24 @@ int main(int argc, char** argv) {
                    "allocates (%llu allocs, want 0)\n",
                    static_cast<unsigned long long>(tm.allocs));
       ok = false;
+    }
+    for (const GateRow& row : gate) {
+      if (row.bench.allocs != 0) {
+        std::fprintf(stderr,
+                     "FAIL: %s allocates after warm-up (%llu allocs in %llu "
+                     "ticks, want 0)\n",
+                     row.key.c_str(),
+                     static_cast<unsigned long long>(row.bench.allocs),
+                     static_cast<unsigned long long>(row.bench.ticks));
+        ok = false;
+      }
+      if (row.want_degraded && !row.bench.degraded) {
+        std::fprintf(stderr,
+                     "FAIL: %s never entered degraded mode with every "
+                     "counter sample dropped\n",
+                     row.key.c_str());
+        ok = false;
+      }
     }
     if (!sb.results_identical) {
       std::fprintf(stderr,

@@ -1,14 +1,12 @@
 #include "analysis/analyzer.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <fstream>
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <tuple>
 
-#include "analysis/callgraph.h"
-#include "analysis/lockorder.h"
 #include "analysis/rules.h"
 
 namespace bbsched::analysis {
@@ -74,8 +72,7 @@ const std::set<std::string>& known_rules() {
   // The suppressible contracts. "annotation" findings (malformed markers)
   // are deliberately absent: a broken marker must never silence itself.
   static const std::set<std::string> kRules{
-      "determinism", "hotpath", "signal",  "atomics",
-      "catalog",     "sysfail", "callgraph", "lockorder"};
+      "determinism", "signal", "atomics", "catalog", "sysfail"};
   return kRules;
 }
 
@@ -99,9 +96,9 @@ AnalysisResult Analyzer::run() const {
   result.files_scanned = files_.size();
   std::vector<Finding>& findings = result.findings;
 
-  // Sort files by path up front: every downstream structure (contexts,
-  // the program link, the findings) then derives from a canonical order,
-  // so the report is byte-identical however the walker enumerated files.
+  // Sort files by path up front: the contexts and the findings then derive
+  // from a canonical order, so the report is byte-identical however the
+  // walker enumerated files.
   std::vector<const Entry*> ordered;
   ordered.reserve(files_.size());
   for (const Entry& e : files_) ordered.push_back(&e);
@@ -131,7 +128,7 @@ AnalysisResult Analyzer::run() const {
 
   // Signal-annotated functions are callable from other signal-annotated
   // functions anywhere in the tree — the annotation is the proof
-  // obligation, the transitive walk checks each body once.
+  // obligation, and the signal rule checks each annotated body.
   std::set<std::string> signal_safe_fns;
   for (const detail::FileContext& fc : ctxs) {
     for (const detail::FunctionRange& fn : fc.signal_fns) {
@@ -158,22 +155,11 @@ AnalysisResult Analyzer::run() const {
         starts_with(fc.path, "src/core/")) {
       detail::run_sysfail(fc, findings);
     }
+    detail::run_signal(fc, signal_safe_fns, findings);
   }
   if (events != nullptr && exporter != nullptr) {
     detail::run_catalog(*events, *exporter, obs_doc, findings);
   }
-
-  // Link the TUs and run the program-wide rules: transitive hotpath,
-  // transitive signal, call-graph blind spots, lock discipline.
-  detail::ProgramContext pc;
-  detail::build_program_context(ctxs, pc);
-  result.stats.functions = pc.defs.size();
-  result.stats.call_sites = pc.call_sites;
-  result.stats.resolved_edges = pc.resolved_edges;
-  const detail::HotReach hot = detail::compute_hot_reach(pc);
-  detail::run_hotpath_transitive(pc, hot, findings);
-  detail::run_signal_transitive(pc, signal_safe_fns, findings);
-  detail::run_lockorder(pc, hot, findings);
 
   // Apply allow suppressions: a trailing allow covers its own line, an
   // own-line allow covers only the line immediately below it (a blank or
@@ -202,276 +188,7 @@ AnalysisResult Analyzer::run() const {
               return std::tie(a.path, a.line, a.col, a.rule, a.message) <
                      std::tie(b.path, b.line, b.col, b.rule, b.message);
             });
-  // The transitive walks can visit one body along several entry points
-  // that produce textually identical findings; keep one of each.
-  findings.erase(
-      std::unique(findings.begin(), findings.end(),
-                  [](const Finding& a, const Finding& b) {
-                    return a.path == b.path && a.line == b.line &&
-                           a.col == b.col && a.rule == b.rule &&
-                           a.message == b.message;
-                  }),
-      findings.end());
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// Ratchet baseline.
-
-std::string finding_key(const Finding& f) {
-  const std::string material = f.rule + "|" + f.path + "|" + f.message;
-  std::uint64_t h = 14695981039346656037ULL;  // FNV-1a 64 offset basis
-  for (const char c : material) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;  // FNV prime
-  }
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[h & 0xf];
-    h >>= 4;
-  }
-  return out;
-}
-
-namespace {
-
-/// Minimal JSON reader for the baseline schema — strings, integers,
-/// object/array punctuation. Anything else is a parse error.
-class BaselineReader {
- public:
-  explicit BaselineReader(std::string_view text) : s_(text) {}
-
-  [[nodiscard]] bool parse(Baseline& out, std::string& error) {
-    if (!expect('{')) return fail(error, "expected '{'");
-    bool have_findings = false;
-    while (true) {
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        break;
-      }
-      std::string field;
-      if (!read_string(field)) return fail(error, "expected field name");
-      if (!expect(':')) return fail(error, "expected ':'");
-      if (field == "findings") {
-        if (!read_findings(out, error)) return false;
-        have_findings = true;
-      } else if (field == "version") {
-        long v = 0;
-        if (!read_int(v)) return fail(error, "bad version");
-        if (v != 1) return fail(error, "unsupported baseline version");
-      } else {
-        return fail(error, "unknown field '" + field + "'");
-      }
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-    }
-    skip_ws();
-    if (pos_ != s_.size()) return fail(error, "trailing content");
-    if (!have_findings) return fail(error, "missing findings array");
-    return true;
-  }
-
- private:
-  [[nodiscard]] bool read_findings(Baseline& out, std::string& error) {
-    if (!expect('[')) return fail(error, "expected '['");
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      if (!expect('{')) return fail(error, "expected finding object");
-      BaselineEntry e;
-      while (true) {
-        skip_ws();
-        if (peek() == '}') {
-          ++pos_;
-          break;
-        }
-        std::string field;
-        if (!read_string(field)) return fail(error, "expected field name");
-        if (!expect(':')) return fail(error, "expected ':'");
-        if (field == "key") {
-          if (!read_string(e.key)) return fail(error, "bad key");
-        } else if (field == "rule") {
-          if (!read_string(e.rule)) return fail(error, "bad rule");
-        } else if (field == "path") {
-          if (!read_string(e.path)) return fail(error, "bad path");
-        } else if (field == "message") {
-          if (!read_string(e.message)) return fail(error, "bad message");
-        } else if (field == "line") {
-          long v = 0;
-          if (!read_int(v)) return fail(error, "bad line");
-          e.line = static_cast<int>(v);
-        } else {
-          return fail(error, "unknown finding field '" + field + "'");
-        }
-        skip_ws();
-        if (peek() == ',') ++pos_;
-      }
-      if (e.key.empty()) return fail(error, "finding missing key");
-      out.entries.push_back(std::move(e));
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        skip_ws();
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail(error, "expected ',' or ']'");
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  [[nodiscard]] char peek() const {
-    return pos_ < s_.size() ? s_[pos_] : '\0';
-  }
-
-  [[nodiscard]] bool expect(char c) {
-    skip_ws();
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  [[nodiscard]] bool read_string(std::string& out) {
-    skip_ws();
-    if (peek() != '"') return false;
-    ++pos_;
-    out.clear();
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) {
-        const char esc = s_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) return false;
-            unsigned v = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = s_[pos_++];
-              v <<= 4;
-              if (h >= '0' && h <= '9') {
-                v |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                v |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                v |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return false;
-              }
-            }
-            c = static_cast<char>(v & 0x7f);  // ASCII baseline content only
-            break;
-          }
-          default:
-            return false;
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  [[nodiscard]] bool read_int(long& out) {
-    skip_ws();
-    bool any = false;
-    bool neg = false;
-    out = 0;
-    if (peek() == '-') {
-      neg = true;
-      ++pos_;
-    }
-    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') {
-      out = out * 10 + (s_[pos_] - '0');
-      ++pos_;
-      any = true;
-    }
-    if (neg) out = -out;
-    return any;
-  }
-
-  [[nodiscard]] bool fail(std::string& error, std::string what) const {
-    error = "baseline parse error at offset " + std::to_string(pos_) + ": " +
-            std::move(what);
-    return false;
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-bool load_baseline(const std::string& fs_path, Baseline& out,
-                   std::string& error) {
-  std::ifstream in(fs_path, std::ios::binary);
-  if (!in) {
-    error = "cannot read '" + fs_path + "'";
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) {
-    error = "read failure on '" + fs_path + "'";
-    return false;
-  }
-  const std::string text = std::move(buf).str();
-  return BaselineReader(text).parse(out, error);
-}
-
-void apply_baseline(const Baseline& baseline, AnalysisResult& result) {
-  std::map<std::string, int> budget;
-  for (const BaselineEntry& e : baseline.entries) ++budget[e.key];
-  for (Finding& f : result.findings) {
-    if (f.suppressed) continue;
-    const auto it = budget.find(finding_key(f));
-    if (it == budget.end() || it->second == 0) continue;
-    --it->second;
-    f.baselined = true;
-  }
-}
-
-void write_baseline(std::ostream& os, const AnalysisResult& result) {
-  // Entries come out in the result's (path, line, col, rule) order, which
-  // is already canonical — the file is stable under re-generation.
-  os << "{\n  \"version\": 1,\n  \"findings\": [";
-  bool first = true;
-  for (const Finding& f : result.findings) {
-    if (f.suppressed) continue;
-    if (!first) os << ',';
-    first = false;
-    os << "\n    {\"key\": \"" << finding_key(f) << "\", \"rule\": \"";
-    json_escape(os, f.rule);
-    os << "\", \"path\": \"";
-    json_escape(os, f.path);
-    os << "\", \"line\": " << f.line << ", \"message\": \"";
-    json_escape(os, f.message);
-    os << "\"}";
-  }
-  os << (first ? "]\n}\n" : "\n  ]\n}\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -483,11 +200,7 @@ void write_text_report(std::ostream& os, const AnalysisResult& result,
     if (f.suppressed && !show_suppressed) continue;
     os << f.path << ':' << f.line << ':' << f.col << ": [" << f.rule << "] "
        << f.message;
-    if (f.suppressed) {
-      os << " (suppressed: " << f.justification << ')';
-    } else if (f.baselined) {
-      os << " (baselined)";
-    }
+    if (f.suppressed) os << " (suppressed: " << f.justification << ')';
     os << '\n';
   }
   const std::size_t unsuppressed = result.unsuppressed();
@@ -498,12 +211,7 @@ void write_text_report(std::ostream& os, const AnalysisResult& result,
 
 void write_json_report(std::ostream& os, const AnalysisResult& result) {
   os << "{\"files_scanned\":" << result.files_scanned
-     << ",\"unsuppressed\":" << result.unsuppressed()
-     << ",\"failing\":" << result.failing()
-     << ",\"stats\":{\"functions\":" << result.stats.functions
-     << ",\"call_sites\":" << result.stats.call_sites
-     << ",\"resolved_edges\":" << result.stats.resolved_edges
-     << "},\"findings\":[";
+     << ",\"unsuppressed\":" << result.unsuppressed() << ",\"findings\":[";
   bool first = true;
   for (const Finding& f : result.findings) {
     if (!first) os << ',';
@@ -516,36 +224,11 @@ void write_json_report(std::ostream& os, const AnalysisResult& result) {
        << ",\"message\":\"";
     json_escape(os, f.message);
     os << "\",\"suppressed\":" << (f.suppressed ? "true" : "false")
-       << ",\"baselined\":" << (f.baselined ? "true" : "false")
        << ",\"justification\":\"";
     json_escape(os, f.justification);
     os << "\"}";
   }
   os << "]}\n";
-}
-
-void write_github_report(std::ostream& os, const AnalysisResult& result) {
-  // Workflow-command escaping: %, CR, LF in the message body.
-  const auto escape = [&os](std::string_view s) {
-    for (const char c : s) {
-      if (c == '%') {
-        os << "%25";
-      } else if (c == '\r') {
-        os << "%0D";
-      } else if (c == '\n') {
-        os << "%0A";
-      } else {
-        os << c;
-      }
-    }
-  };
-  for (const Finding& f : result.findings) {
-    if (f.suppressed || f.baselined) continue;
-    os << "::error file=" << f.path << ",line=" << f.line
-       << ",col=" << f.col << ",title=" << f.rule << "::";
-    escape(f.message);
-    os << '\n';
-  }
 }
 
 }  // namespace bbsched::analysis

@@ -1,41 +1,30 @@
 // bbsched_lint's engine: scans source files and enforces the repo's
-// machine-checkable contracts (docs/STATIC_ANALYSIS.md is the catalog):
+// machine-checkable per-file contracts (docs/STATIC_ANALYSIS.md is the
+// catalog):
 //
 //   determinism  no wall-clock / libc randomness / unordered-container
 //                iteration in policy paths (src/core, src/sim,
 //                src/spacesched) — elections must replay bit-identically
-//   hotpath      the transitive closure of every function marked hot may
-//                not allocate, throw, or grow non-scratch containers; the
-//                finding carries the call chain that reaches the sin
-//                (the perf_ticks 0-alloc gate, checked before run time)
-//   signal       the transitive closure of every function marked signal
-//                may only call the async-signal-safe allowlist (the
-//                Supervisor SIGTERM regression class)
-//   callgraph    edges the cross-TU linker cannot prove inside hot or
-//                signal reachability (function pointers, ambiguous
-//                virtual dispatch, unknown externs) — the proof is honest
-//                about its blind spots instead of silently partial
-//   lockorder    program-wide lock discipline: inconsistent pairwise
-//                acquisition order (both witness chains reported),
-//                double-acquisition of a non-recursive mutex, and
-//                blocking calls or allocations under a lock inside hot
-//                reachability
+//   signal       a function marked signal may only call the
+//                async-signal-safe allowlist or another function marked
+//                signal (the Supervisor SIGTERM regression class)
 //   atomics      src/obs instruments use relaxed atomics only; no bare
 //                ++/-- on members of atomic-bearing files
 //   catalog      every obs::EventType enumerator has both exporter
 //                switch cases and a docs/OBSERVABILITY.md heading; other
 //                event enums keep full to_string coverage
+//   sysfail      no raw global-scope calls to the syscalls the faults::sys
+//                shim interposes, in src/runtime and src/core
 //   annotation   the annotations themselves parse (a typo in a marker or
 //                a justification-less allow is a finding, never a no-op)
+//
+// The hot-path (no allocation after warm-up) and lock-order contracts are
+// enforced dynamically: `perf_ticks --smoke` and the TSan leg of
+// tools/check.sh.
 //
 // Files are added by repo-relative path (which drives rule scoping) with
 // their content, so tests lint in-memory fixture snippets through exactly
 // the code path the CLI uses on the real tree.
-//
-// The ratchet: a committed baseline (lint_baseline.json) grandfathers the
-// findings that existed when the ratchet was installed. CI fails only on
-// findings *not* in the baseline, so the count can go down but never up;
-// `--update-baseline` re-snapshots after genuine fixes.
 #pragma once
 
 #include <iosfwd>
@@ -52,36 +41,18 @@ struct Finding {
   int col = 0;
   std::string message;
   bool suppressed = false;     ///< a justified allow covered it
-  bool baselined = false;      ///< grandfathered by the ratchet baseline
   std::string justification;   ///< the allow's reason, when suppressed
-};
-
-/// Call-graph statistics for `--stats` (zeros when no C++ files linted).
-struct Stats {
-  std::size_t functions = 0;       ///< definitions linked program-wide
-  std::size_t call_sites = 0;      ///< non-benign call sites seen
-  std::size_t resolved_edges = 0;  ///< of those, resolved to in-tree defs
 };
 
 struct AnalysisResult {
   std::vector<Finding> findings;  ///< suppressed included, path/line order
   std::size_t files_scanned = 0;
-  Stats stats;
 
+  /// Findings no justified allow covers; they drive the CLI exit code.
   [[nodiscard]] std::size_t unsuppressed() const {
     std::size_t n = 0;
     for (const Finding& f : findings) {
       if (!f.suppressed) ++n;
-    }
-    return n;
-  }
-
-  /// Findings that fail the run: neither allow-suppressed nor
-  /// grandfathered by the baseline. This drives the CLI exit code.
-  [[nodiscard]] std::size_t failing() const {
-    std::size_t n = 0;
-    for (const Finding& f : findings) {
-      if (!f.suppressed && !f.baselined) ++n;
     }
     return n;
   }
@@ -116,60 +87,15 @@ class Analyzer {
 };
 
 // ---------------------------------------------------------------------------
-// Ratchet baseline.
-
-/// One grandfathered finding. `key` is the content hash that matches it
-/// against live findings; rule/path/line/message are carried for humans
-/// reading the JSON (line is advisory — the key ignores it so pure line
-/// drift does not invalidate the baseline).
-struct BaselineEntry {
-  std::string key;
-  std::string rule;
-  std::string path;
-  int line = 0;
-  std::string message;
-};
-
-struct Baseline {
-  std::vector<BaselineEntry> entries;
-};
-
-/// Content hash of a finding: FNV-1a 64 over "rule|path|message", hex.
-/// Deliberately excludes line/col so unrelated edits above a grandfathered
-/// finding don't break the ratchet; a message change (rewording, different
-/// call chain) is a new finding.
-[[nodiscard]] std::string finding_key(const Finding& f);
-
-/// Parses a baseline file previously written by write_baseline. Returns
-/// false and sets `error` on malformed input; a missing file is the
-/// caller's concern (the CLI treats it as an empty baseline plus warning).
-[[nodiscard]] bool load_baseline(const std::string& fs_path, Baseline& out,
-                                 std::string& error);
-
-/// Marks findings grandfathered by `baseline`. Matching is multiset-
-/// consume-one: N baseline entries with one key excuse at most N live
-/// findings with that key, so duplicating a grandfathered sin still fails.
-void apply_baseline(const Baseline& baseline, AnalysisResult& result);
-
-/// Writes the current unsuppressed findings as a sorted baseline JSON.
-void write_baseline(std::ostream& os, const AnalysisResult& result);
-
-// ---------------------------------------------------------------------------
 // Report emitters.
 
 /// Human-readable report: one "path:line:col: [rule] message" per finding
 /// plus a summary line. Suppressed findings are listed only when
-/// `show_suppressed`; baselined findings are tagged "(baselined)".
+/// `show_suppressed`.
 void write_text_report(std::ostream& os, const AnalysisResult& result,
                        bool show_suppressed);
 
-/// Machine-readable report for CI: one JSON object with a findings array
-/// and the call-graph stats block.
+/// Machine-readable report for CI: one JSON object with a findings array.
 void write_json_report(std::ostream& os, const AnalysisResult& result);
-
-/// GitHub Actions workflow commands: one "::error file=...,line=...::"
-/// annotation per failing finding (suppressed and baselined are omitted —
-/// the PR view should only show what blocks it).
-void write_github_report(std::ostream& os, const AnalysisResult& result);
 
 }  // namespace bbsched::analysis

@@ -80,11 +80,10 @@ AnnotationSet parse_annotations(const std::vector<Token>& tokens,
     a.token_index = i;
     a.own_line = last_code_line != t.line;
 
-    if (keyword == "hot" || keyword == "signal") {
-      a.kind = keyword == "hot" ? AnnotationKind::kHot
-                                : AnnotationKind::kSignal;
+    if (keyword == "signal") {
+      a.kind = AnnotationKind::kSignal;
       // Anything after the keyword is a free-form note, but it must be
-      // separated (reject e.g. a misspelled "hotpath" keyword).
+      // separated (reject e.g. "signal:" or "signal(...)").
       if (!s.empty() && !std::isspace(static_cast<unsigned char>(s.front()))) {
         diag("malformed annotation: unknown keyword '" +
              std::string(keyword) + std::string(s.substr(0, 8)) + "'");

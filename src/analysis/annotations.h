@@ -3,7 +3,6 @@
 // Grammar (docs/STATIC_ANALYSIS.md), always at the *start* of a comment —
 // a mid-sentence mention of a marker is prose and is ignored:
 //
-//   // bbsched:hot [note]           the next function body is a hot path
 //   // bbsched:signal [note]        the next function runs in (or is
 //                                   reachable from) a signal handler
 //   // bbsched:allow(<rule>): why   suppress <rule> findings on this line
@@ -25,10 +24,10 @@
 
 namespace bbsched::analysis {
 
-enum class AnnotationKind : std::uint8_t { kHot, kSignal, kAllow };
+enum class AnnotationKind : std::uint8_t { kSignal, kAllow };
 
 struct Annotation {
-  AnnotationKind kind = AnnotationKind::kHot;
+  AnnotationKind kind = AnnotationKind::kSignal;
   int line = 0;
   int col = 0;
   std::size_t token_index = 0;  ///< index of the comment token

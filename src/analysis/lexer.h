@@ -13,10 +13,10 @@
 //     the rules never care about shift operators);
 //   - keywords are plain identifiers (rules match by text);
 //   - `operator` followed by an operator symbol (`()`, `[]`, `<`, `==`,
-//     `->`, ...) lexes as ONE identifier token spanning both, so the
-//     call-graph builder sees `operator()` as a function name instead of
-//     misreading the symbol as punctuation (an unmerged `operator<` would
-//     open a phantom template-argument list).
+//     `->`, ...) lexes as ONE identifier token spanning both, so rules
+//     see `operator()` as a function name instead of misreading the
+//     symbol as punctuation (an unmerged `operator<` would open a phantom
+//     template-argument list).
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,14 @@
 #include "analysis/rules.h"
 
-#include <algorithm>
-#include <array>
 #include <map>
+#include <string_view>
+#include <utility>
 
 namespace bbsched::analysis::detail {
+
+namespace {
+
+constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
 bool is_punct(const Token& t, std::string_view text) {
   return t.kind == TokenKind::kPunct && t.text == text;
@@ -22,9 +26,25 @@ void add_finding(std::vector<Finding>& out, const char* rule,
                  const FileContext& fc, const Token& at,
                  std::string message) {
   out.push_back(
-      {rule, fc.path, at.line, at.col, std::move(message), false, false, {}});
+      {rule, fc.path, at.line, at.col, std::move(message), false, {}});
 }
 
+std::size_t next_code(const std::vector<Token>& toks, std::size_t i) {
+  for (std::size_t j = i + 1; j < toks.size(); ++j) {
+    if (!is_trivia(toks[j])) return j;
+  }
+  return kNpos;
+}
+
+std::size_t prev_code(const std::vector<Token>& toks, std::size_t i) {
+  for (std::size_t j = i; j-- > 0;) {
+    if (!is_trivia(toks[j])) return j;
+  }
+  return kNpos;
+}
+
+/// Matches a bracket pair starting at `open` (token index of the opening
+/// bracket). Returns the index of the closing token, or kNpos.
 std::size_t match_pair(const std::vector<Token>& toks, std::size_t open,
                        std::string_view open_text,
                        std::string_view close_text) {
@@ -39,6 +59,9 @@ std::size_t match_pair(const std::vector<Token>& toks, std::size_t open,
   return kNpos;
 }
 
+/// For a container type name at token `i`, skips an optional template
+/// argument list and returns the index of the first token after the type
+/// (kNpos when the angle brackets never close).
 std::size_t skip_template_args(const std::vector<Token>& toks,
                                std::size_t i) {
   std::size_t j = next_code(toks, i);
@@ -46,45 +69,6 @@ std::size_t skip_template_args(const std::vector<Token>& toks,
   const std::size_t close = match_pair(toks, j, "<", ">");
   if (close == kNpos) return kNpos;
   return next_code(toks, close);
-}
-
-bool statement_is_static(const std::vector<Token>& toks, std::size_t i) {
-  for (std::size_t j = i; j-- > 0;) {
-    if (is_punct(toks[j], ";") || is_punct(toks[j], "{") ||
-        is_punct(toks[j], "}")) {
-      break;
-    }
-    if (is_ident(toks[j], "static") || is_ident(toks[j], "thread_local")) {
-      return true;
-    }
-  }
-  return false;
-}
-
-const std::set<std::string>& container_types() {
-  static const std::set<std::string> kSet{
-      "vector", "string", "basic_string", "deque", "list", "forward_list",
-      "map", "multimap", "set", "multiset", "unordered_map",
-      "unordered_multimap", "unordered_set", "unordered_multiset",
-      "function", "queue", "priority_queue", "stack", "ostringstream",
-      "istringstream", "stringstream", "valarray"};
-  return kSet;
-}
-
-const std::set<std::string>& alloc_calls() {
-  static const std::set<std::string> kSet{"malloc",        "calloc",
-                                          "realloc",       "free",
-                                          "aligned_alloc", "posix_memalign",
-                                          "strdup",        "make_unique",
-                                          "make_shared"};
-  return kSet;
-}
-
-const std::set<std::string>& growth_calls() {
-  static const std::set<std::string> kSet{
-      "push_back", "emplace_back", "push_front", "emplace_front", "emplace",
-      "insert",    "resize",       "reserve",    "append"};
-  return kSet;
 }
 
 const std::set<std::string>& signal_safe_builtin() {
@@ -127,74 +111,6 @@ const std::set<std::string>& call_keywords() {
   return kSet;
 }
 
-const std::set<std::string>& blocking_calls() {
-  // Entry points that can park the calling thread: syscalls (raw or via
-  // the faults::sys shim — the last :: component is what the scanner
-  // sees), polling, sleeps, condition-variable waits, fork/exec.
-  static const std::set<std::string> kSet{
-      "read", "write", "send", "recv", "sendmsg", "recvmsg", "sendto",
-      "recvfrom", "accept", "accept4", "connect", "poll", "ppoll",
-      "select", "epoll_wait", "fork", "waitpid", "wait", "wait_for",
-      "wait_until", "sleep", "usleep", "nanosleep", "sleep_for",
-      "sleep_until", "fsync", "fdatasync", "flock", "msync"};
-  return kSet;
-}
-
-const std::set<std::string>& hot_benign_externs() {
-  // Non-allocating externs the hot-path proof accepts without an in-tree
-  // definition. Everything else unresolved inside hot reachability is a
-  // `callgraph` finding: the proof is honest about what it cannot see.
-  static const std::set<std::string> kSet{
-      // libm / numeric
-      "abs", "labs", "llabs", "fabs", "sqrt", "cbrt", "pow", "exp", "exp2",
-      "log", "log2", "log10", "floor", "ceil", "round", "lround", "llround",
-      "trunc", "fmod", "fmin", "fmax", "hypot", "isnan", "isinf",
-      "isfinite", "copysign", "ldexp", "frexp",
-      // <algorithm>/<utility> (non-allocating forms used on scratch)
-      "min", "max", "clamp", "swap", "move", "forward", "get", "tie",
-      "distance", "advance", "lower_bound", "upper_bound", "binary_search",
-      "sort", "stable_sort", "partial_sort", "nth_element", "fill",
-      "fill_n", "copy", "copy_n", "accumulate", "reduce", "find",
-      "find_if", "count", "count_if", "all_of", "any_of", "none_of",
-      "max_element", "min_element", "remove_if", "rotate", "reverse",
-      "iota", "exchange", "begin", "end", "size", "data", "empty",
-      // formatted output into caller buffers + byte ops + classification
-      "snprintf", "sscanf", "strcmp", "strncmp", "strchr", "strrchr",
-      "strtol", "strtoul", "strtoull", "strtod", "isspace", "isdigit",
-      "isalpha", "isalnum", "tolower", "toupper",
-      // byte-order helpers
-      "htons", "htonl", "ntohs", "ntohl"};
-  return kSet;
-}
-
-const std::set<std::string>& benign_member_methods() {
-  // Method names owned by the standard library in practice: the member
-  // resolver never binds these to in-tree definitions, and the hot walk
-  // treats them as non-escaping (growth/alloc members are still caught by
-  // the token-level hot-path scan).
-  static const std::set<std::string> kSet{
-      // containers / views
-      "size", "length", "empty", "clear", "assign", "reserve", "resize",
-      "push_back", "emplace_back", "pop_back", "push_front", "pop_front",
-      "front", "back", "data", "c_str", "str", "at", "find", "rfind",
-      "count", "contains", "erase", "insert", "emplace", "swap", "begin",
-      "end", "cbegin", "cend", "rbegin", "rend", "substr", "compare",
-      "append", "capacity", "shrink_to_fit", "fill", "splice",
-      // atomics
-      "load", "store", "exchange", "fetch_add", "fetch_sub", "fetch_and",
-      "fetch_or", "fetch_xor", "compare_exchange_strong",
-      "compare_exchange_weak", "test_and_set", "notify_one", "notify_all",
-      // smart pointers / optionals / streams
-      "reset", "release", "value", "value_or", "has_value", "emplace_hint",
-      "good", "bad", "fail", "eof", "flush", "open", "close", "is_open",
-      "rdbuf", "tellp", "tellg", "seekp", "seekg", "getline", "put",
-      "first", "second", "native_handle", "joinable", "join", "detach",
-      "get_id", "time_since_epoch", "count"};
-  return kSet;
-}
-
-namespace {
-
 const std::set<std::string>& unordered_types() {
   static const std::set<std::string> kSet{
       "unordered_map", "unordered_multimap", "unordered_set",
@@ -204,20 +120,6 @@ const std::set<std::string>& unordered_types() {
 
 }  // namespace
 
-std::size_t next_code(const std::vector<Token>& toks, std::size_t i) {
-  for (std::size_t j = i + 1; j < toks.size(); ++j) {
-    if (!is_trivia(toks[j])) return j;
-  }
-  return kNpos;
-}
-
-std::size_t prev_code(const std::vector<Token>& toks, std::size_t i) {
-  for (std::size_t j = i; j-- > 0;) {
-    if (!is_trivia(toks[j])) return j;
-  }
-  return kNpos;
-}
-
 void build_file_context(const std::string& path, const std::string& content,
                         FileContext& fc, std::vector<Finding>& findings) {
   fc.path = path;
@@ -225,12 +127,12 @@ void build_file_context(const std::string& path, const std::string& content,
   fc.annotations = parse_annotations(fc.tokens, known_rules());
   for (const AnnotationDiag& d : fc.annotations.diags) {
     findings.push_back(
-        {"annotation", fc.path, d.line, d.col, d.message, false, false, {}});
+        {"annotation", fc.path, d.line, d.col, d.message, false, {}});
   }
 
   const std::vector<Token>& toks = fc.tokens;
   for (const Annotation& a : fc.annotations.annotations) {
-    if (a.kind == AnnotationKind::kAllow) continue;
+    if (a.kind != AnnotationKind::kSignal) continue;
     // The annotated function's body is the first braced block after the
     // marker; a top-level ';' first means the marker sits on a mere
     // declaration (or nothing), which the rules could never check.
@@ -248,9 +150,8 @@ void build_file_context(const std::string& path, const std::string& content,
     }
     if (open == kNpos) {
       findings.push_back({"annotation", fc.path, a.line, a.col,
-                          "hot/signal annotation attaches to no function "
-                          "body — place it directly above the definition",
-                          false,
+                          "signal annotation attaches to no function body "
+                          "— place it directly above the definition",
                           false,
                           {}});
       continue;
@@ -260,7 +161,6 @@ void build_file_context(const std::string& path, const std::string& content,
     FunctionRange fr;
     fr.body_begin = open;
     fr.body_end = close;
-    fr.line = a.line;
     for (std::size_t i = a.token_index + 1; i < open; ++i) {
       if (toks[i].kind != TokenKind::kIdentifier) continue;
       const std::size_t n = next_code(toks, i);
@@ -268,8 +168,7 @@ void build_file_context(const std::string& path, const std::string& content,
         fr.name = std::string(toks[i].text);
       }
     }
-    (a.kind == AnnotationKind::kHot ? fc.hot_fns : fc.signal_fns)
-        .push_back(std::move(fr));
+    fc.signal_fns.push_back(std::move(fr));
   }
 
   // Declared unordered-container variable names (for the determinism
@@ -459,6 +358,36 @@ void run_atomics(const FileContext& fc, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
+// signal
+
+void run_signal(const FileContext& fc,
+                const std::set<std::string>& signal_annotated,
+                std::vector<Finding>& out) {
+  const std::vector<Token>& toks = fc.tokens;
+  for (const FunctionRange& fn : fc.signal_fns) {
+    const std::string where =
+        fn.name.empty() ? "signal context" : "signal '" + fn.name + "'";
+    for (std::size_t i = fn.body_begin + 1; i < fn.body_end; ++i) {
+      const Token& t = toks[i];
+      if (t.kind != TokenKind::kIdentifier) continue;
+      const std::size_t n = next_code(toks, i);
+      if (n == kNpos || n >= fn.body_end || !is_punct(toks[n], "(")) {
+        continue;
+      }
+      if (set_contains(call_keywords(), t.text) ||
+          set_contains(signal_safe_builtin(), t.text) ||
+          set_contains(signal_annotated, t.text)) {
+        continue;
+      }
+      add_finding(out, "signal", fc, t,
+                  "call to '" + std::string(t.text) + "' in " + where +
+                      " — not on the async-signal-safe allowlist (mark the "
+                      "callee with the signal annotation if it qualifies)");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // sysfail
 
 namespace {
@@ -599,7 +528,6 @@ void run_catalog(const FileContext& events, const FileContext& exporter,
                  std::to_string(required) +
                  " — every event kind must export (docs/OBSERVABILITY.md)",
              false,
-             false,
              {}});
       }
       if (is_event_type && doc_text != nullptr) {
@@ -612,7 +540,6 @@ void run_catalog(const FileContext& events, const FileContext& exporter,
                          enum_name + "::" + e.name + " has no '" + heading +
                              "' entry in the observability doc — the event "
                              "catalog must stay complete",
-                         false,
                          false,
                          {}});
         }

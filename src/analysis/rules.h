@@ -1,6 +1,5 @@
-// Internal rule interfaces shared by analyzer.cc, rules.cc and the
-// call-graph layer (callgraph.cc, lockorder.cc). Not part of the public
-// surface (tools and tests include analyzer.h only).
+// Internal rule interfaces shared by analyzer.cc and rules.cc. Not part of
+// the public surface (tools and tests include analyzer.h only).
 #pragma once
 
 #include <set>
@@ -13,14 +12,11 @@
 
 namespace bbsched::analysis::detail {
 
-constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-
-/// A function body claimed by a hot/signal annotation.
+/// A function body claimed by a signal annotation.
 struct FunctionRange {
   std::string name;            ///< identifier before the parameter list
   std::size_t body_begin = 0;  ///< token index of the opening '{'
   std::size_t body_end = 0;    ///< token index of the matching '}'
-  int line = 0;                ///< line of the annotation
 };
 
 /// Everything the per-file rules need, built once per source file.
@@ -28,7 +24,6 @@ struct FileContext {
   std::string path;
   std::vector<Token> tokens;
   AnnotationSet annotations;
-  std::vector<FunctionRange> hot_fns;
   std::vector<FunctionRange> signal_fns;
   std::set<std::string> unordered_names;  ///< unordered members declared here
   bool has_atomic_decl = false;           ///< mentions std::atomic
@@ -44,6 +39,12 @@ void run_determinism(const FileContext& fc,
                      const std::set<std::string>& unordered_names,
                      std::vector<Finding>& out);
 void run_atomics(const FileContext& fc, std::vector<Finding>& out);
+/// Checks each signal-annotated body: every call must name the
+/// async-signal-safe allowlist or a function in `signal_annotated` (the
+/// tree-wide set of signal-annotated names).
+void run_signal(const FileContext& fc,
+                const std::set<std::string>& signal_annotated,
+                std::vector<Finding>& out);
 /// Flags raw global-scope calls (`::read`, `::write`, `::mmap`, …) to
 /// syscalls the faults::sys shim interposes — scoped to src/runtime and
 /// src/core, where every such call must route through the shim so the
@@ -53,62 +54,5 @@ void run_sysfail(const FileContext& fc, std::vector<Finding>& out);
 /// Cross-file catalog check. `doc_text` may be null (no doc input).
 void run_catalog(const FileContext& events, const FileContext& exporter,
                  const std::string* doc_text, std::vector<Finding>& out);
-
-// ---------------------------------------------------------------------------
-// Token helpers shared across rules and the call-graph builder.
-
-[[nodiscard]] std::size_t next_code(const std::vector<Token>& toks,
-                                    std::size_t i);
-[[nodiscard]] std::size_t prev_code(const std::vector<Token>& toks,
-                                    std::size_t i);
-
-[[nodiscard]] bool is_punct(const Token& t, std::string_view text);
-[[nodiscard]] bool is_ident(const Token& t, std::string_view text);
-[[nodiscard]] bool set_contains(const std::set<std::string>& set,
-                                std::string_view word);
-
-/// Matches a bracket pair starting at `open` (token index of the opening
-/// bracket). Returns the index of the closing token, or kNpos.
-[[nodiscard]] std::size_t match_pair(const std::vector<Token>& toks,
-                                     std::size_t open,
-                                     std::string_view open_text,
-                                     std::string_view close_text);
-
-/// For a container type name at token `i`, skips an optional template
-/// argument list and returns the index of the first token after the type
-/// (kNpos when the angle brackets never close).
-[[nodiscard]] std::size_t skip_template_args(const std::vector<Token>& toks,
-                                             std::size_t i);
-
-/// True when the statement containing token `i` begins with a storage
-/// qualifier that makes a container declaration reuse-safe.
-[[nodiscard]] bool statement_is_static(const std::vector<Token>& toks,
-                                       std::size_t i);
-
-void add_finding(std::vector<Finding>& out, const char* rule,
-                 const FileContext& fc, const Token& at, std::string message);
-
-// ---------------------------------------------------------------------------
-// Word sets shared between the per-body checks and the call-graph walks.
-
-/// Heap-allocating calls forbidden in hot paths.
-const std::set<std::string>& alloc_calls();
-/// Container growth operations (suspect on non-scratch receivers).
-const std::set<std::string>& growth_calls();
-/// Owning standard containers (suspect as hot-path locals).
-const std::set<std::string>& container_types();
-/// The async-signal-safe allowlist (POSIX subset + lock-free atomics).
-const std::set<std::string>& signal_safe_builtin();
-/// Keywords the lexer reports as identifiers but that never name a call.
-const std::set<std::string>& call_keywords();
-/// Calls that can block (syscalls, condition-variable waits, sleeps) —
-/// forbidden while holding a lock inside hot-annotated reachability.
-const std::set<std::string>& blocking_calls();
-/// Externs the hot-path walk accepts without an in-tree definition
-/// (non-allocating libc/libm/utility calls).
-const std::set<std::string>& hot_benign_externs();
-/// Standard container/atomic/smart-pointer method names the member-call
-/// resolver never binds to in-tree definitions.
-const std::set<std::string>& benign_member_methods();
 
 }  // namespace bbsched::analysis::detail

@@ -20,6 +20,12 @@ int CpuManager::connect(const std::string& name, int nthreads) {
   apps_.emplace(id, ManagedApp(id, name, nthreads, cfg_.window_len,
                                cfg_.ewma_alpha));
   order_.push_back(id);
+  // Every per-quantum buffer is bounded by the connected-app count. Sizing
+  // them here, on the connect path, keeps the first quantum that elects
+  // more apps than any before it from growing them mid-run.
+  candidates_.reserve(order_.size());
+  result_.elected.reserve(order_.size());
+  running_.reserve(order_.size());
 
   // Crash recovery: a reattaching application adopts its journaled feed
   // state instead of cold-starting, provided the shape still matches (a
@@ -293,7 +299,7 @@ double CpuManager::policy_estimate(int app_id) const {
   return 0.0;
 }
 
-// bbsched:hot runs inside schedule_quantum on every quantum boundary
+// Runs inside schedule_quantum on every quantum boundary.
 void CpuManager::apply_staleness_policy(std::uint64_t now_us) {
   const double quantum = static_cast<double>(cfg_.quantum_us);
   const StalenessConfig& st = cfg_.staleness;
@@ -384,7 +390,7 @@ void CpuManager::apply_staleness_policy(std::uint64_t now_us) {
   for (int id : order_) apps_.at(id).samples_this_quantum = 0;
 }
 
-// bbsched:hot per-quantum election path, runs once per scheduling quantum
+// The per-quantum election path, run once per scheduling quantum.
 const ElectionResult& CpuManager::schedule_quantum(int nprocs,
                                                    std::uint64_t now_us) {
   // (1) Update statistics of the jobs that ran during the ending quantum,
@@ -402,7 +408,6 @@ const ElectionResult& CpuManager::schedule_quantum(int nprocs,
 
   // (3) Elect the next gang.
   candidates_.clear();
-  candidates_.reserve(order_.size());
   for (int id : order_) {
     const ManagedApp& app = apps_.at(id);
     candidates_.push_back({id, app.nthreads, policy_estimate(id)});

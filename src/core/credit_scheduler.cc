@@ -132,7 +132,7 @@ CreditScheduler::ReplenishReport CreditScheduler::replenish_if_due(
   return report;
 }
 
-// bbsched:hot per-quantum election path of the credit tier
+// Per-quantum election path of the credit tier.
 void CreditScheduler::elect(const std::vector<Candidate>& candidates,
                             int nprocs, double total_bus_bw,
                             ElectionRule slack_rule,
@@ -150,7 +150,7 @@ void CreditScheduler::elect(const std::vector<Candidate>& candidates,
     out.idle_procs = nprocs;
 
     if (audit) {
-      // bbsched:allow(hotpath): audit is the caller's reused buffer
+      // audit is the caller's reused buffer.
       audit->resize(candidates.size());
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         (*audit)[i] = CandidateDecision{};
@@ -159,7 +159,7 @@ void CreditScheduler::elect(const std::vector<Candidate>& candidates,
         (*audit)[i].bbw_per_thread = candidates[i].bbw_per_thread;
       }
     }
-    // bbsched:allow(hotpath): taken_ is a reused, size-stable member buffer
+    // taken_ is a reused, size-stable member buffer.
     taken_.assign(candidates.size(), 0);
 
     auto allocate = [&](std::size_t idx) {
@@ -169,7 +169,7 @@ void CreditScheduler::elect(const std::vector<Candidate>& candidates,
         (*audit)[idx].elected = true;
         (*audit)[idx].alloc_order = static_cast<int>(out.elected.size());
       }
-      // bbsched:allow(hotpath): out.elected is the caller's reused buffer
+      // out.elected is the caller's reused buffer.
       out.elected.push_back(c.app_id);
       out.idle_procs -= c.nthreads;
       out.allocated_bw += c.bbw_per_thread * static_cast<double>(c.nthreads);

@@ -22,7 +22,7 @@ ElectionResult elect(const std::vector<Candidate>& candidates, int nprocs,
   return out;
 }
 
-// bbsched:hot the election inner loop, zero-alloc in steady state
+// The election inner loop, allocation-free in steady state.
 void elect_into(const std::vector<Candidate>& candidates, int nprocs,
                 double total_bus_bw, ElectionRule rule,
                 std::vector<CandidateDecision>* audit, ElectionResult& out) {
@@ -32,8 +32,8 @@ void elect_into(const std::vector<Candidate>& candidates, int nprocs,
   out.idle_procs = nprocs;
 
   if (audit) {
-    // Only grows on the first tracing quantum after an app-set change:
-    // bbsched:allow(hotpath): audit is the caller's reused, size-stable buffer
+    // audit is the caller's reused, size-stable buffer: it only grows on
+    // the first tracing quantum after an app-set change.
     audit->resize(candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       (*audit)[i] = CandidateDecision{};
@@ -55,8 +55,8 @@ void elect_into(const std::vector<Candidate>& candidates, int nprocs,
       (*audit)[idx].elected = true;
       (*audit)[idx].alloc_order = static_cast<int>(out.elected.size());
     }
-    // Capacity stabilizes after the first quantum:
-    // bbsched:allow(hotpath): out.elected is the caller's reused result buffer
+    // out.elected is the caller's reused result buffer; its capacity
+    // stabilizes after the first quantum.
     out.elected.push_back(c.app_id);
     out.idle_procs -= c.nthreads;
     out.allocated_bw += c.bbw_per_thread * static_cast<double>(c.nthreads);

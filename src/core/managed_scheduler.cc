@@ -21,6 +21,9 @@ void ManagedScheduler::start(Machine& m, trace::ScheduleTrace& trace) {
   }
   quantum_start_ = 0;
   samples_taken_ = 0;
+  // Elected gangs fit the machine, so place_elected queues at most one
+  // thread per context.
+  pending_.reserve(m.cpus().size());
   run_election(m, 0, trace);
 }
 
@@ -191,8 +194,8 @@ void ManagedScheduler::apply_block_states(Machine& m,
 
 void ManagedScheduler::place_elected(Machine& m) {
   // Two passes: first honour affinity (thread's previous CPU if free), then
-  // fill remaining threads onto remaining CPUs.
-  std::vector<int> pending;
+  // fill remaining threads onto remaining CPUs (pending_ is reused scratch).
+  pending_.clear();
   for (int app : manager_.running()) {
     auto jit = app_to_job_.find(app);
     if (jit == app_to_job_.end()) continue;
@@ -204,11 +207,11 @@ void ManagedScheduler::place_elected(Machine& m) {
           m.cpus()[static_cast<std::size_t>(t.last_cpu)].thread == Cpu::kIdle) {
         m.place(t.last_cpu, tid);
       } else {
-        pending.push_back(tid);
+        pending_.push_back(tid);
       }
     }
   }
-  for (int tid : pending) {
+  for (int tid : pending_) {
     // Prefer a context on the least-occupied core: under SMT this spreads
     // the gang across physical cores before doubling contexts up
     // (symbiosis-aware placement; a no-op when threads_per_core == 1).

@@ -130,6 +130,9 @@ class ManagedScheduler final : public sim::Scheduler {
   /// Last cumulative transaction count read per manager app.
   std::unordered_map<int, double> last_read_;
 
+  /// place_elected's scratch: elected threads whose last CPU is taken.
+  std::vector<int> pending_;
+
   sim::SimTime quantum_start_ = 0;
   int samples_taken_ = 0;
   sim::SimTime busy_until_ = 0;  ///< manager overhead window

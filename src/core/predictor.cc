@@ -23,9 +23,18 @@ double ContentionPredictor::alpha(double demand_tps) const {
 ContentionPredictor::Prediction ContentionPredictor::predict(
     std::span<const double> demands) const {
   Prediction out;
+  predict_into(demands, out);
+  return out;
+}
+
+void ContentionPredictor::predict_into(std::span<const double> demands,
+                                       Prediction& out) const {
   const std::size_t n = demands.size();
   out.slowdown.assign(n, 1.0);
-  if (n == 0) return out;
+  out.aggregate_speed = 0.0;
+  out.worst_speed = 1.0;
+  out.total_rate = 0.0;
+  if (n == 0) return;
 
   double total_demand = 0.0;
   // Reused scratch: predictions run inside the election inner loop, which
@@ -66,7 +75,6 @@ ContentionPredictor::Prediction ContentionPredictor::predict(
     }
   }
 
-  out.worst_speed = 1.0;
   for (std::size_t i = 0; i < n; ++i) {
     out.slowdown[i] = 1.0 + alphas[i] * (x - 1.0);
     const double speed = 1.0 / out.slowdown[i];
@@ -74,7 +82,6 @@ ContentionPredictor::Prediction ContentionPredictor::predict(
     out.worst_speed = std::min(out.worst_speed, speed);
     out.total_rate += demands[i] / out.slowdown[i];
   }
-  return out;
 }
 
 namespace {
@@ -84,7 +91,9 @@ double score(const ContentionPredictor& predictor,
              const std::vector<double>& demands,
              PredictiveObjective objective) {
   if (demands.empty()) return 0.0;
-  const auto p = predictor.predict(demands);
+  // Reused scratch, like the buffers in elect_predictive_into.
+  static thread_local ContentionPredictor::Prediction p;
+  predictor.predict_into(demands, p);
   switch (objective) {
     case PredictiveObjective::kMaxThroughput:
       return p.aggregate_speed;
@@ -120,13 +129,12 @@ void elect_predictive_into(const std::vector<Candidate>& candidates,
   auto allocate = [&](std::size_t idx) {
     const Candidate& c = candidates[idx];
     taken[idx] = 1;
-    // Capacity stabilizes after the first quantum:
-    // bbsched:allow(hotpath): out.elected is the caller's reused result buffer
+    // out.elected is the caller's reused result buffer; its capacity
+    // stabilizes after the first quantum.
     out.elected.push_back(c.app_id);
     out.idle_procs -= c.nthreads;
     out.allocated_bw += c.bbw_per_thread * static_cast<double>(c.nthreads);
     for (int t = 0; t < c.nthreads; ++t) {
-      // bbsched:allow(hotpath): demands is reused thread-local scratch
       demands.push_back(c.bbw_per_thread);
     }
   };
@@ -149,7 +157,6 @@ void elect_predictive_into(const std::vector<Candidate>& candidates,
       if (taken[i] != 0 || candidates[i].nthreads > out.idle_procs) continue;
       trial.assign(demands.begin(), demands.end());
       for (int t = 0; t < candidates[i].nthreads; ++t) {
-        // bbsched:allow(hotpath): trial is reused thread-local scratch
         trial.push_back(candidates[i].bbw_per_thread);
       }
       const double s = score(predictor, trial, objective);

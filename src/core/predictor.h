@@ -61,7 +61,13 @@ class ContentionPredictor {
     double total_rate = 0.0;
   };
 
-  /// Predicts contention for the given per-thread demands.
+  /// Predicts contention for the given per-thread demands into `out`,
+  /// reusing its slowdown buffer: elections score candidate gangs with a
+  /// caller-owned Prediction, so steady-state quanta stay allocation-free.
+  void predict_into(std::span<const double> per_thread_demands,
+                    Prediction& out) const;
+
+  /// By-value convenience wrapper (tests, offline tools).
   [[nodiscard]] Prediction predict(
       std::span<const double> per_thread_demands) const;
 

@@ -2,7 +2,8 @@
 // kCliFlags below, which --help (or -h) prints before exiting 0. A
 // malformed value (`--scale=abc`, `--jobs=4x`) prints one line naming the
 // flag and exits 2. Unknown flags are ignored, so binary-specific flags
-// (fig2_sweep's --seeds=N) and google-benchmark flags pass through.
+// (fig2_sweep's --seeds=N, read with cli_detail::int_flag) and
+// google-benchmark flags pass through.
 #pragma once
 
 #include <charconv>
@@ -60,6 +61,21 @@ bool parse_whole(std::string_view text, T& out) {
                static_cast<int>(value.size()), value.data(),
                static_cast<int>(flag.size()), flag.data());
   std::exit(2);
+}
+
+/// Binary-specific integer flags (fig2_sweep --seeds=N, perf_ticks
+/// --ticks=N): true, with `out` set, when `arg` is `flag=value`. A value
+/// that is malformed or below `min` exits 2 through bad_value.
+template <typename T>
+bool int_flag(const char* prog, std::string_view arg, std::string_view flag,
+              T min, T& out) {
+  if (arg.size() <= flag.size() || arg.substr(0, flag.size()) != flag ||
+      arg[flag.size()] != '=') {
+    return false;
+  }
+  const std::string_view value = arg.substr(flag.size() + 1);
+  if (!parse_whole(value, out) || out < min) bad_value(prog, flag, value);
+  return true;
 }
 
 }  // namespace cli_detail

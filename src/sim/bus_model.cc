@@ -42,16 +42,15 @@ BusResolution BusModel::resolve(std::span<const double> demands,
   return std::move(ws.result);
 }
 
-// bbsched:hot workspace overload used by the per-tick path
+// Workspace overload used by the per-tick path.
 const BusResolution& BusModel::resolve(std::span<const double> demands,
                                        std::span<const double> weights,
                                        BusWorkspace& ws) const {
   BusResolution& out = ws.result;
   const std::size_t n = demands.size();
   assert(weights.empty() || weights.size() == n);
-  // bbsched:allow(hotpath): ws.result buffers are reused and size-stable
+  // ws.result buffers are reused and size-stable.
   out.slowdown.resize(n);
-  // bbsched:allow(hotpath): ws.result buffers are reused and size-stable
   out.granted.resize(n);
   out.stretch = 1.0;
   out.offered_rho = 0.0;
@@ -60,9 +59,8 @@ const BusResolution& BusModel::resolve(std::span<const double> demands,
 
   std::vector<double>& alphas = ws.alphas;
   std::vector<double>& inv_w = ws.inv_w;
-  // bbsched:allow(hotpath): workspace scratch, reused and size-stable
+  // Workspace scratch, reused and size-stable.
   alphas.resize(n);
-  // bbsched:allow(hotpath): workspace scratch, reused and size-stable
   inv_w.resize(n);
 
   // Single fused gather: one pass writes every per-agent array (the neutral

@@ -31,9 +31,14 @@ Engine::Engine(const MachineConfig& mcfg, const EngineConfig& ecfg,
   assert(ecfg_.tick_us > 0);
   noise_until_.assign(static_cast<std::size_t>(mcfg.num_cpus), 0);
   noise_next_.assign(static_cast<std::size_t>(mcfg.num_cpus), 0);
-  // At most one stolen resident per CPU. Warm-up rarely meets a batch with
-  // one, so without this the first such batch would allocate mid-run.
-  batch_stolen_.reserve(static_cast<std::size_t>(mcfg.num_cpus));
+  // At most one stolen resident and one batch thread per CPU. Warm-up
+  // rarely meets a batch with a stolen CPU or with every CPU busy, so
+  // without these the first such batch would allocate mid-run.
+  const auto ncpus = static_cast<std::size_t>(mcfg.num_cpus);
+  batch_stolen_.reserve(ncpus);
+  batch_threads_.reserve(ncpus);
+  batch_frac_.reserve(ncpus);
+  batch_pnew_.reserve(ncpus);
   if (ecfg_.os_noise_interval_us > 0) {
     for (auto& next : noise_next_) {
       next = static_cast<SimTime>(
@@ -132,7 +137,7 @@ bool Engine::step_once() {
   return structural;
 }
 
-// bbsched:hot the per-tick simulation loop (allocation-free steady state)
+// The per-tick simulation loop (allocation-free in steady state).
 bool Engine::execute_tick() {
   const double tick = static_cast<double>(ecfg_.tick_us);
   const auto& cache_cfg = mcfg_.cache;
@@ -421,7 +426,6 @@ bool Engine::execute_tick() {
   return structural;
 }
 
-// bbsched:hot runs every tick from execute_tick
 void Engine::apply_cache_disturbance(double tick) {
   // A running thread's working set evicts cached state of the other threads
   // whose affinity home shares a cache with the runner: the same context
@@ -448,7 +452,6 @@ void Engine::apply_cache_disturbance(double tick) {
   }
 }
 
-// bbsched:hot runs every tick from execute_tick
 void Engine::account_unplaced(double tick) {
   SoAStore& s = machine_.store();
   is_placed_.assign(s.size(), 0);
@@ -478,7 +481,6 @@ void Engine::account_unplaced(double tick) {
   }
 }
 
-// bbsched:hot runs every tick from execute_tick
 bool Engine::barrier_transitions() {
   // Progress advanced this tick: rebuild the cached fronts once, then both
   // this wake-up pass and the next tick's barrier-limit computation read
@@ -506,7 +508,6 @@ bool Engine::barrier_transitions() {
   return woke;
 }
 
-// bbsched:hot runs every tick from execute_tick
 void Engine::refresh_job_fronts() {
   // Completed jobs keep an infinity front: nothing reads it — the gather
   // loop only consults fronts of placed (live) threads and the wake-up scan
@@ -528,7 +529,7 @@ void Engine::refresh_job_fronts() {
   }
 }
 
-// bbsched:hot validates batch soundness and computes the event horizon
+// Validates batch soundness and computes the event horizon.
 std::uint64_t Engine::prepare_batch(SimTime until) {
   const SimTime tick_us = ecfg_.tick_us;
   const double tick = static_cast<double>(tick_us);
@@ -656,11 +657,17 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
   // Cache-disturbance pairs (runner evicting a same-core thread's warmth)
   // are fixed while placements and states hold. A victim that is itself an
   // advancing placed thread with warmth-sensitive demand would invalidate
-  // the frozen bus resolution, so such pairs veto the batch.
-  batch_dist_.clear();
-  batch_dist_dec_.clear();
+  // the frozen bus resolution, so such pairs veto the batch. A thread is the
+  // victim of at most one runner per context of its last core, which bounds
+  // the pair lists; reserving that bound keeps them from growing mid-run.
   SoAStore& sm = machine_.store();
   const std::size_t n = s.size();
+  const std::size_t max_pairs =
+      n * static_cast<std::size_t>(mcfg_.threads_per_core);
+  batch_dist_.clear();
+  batch_dist_dec_.clear();
+  batch_dist_.reserve(max_pairs);
+  batch_dist_dec_.reserve(max_pairs);
   for (std::size_t c = 0; c < machine_.cpus().size(); ++c) {
     const int runner = machine_.cpus()[c].thread;
     if (runner == Cpu::kIdle) continue;
@@ -688,8 +695,11 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
 
   // Unplaced live threads accrue per-state wait time. States are frozen
   // for the whole batch (every transition ends it), so resolve each
-  // thread's accumulator once.
+  // thread's accumulator once. Reserving one slot per thread keeps a later
+  // batch with more unplaced threads (a degraded manager blocking whole
+  // gangs) from growing the list mid-run.
   batch_wait_.clear();
+  batch_wait_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (is_placed_[i]) continue;  // current: account_unplaced ran this tick
     switch (s.state[i]) {
@@ -713,7 +723,7 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
   return budget;
 }
 
-// bbsched:hot the batched-tick replay loop (quantum batching)
+// The batched-tick replay loop (quantum batching).
 void Engine::replay_quiet_ticks(SimTime until) {
   const std::uint64_t budget = prepare_batch(until);
   if (budget == 0) return;

@@ -178,7 +178,7 @@ struct SoAStore {
     return id;
   }
 
-  // bbsched:hot proxy construction runs inside the per-tick loops
+  // Proxy construction runs inside the per-tick loops.
   [[nodiscard]] ThreadCtx ctx(int id) {
     const auto i = static_cast<std::size_t>(id);
     assert(i < size());
@@ -204,7 +204,7 @@ struct SoAStore {
                      migrations[i]};
   }
 
-  // bbsched:hot proxy construction runs inside the per-tick loops
+  // Proxy construction runs inside the per-tick loops.
   [[nodiscard]] ConstThreadCtx ctx(int id) const {
     const auto i = static_cast<std::size_t>(id);
     assert(i < size());

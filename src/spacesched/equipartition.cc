@@ -37,7 +37,10 @@ void EquipartitionScheduler::reallocate(Machine& m, SimTime now) {
   known_jobs_ = m.jobs().size();
   active_jobs_at_alloc_ = count_active(m);
 
-  partitions_.assign(m.jobs().size(), {});
+  // Clearing in place keeps each job's CPU list capacity, so reallocating
+  // every quantum stays allocation-free.
+  partitions_.resize(m.jobs().size());
+  for (auto& cpus : partitions_) cpus.clear();
   allocation_.assign(m.jobs().size(), 0);
   fold_cursor_.resize(m.jobs().size(), 0);
 
@@ -72,20 +75,20 @@ void EquipartitionScheduler::reallocate(Machine& m, SimTime now) {
   }
 
   // Allocated jobs rotate to the tail so that over-subscribed systems give
-  // every job its turn at a partition.
-  std::vector<int> favoured;
-  std::vector<int> rest;
-  for (int id : order_) {
+  // every job its turn at a partition. The rotated order is built in the
+  // reused rotation_ buffer and swapped in.
+  const auto favoured = [this](int id) {
     const auto idx = static_cast<std::size_t>(id);
-    if (idx < allocation_.size() && allocation_[idx] > 0) {
-      favoured.push_back(id);
-    } else {
-      rest.push_back(id);
-    }
+    return idx < allocation_.size() && allocation_[idx] > 0;
+  };
+  rotation_.clear();
+  for (int id : order_) {
+    if (!favoured(id)) rotation_.push_back(id);
   }
-  order_.clear();
-  order_.insert(order_.end(), rest.begin(), rest.end());
-  order_.insert(order_.end(), favoured.begin(), favoured.end());
+  for (int id : order_) {
+    if (favoured(id)) rotation_.push_back(id);
+  }
+  order_.swap(rotation_);
 
   m.vacate_all();
   last_fold_advance_ = now;

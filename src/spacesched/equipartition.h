@@ -68,6 +68,8 @@ class EquipartitionScheduler final : public sim::Scheduler {
 
   /// Job ids in rotation order (head = next to be favoured).
   std::vector<int> order_;
+  /// reallocate's scratch for the next rotation order.
+  std::vector<int> rotation_;
   /// Per-job partition: the CPUs owned this quantum.
   std::vector<std::vector<int>> partitions_;
   std::vector<int> allocation_;

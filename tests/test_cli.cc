@@ -1,6 +1,7 @@
 // Tests for the bench CLI parsing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -75,6 +76,42 @@ TEST(CliDeathTest, MalformedValueExitsTwoNamingTheFlag) {
               "for --scale");
 }
 
+TEST(Cli, IntFlagReadsOnlyItsOwnFlag) {
+  int seeds = 5;
+  EXPECT_FALSE(cli_detail::int_flag("prog", "--seed=3", "--seeds", 1, seeds));
+  EXPECT_FALSE(
+      cli_detail::int_flag("prog", "--seedsx=3", "--seeds", 1, seeds));
+  EXPECT_EQ(seeds, 5);
+  EXPECT_TRUE(cli_detail::int_flag("prog", "--seeds=1", "--seeds", 1, seeds));
+  EXPECT_EQ(seeds, 1);
+  int workers = 4;
+  EXPECT_TRUE(
+      cli_detail::int_flag("prog", "--workers=0", "--workers", 0, workers));
+  EXPECT_EQ(workers, 0);
+}
+
+TEST(CliDeathTest, IntFlagRejectsMalformedAndOutOfRangeValues) {
+  int seeds = 5;
+  for (const char* arg :
+       {"--seeds=0", "--seeds=abc", "--seeds=3x", "--seeds=-1", "--seeds="}) {
+    EXPECT_EXIT(cli_detail::int_flag("prog", arg, "--seeds", 1, seeds),
+                ::testing::ExitedWithCode(2), "for --seeds")
+        << arg;
+  }
+  std::uint64_t ticks = 1;
+  EXPECT_EXIT(
+      cli_detail::int_flag("prog", "--ticks=abc", "--ticks",
+                           std::uint64_t{1}, ticks),
+      ::testing::ExitedWithCode(2), "invalid value 'abc' for --ticks");
+  EXPECT_EXIT(cli_detail::int_flag("prog", "--ticks=0", "--ticks",
+                                   std::uint64_t{1}, ticks),
+              ::testing::ExitedWithCode(2), "for --ticks");
+  int workers = 0;
+  EXPECT_EXIT(
+      cli_detail::int_flag("prog", "--workers=-1", "--workers", 0, workers),
+      ::testing::ExitedWithCode(2), "for --workers");
+}
+
 TEST(CliDeathTest, HelpExitsZero) {
   EXPECT_EXIT(parse({"--help"}), ::testing::ExitedWithCode(0), "");
   EXPECT_EXIT(parse({"--app=SP", "-h"}), ::testing::ExitedWithCode(0), "");
@@ -109,6 +146,25 @@ TEST(Cli, BenchBinaryHelpAndMalformedFlag) {
   EXPECT_NE(bad.find("--scale"), std::string::npos) << bad;
   std::string bad_jobs;
   EXPECT_EQ(run(bin + " --jobs=4x", bad_jobs), 2);
+  for (const char* seeds : {"0", "abc", "3x", "-1"}) {
+    std::string bad_seeds;
+    EXPECT_EQ(run(bin + " --seeds=" + seeds, bad_seeds), 2) << bad_seeds;
+    EXPECT_NE(bad_seeds.find("--seeds"), std::string::npos) << bad_seeds;
+  }
+}
+
+// perf_ticks reads --ticks, --seeds and --workers itself; malformed or
+// out-of-range values are usage errors, not exceptions.
+TEST(Cli, PerfTicksRejectsBadCounts) {
+  const std::string bin = std::string(BBSCHED_BINARY_DIR) + "/bench/perf_ticks";
+  struct stat st{};
+  if (::stat(bin.c_str(), &st) != 0) GTEST_SKIP() << "perf_ticks not built";
+  for (const char* arg : {"--ticks=abc", "--ticks=0", "--seeds=0",
+                          "--seeds=2x", "--workers=-1"}) {
+    std::string out;
+    EXPECT_EQ(run(bin + " " + arg, out), 2) << arg << ": " << out;
+    EXPECT_NE(out.find("invalid value"), std::string::npos) << out;
+  }
 }
 
 }  // namespace

@@ -5,9 +5,6 @@
 // repo-relative paths do.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -108,67 +105,6 @@ int pick() { return rand(); }
             1u);
 }
 
-// ------------------------------------------------------------------- hotpath
-
-TEST(LintHotpath, FlagsAllocationAndGrowthInAnnotatedFunctions) {
-  const std::string src = R"(
-#include <vector>
-struct S {
-  std::vector<int> out;
-  // bbsched:hot fixture
-  void step() {
-    std::vector<int> tmp;
-    tmp.push_back(1);
-    out.resize(8);
-    int* p = new int(3);
-    delete p;
-  }
-};
-)";
-  const AnalysisResult r = lint_one("src/sim/fixture.cc", src);
-  // local decl, push_back on non-scratch, resize on non-scratch, new, delete
-  EXPECT_EQ(count_rule(r, "hotpath"), 5u);
-}
-
-TEST(LintHotpath, FlagsThrow) {
-  const std::string src = R"(
-// bbsched:hot fixture
-int f(int x) {
-  if (x < 0) throw 1;
-  return x;
-}
-)";
-  EXPECT_EQ(count_rule(lint_one("src/sim/fixture.cc", src), "hotpath"), 1u);
-}
-
-TEST(LintHotpath, AllowsScratchMembersAndStaticLocals) {
-  const std::string src = R"(
-#include <vector>
-struct S {
-  std::vector<int> scratch_;
-  // bbsched:hot fixture
-  void step() {
-    static thread_local std::vector<int> buf;
-    buf.assign(4, 0);
-    scratch_.push_back(1);
-    scratch_.clear();
-  }
-};
-)";
-  EXPECT_EQ(count_rule(lint_one("src/sim/fixture.cc", src), "hotpath"), 0u);
-}
-
-TEST(LintHotpath, UnannotatedFunctionsAreNotChecked) {
-  const std::string src = R"(
-#include <vector>
-void cold() {
-  std::vector<int> v;
-  v.push_back(1);
-}
-)";
-  EXPECT_EQ(count_rule(lint_one("src/sim/fixture.cc", src), "hotpath"), 0u);
-}
-
 // -------------------------------------------------------------------- signal
 
 TEST(LintSignal, FlagsCallsOutsideTheAllowlist) {
@@ -207,6 +143,34 @@ void wake_all() {}
 void handler(int) { wake_all(); }
 )");
   EXPECT_EQ(count_rule(a.run(), "signal"), 0u);
+}
+
+TEST(LintSignal, UnannotatedInTreeHelperIsAFinding) {
+  // The helper's body only calls write(), but nothing holds it to that:
+  // without the annotation, calling it from a signal body is a finding at
+  // the call site.
+  Analyzer a;
+  a.add_file("src/runtime/g1.cc", R"(
+namespace bbsched::runtime {
+void note_event(int fd);
+// bbsched:signal fixture
+void on_signal(int fd) { note_event(fd); }
+}  // namespace bbsched::runtime
+)");
+  a.add_file("src/runtime/g2.cc", R"(
+namespace bbsched::runtime {
+void note_event(int fd) { write(fd, "e", 1); }
+}  // namespace bbsched::runtime
+)");
+  const AnalysisResult r = a.run();
+  ASSERT_EQ(count_rule(r, "signal"), 1u);
+  for (const Finding& f : r.findings) {
+    if (f.rule != "signal") continue;
+    EXPECT_EQ(f.path, "src/runtime/g1.cc");
+    EXPECT_NE(f.message.find("'note_event' in signal 'on_signal'"),
+              std::string::npos)
+        << f.message;
+  }
 }
 
 // ------------------------------------------------------------------- atomics
@@ -420,7 +384,7 @@ int f() { return rand(); }
 TEST(LintSuppression, AllowForADifferentRuleDoesNotSuppress) {
   const std::string src =
       "int f() { return rand(); }  "
-      "// bbsched:allow(hotpath): wrong rule on purpose\n";
+      "// bbsched:allow(atomics): wrong rule on purpose\n";
   const AnalysisResult r = lint_one("src/core/fixture.cc", src);
   EXPECT_EQ(r.unsuppressed(), 1u);
 }
@@ -438,11 +402,11 @@ int f() { return rand(); }
 
 TEST(LintAnnotation, MalformedMarkersAreFindingsNotNoOps) {
   const std::string src = R"(
-// bbsched:hotpath misspelled keyword
+// bbsched:signals misspelled keyword
 void a() {}
 // bbsched:allow(nosuchrule): unknown rule
 void b() {}
-// bbsched:allow(hotpath)
+// bbsched:allow(determinism)
 void c() {}
 // bbsched:frobnicate
 void d() {}
@@ -462,9 +426,9 @@ void f() {}
             1u);
 }
 
-TEST(LintAnnotation, DanglingHotAnnotationIsReported) {
+TEST(LintAnnotation, DanglingSignalAnnotationIsReported) {
   const std::string src = R"(
-// bbsched:hot attaches to a declaration, not a definition
+// bbsched:signal attaches to a declaration, not a definition
 void f(int x);
 )";
   EXPECT_EQ(count_rule(lint_one("src/sim/fixture.cc", src), "annotation"),
@@ -511,457 +475,14 @@ TEST(LintReport, TextReportHidesSuppressedByDefault) {
             std::string::npos);
 }
 
-// --------------------------------------------------- cross-TU hot reachability
-
-namespace fixtures {
-
-// Three translation units, three namespace spellings: the hot root calls
-// through a declaration into a second TU, which calls into a third.
-const char* kHotA = R"(
-namespace bbsched::sim {
-void mid_step();
-// bbsched:hot
-void tick() { mid_step(); }
-}  // namespace bbsched::sim
-)";
-const char* kHotB = R"(
-namespace bbsched { namespace sim {
-void leaf_step();
-void mid_step() { leaf_step(); }
-}  }
-)";
-const char* kHotLeafDirty = R"(
-namespace bbsched::sim {
-int* leaf_step() { return new int(3); }
-}  // namespace bbsched::sim
-)";
-const char* kHotLeafClean = R"(
-namespace bbsched::sim {
-int leaf_step() { return 3; }
-}  // namespace bbsched::sim
-)";
-
-}  // namespace fixtures
-
-TEST(LintCallGraph, HotChainCrossesThreeTranslationUnits) {
-  Analyzer a;
-  a.add_file("src/sim/a.cc", fixtures::kHotA);
-  a.add_file("src/sim/b.cc", fixtures::kHotB);
-  a.add_file("src/sim/c.cc", fixtures::kHotLeafDirty);
-  const AnalysisResult r = a.run();
-  ASSERT_EQ(count_rule(r, "hotpath"), 1u);
-  for (const Finding& f : r.findings) {
-    if (f.rule != "hotpath") continue;
-    // The sin is reported where it lives, with the full proof chain.
-    EXPECT_EQ(f.path, "src/sim/c.cc");
-    EXPECT_NE(
-        f.message.find("sim::tick -> sim::mid_step -> sim::leaf_step"),
-        std::string::npos)
-        << f.message;
-  }
-  // Every edge resolved: the proof has no blind spots to disclose.
-  EXPECT_EQ(count_rule(r, "callgraph"), 0u);
-}
-
-TEST(LintCallGraph, CleanChainAndUnreachedAllocationsAreQuiet) {
-  Analyzer a;
-  a.add_file("src/sim/a.cc", fixtures::kHotA);
-  a.add_file("src/sim/b.cc", fixtures::kHotB);
-  a.add_file("src/sim/c.cc", fixtures::kHotLeafClean);
-  // Allocates, but nothing hot reaches it: not a hotpath finding.
-  a.add_file("src/sim/d.cc", R"(
-namespace bbsched::sim {
-int* cold_build() { return new int(9); }
-}  // namespace bbsched::sim
-)");
-  const AnalysisResult r = a.run();
-  EXPECT_EQ(count_rule(r, "hotpath"), 0u);
-}
-
-TEST(LintCallGraph, TransitiveFindingIsSuppressibleAtTheSinSite) {
-  Analyzer a;
-  a.add_file("src/sim/a.cc", fixtures::kHotA);
-  a.add_file("src/sim/b.cc", fixtures::kHotB);
-  a.add_file("src/sim/c.cc", R"(
-namespace bbsched::sim {
-int* leaf_step() {
-  return new int(3);  // bbsched:allow(hotpath): arena-backed in production
-}
-}  // namespace bbsched::sim
-)");
-  const AnalysisResult r = a.run();
-  ASSERT_EQ(count_rule(r, "hotpath"), 1u);
-  EXPECT_EQ(r.unsuppressed(), 0u);
-}
-
-TEST(LintCallGraph, QualifiedCallResolvesIntoNestedNamespaces) {
-  Analyzer a;
-  a.add_file("src/core/q1.cc", R"(
-// bbsched:hot
-void drive() { bbsched::util::scrub(); }
-)");
-  a.add_file("src/core/q2.cc", R"(
-namespace bbsched { namespace util {
-int* scrub() { return new int(1); }
-}  }
-)");
-  const AnalysisResult r = a.run();
-  ASSERT_EQ(count_rule(r, "hotpath"), 1u);
-  for (const Finding& f : r.findings) {
-    if (f.rule == "hotpath") {
-      EXPECT_EQ(f.path, "src/core/q2.cc");
-    }
-  }
-}
-
-// ----------------------------------------------------------------- callgraph
-
-TEST(LintCallGraph, UnresolvedExternInHotReachIsReported) {
-  const std::string src = R"(
-// bbsched:hot
-void poll_step() { ext_probe_latency(); }
-void cold_path() { ext_probe_latency(); }
-)";
-  const AnalysisResult r = lint_one("src/sim/fixture.cc", src);
-  ASSERT_EQ(count_rule(r, "callgraph"), 1u);
-  for (const Finding& f : r.findings) {
-    if (f.rule != "callgraph") continue;
-    EXPECT_NE(f.message.find("ext_probe_latency"), std::string::npos);
-    EXPECT_NE(f.message.find("hot 'poll_step'"), std::string::npos)
-        << f.message;
-  }
-}
-
-TEST(LintCallGraph, UnresolvedExternIsSuppressibleWithAllow) {
-  const std::string src = R"(
-// bbsched:hot
-void poll_step() {
-  ext_probe_latency();  // bbsched:allow(callgraph): vendored C shim, audited
-}
-)";
-  const AnalysisResult r = lint_one("src/sim/fixture.cc", src);
-  ASSERT_EQ(count_rule(r, "callgraph"), 1u);
-  EXPECT_EQ(r.unsuppressed(), 0u);
-}
-
-TEST(LintCallGraph, BenignExternsAndStdCallsAreNotBlindSpots) {
-  const std::string src = R"(
-// bbsched:hot
-double shape(double x, double y) {
-  double lo = std::min(x, y);
-  return sqrt(fmax(lo, 0.0));
-}
-)";
-  const AnalysisResult r = lint_one("src/sim/fixture.cc", src);
-  EXPECT_EQ(count_rule(r, "callgraph"), 0u);
-}
-
-TEST(LintCallGraph, UnknownMemberCallInHotReachIsReported) {
-  const std::string src = R"(
-struct Probe;
-// bbsched:hot
-void drive(Probe& p) { p.frobnicate(); }
-)";
-  const AnalysisResult r = lint_one("src/sim/fixture.cc", src);
-  ASSERT_EQ(count_rule(r, "callgraph"), 1u);
-  for (const Finding& f : r.findings) {
-    if (f.rule == "callgraph") {
-      EXPECT_NE(f.message.find(".frobnicate"), std::string::npos);
-    }
-  }
-}
-
-TEST(LintCallGraph, MultiCandidateMemberCallFollowsEveryCandidate) {
-  // The receiver's type is unknown (a parameter, not a typed field), so
-  // the walk must soundly follow every class that defines `step`.
-  const std::string src = R"(
-struct Alloc { int* step() { return new int(1); } };
-struct Clean { int step() { return 2; } };
-// bbsched:hot
-void drive(Alloc& a) { a.step(); }
-)";
-  const AnalysisResult r = lint_one("src/sim/fixture.cc", src);
-  ASSERT_EQ(count_rule(r, "hotpath"), 1u);
-  for (const Finding& f : r.findings) {
-    if (f.rule == "hotpath") {
-      EXPECT_NE(f.message.find("Alloc::step"), std::string::npos)
-          << f.message;
-    }
-  }
-}
-
-TEST(LintCallGraph, TypedFieldReceiverNarrowsTheCandidateSet) {
-  // Same two candidates, but the receiver is a declared field: only the
-  // field's class is followed, so the other class's allocation is not
-  // attributed to this chain.
-  const std::string src = R"(
-struct Alloc { int* step() { return new int(1); } };
-struct Clean { int step() { return 2; } };
-struct Holder {
-  Clean worker_;
-  // bbsched:hot
-  int pump() { return worker_.step(); }
-};
-)";
-  const AnalysisResult r = lint_one("src/sim/fixture.cc", src);
-  EXPECT_EQ(count_rule(r, "hotpath"), 0u);
-  EXPECT_EQ(count_rule(r, "callgraph"), 0u);
-}
-
-// -------------------------------------------------------- transitive signal
-
-TEST(LintSignal, SignalChainCrossesTranslationUnits) {
-  Analyzer a;
-  a.add_file("src/runtime/g1.cc", R"(
-namespace bbsched::runtime {
-void note_event(int fd);
-// bbsched:signal
-void on_signal(int fd) { note_event(fd); }
-}  // namespace bbsched::runtime
-)");
-  a.add_file("src/runtime/g2.cc", R"(
-namespace bbsched::runtime {
-void note_event(int fd) { printf("ev %d", fd); }
-}  // namespace bbsched::runtime
-)");
-  const AnalysisResult r = a.run();
-  ASSERT_EQ(count_rule(r, "signal"), 1u);
-  for (const Finding& f : r.findings) {
-    if (f.rule != "signal") continue;
-    EXPECT_EQ(f.path, "src/runtime/g2.cc");
-    EXPECT_NE(f.message.find(
-                  "signal chain 'runtime::on_signal -> runtime::note_event'"),
-              std::string::npos)
-        << f.message;
-  }
-}
-
-TEST(LintSignal, SignalSafeHelperChainIsQuiet) {
-  Analyzer a;
-  a.add_file("src/runtime/g1.cc", R"(
-namespace bbsched::runtime {
-void note_event(int fd);
-// bbsched:signal
-void on_signal(int fd) { note_event(fd); }
-}  // namespace bbsched::runtime
-)");
-  a.add_file("src/runtime/g2.cc", R"(
-namespace bbsched::runtime {
-void note_event(int fd) { write(fd, "e", 1); }
-}  // namespace bbsched::runtime
-)");
-  const AnalysisResult r = a.run();
-  EXPECT_EQ(count_rule(r, "signal"), 0u);
-}
-
-// ----------------------------------------------------------------- lockorder
-
-TEST(LintLockOrder, AbBaInversionReportsBothWitnesses) {
-  const std::string src = R"(
-#include <mutex>
-struct Pair {
-  std::mutex a_;
-  std::mutex b_;
-  void fwd() {
-    std::lock_guard<std::mutex> la(a_);
-    std::lock_guard<std::mutex> lb(b_);
-  }
-  void rev() {
-    std::lock_guard<std::mutex> lb(b_);
-    std::lock_guard<std::mutex> la(a_);
-  }
-};
-)";
-  const AnalysisResult r = lint_one("src/runtime/fixture.cc", src);
-  ASSERT_EQ(count_rule(r, "lockorder"), 1u);
-  for (const Finding& f : r.findings) {
-    if (f.rule != "lockorder") continue;
-    EXPECT_NE(f.message.find("lock order inversion"), std::string::npos);
-    // Both witness chains and both locks appear in the one finding.
-    EXPECT_NE(f.message.find("Pair::fwd"), std::string::npos) << f.message;
-    EXPECT_NE(f.message.find("Pair::rev"), std::string::npos) << f.message;
-    EXPECT_NE(f.message.find("Pair::a_"), std::string::npos);
-    EXPECT_NE(f.message.find("Pair::b_"), std::string::npos);
-  }
-}
-
-TEST(LintLockOrder, InversionThroughCalleesCarriesTheCallChains) {
-  // Neither function takes both locks directly: the second acquisition
-  // happens one call deep, so the witnesses must be chains, not names.
-  const std::string src = R"(
-#include <mutex>
-struct Pair {
-  std::mutex a_;
-  std::mutex b_;
-  void grab_a() { std::lock_guard<std::mutex> l(a_); }
-  void grab_b() { std::lock_guard<std::mutex> l(b_); }
-  void fwd() {
-    std::lock_guard<std::mutex> la(a_);
-    grab_b();
-  }
-  void rev() {
-    std::lock_guard<std::mutex> lb(b_);
-    grab_a();
-  }
-};
-)";
-  const AnalysisResult r = lint_one("src/runtime/fixture.cc", src);
-  ASSERT_EQ(count_rule(r, "lockorder"), 1u);
-  for (const Finding& f : r.findings) {
-    if (f.rule != "lockorder") continue;
-    EXPECT_NE(f.message.find("Pair::fwd -> Pair::grab_b"), std::string::npos)
-        << f.message;
-    EXPECT_NE(f.message.find("Pair::rev -> Pair::grab_a"), std::string::npos)
-        << f.message;
-  }
-}
-
-TEST(LintLockOrder, ConsistentAcquisitionOrderIsQuiet) {
-  const std::string src = R"(
-#include <mutex>
-struct Pair {
-  std::mutex a_;
-  std::mutex b_;
-  void fwd() {
-    std::lock_guard<std::mutex> la(a_);
-    std::lock_guard<std::mutex> lb(b_);
-  }
-  void also_fwd() {
-    std::lock_guard<std::mutex> la(a_);
-    std::lock_guard<std::mutex> lb(b_);
-  }
-};
-)";
-  EXPECT_EQ(count_rule(lint_one("src/runtime/fixture.cc", src), "lockorder"),
-            0u);
-}
-
-TEST(LintLockOrder, InversionIsSuppressibleWithAllow) {
-  const std::string src = R"(
-#include <mutex>
-struct Pair {
-  std::mutex a_;
-  std::mutex b_;
-  void fwd() {
-    std::lock_guard<std::mutex> la(a_);
-    // bbsched:allow(lockorder): init-only path, externally serialized
-    std::lock_guard<std::mutex> lb(b_);
-  }
-  void rev() {
-    std::lock_guard<std::mutex> lb(b_);
-    std::lock_guard<std::mutex> la(a_);
-  }
-};
-)";
-  const AnalysisResult r = lint_one("src/runtime/fixture.cc", src);
-  ASSERT_EQ(count_rule(r, "lockorder"), 1u);
-  EXPECT_EQ(r.unsuppressed(), 0u);
-}
-
-TEST(LintLockOrder, DirectDoubleAcquisitionSelfDeadlocks) {
-  const std::string src = R"(
-#include <mutex>
-struct D {
-  std::mutex mu_;
-  void twice() {
-    std::lock_guard<std::mutex> l1(mu_);
-    std::lock_guard<std::mutex> l2(mu_);
-  }
-};
-)";
-  const AnalysisResult r = lint_one("src/runtime/fixture.cc", src);
-  ASSERT_EQ(count_rule(r, "lockorder"), 1u);
-  for (const Finding& f : r.findings) {
-    if (f.rule == "lockorder") {
-      EXPECT_NE(f.message.find("double acquisition"), std::string::npos);
-      EXPECT_NE(f.message.find("D::twice"), std::string::npos);
-    }
-  }
-}
-
-TEST(LintLockOrder, DoubleAcquisitionThroughACalleeNamesTheChain) {
-  const std::string src = R"(
-#include <mutex>
-struct D {
-  std::mutex mu_;
-  void inner() { std::lock_guard<std::mutex> l(mu_); }
-  void outer() {
-    std::lock_guard<std::mutex> l(mu_);
-    inner();
-  }
-};
-)";
-  const AnalysisResult r = lint_one("src/runtime/fixture.cc", src);
-  ASSERT_EQ(count_rule(r, "lockorder"), 1u);
-  for (const Finding& f : r.findings) {
-    if (f.rule == "lockorder") {
-      EXPECT_NE(f.message.find("D::outer -> D::inner"), std::string::npos)
-          << f.message;
-    }
-  }
-}
-
-TEST(LintLockOrder, RecursiveMutexMayReenter) {
-  const std::string src = R"(
-#include <mutex>
-struct D {
-  std::recursive_mutex mu_;
-  void inner() { std::lock_guard<std::recursive_mutex> l(mu_); }
-  void outer() {
-    std::lock_guard<std::recursive_mutex> l(mu_);
-    inner();
-  }
-};
-)";
-  EXPECT_EQ(count_rule(lint_one("src/runtime/fixture.cc", src), "lockorder"),
-            0u);
-}
-
-TEST(LintLockOrder, AllocationUnderALockInHotReachConvoys) {
-  const std::string src = R"(
-#include <mutex>
-struct H {
-  std::mutex mu_;
-  // bbsched:hot
-  int* pump() {
-    std::lock_guard<std::mutex> l(mu_);
-    return new int(1);
-  }
-};
-)";
-  const AnalysisResult r = lint_one("src/sim/fixture.cc", src);
-  ASSERT_EQ(count_rule(r, "lockorder"), 1u);
-  for (const Finding& f : r.findings) {
-    if (f.rule == "lockorder") {
-      EXPECT_NE(f.message.find("while holding 'H::mu_'"), std::string::npos)
-          << f.message;
-    }
-  }
-}
-
-TEST(LintLockOrder, AllocationUnderALockOutsideHotReachIsQuiet) {
-  // Convoy risk is a throughput property: only proven-hot code pays it.
-  const std::string src = R"(
-#include <mutex>
-struct H {
-  std::mutex mu_;
-  int* pump() {
-    std::lock_guard<std::mutex> l(mu_);
-    return new int(1);
-  }
-};
-)";
-  EXPECT_EQ(count_rule(lint_one("src/sim/fixture.cc", src), "lockorder"),
-            0u);
-}
-
 // ------------------------------------------------------- report determinism
 
 TEST(LintReport, ByteIdenticalRegardlessOfRegistrationOrder) {
   const std::pair<const char*, const char*> files[] = {
-      {"src/sim/a.cc", fixtures::kHotA},
-      {"src/sim/b.cc", fixtures::kHotB},
-      {"src/sim/c.cc", fixtures::kHotLeafDirty},
+      {"src/runtime/a.cc",
+       "// bbsched:signal fixture\nvoid h(int) { printf(\"x\"); }\n"},
+      {"src/runtime/b.cc", "long f(int fd) { return ::read(fd, 0, 0); }\n"},
+      {"src/sim/c.cc", "long when() { return time(nullptr); }\n"},
       {"src/core/r.cc", "int pick() { return rand(); }\n"},
   };
   Analyzer fwd;
@@ -975,146 +496,6 @@ TEST(LintReport, ByteIdenticalRegardlessOfRegistrationOrder) {
   bbsched::analysis::write_text_report(b, rev.run(), true);
   EXPECT_EQ(a.str(), b.str());
   EXPECT_FALSE(a.str().empty());
-}
-
-// ------------------------------------------------------------------ baseline
-
-TEST(LintBaseline, KeyIgnoresLineButNotMessage) {
-  const Finding a{"determinism", "src/core/x.cc", 10, 1, "m", false, false,
-                  {}};
-  Finding b = a;
-  b.line = 99;
-  b.col = 7;
-  EXPECT_EQ(bbsched::analysis::finding_key(a),
-            bbsched::analysis::finding_key(b));
-  b.message = "other";
-  EXPECT_NE(bbsched::analysis::finding_key(a),
-            bbsched::analysis::finding_key(b));
-}
-
-TEST(LintBaseline, RoundTripGrandfathersExistingFindings) {
-  AnalysisResult r =
-      lint_one("src/core/fixture.cc", "int f() { return rand(); }\n");
-  ASSERT_EQ(r.failing(), 1u);
-  std::ostringstream os;
-  bbsched::analysis::write_baseline(os, r);
-  const std::string path = ::testing::TempDir() + "bbsched_baseline_rt.json";
-  {
-    std::ofstream f(path);
-    f << os.str();
-  }
-  bbsched::analysis::Baseline b;
-  std::string err;
-  ASSERT_TRUE(bbsched::analysis::load_baseline(path, b, err)) << err;
-  ASSERT_EQ(b.entries.size(), 1u);
-  bbsched::analysis::apply_baseline(b, r);
-  EXPECT_EQ(r.failing(), 0u);
-  EXPECT_TRUE(r.findings[0].baselined);
-  std::remove(path.c_str());
-}
-
-TEST(LintBaseline, NewFindingsFailAgainstAnOldBaseline) {
-  AnalysisResult old =
-      lint_one("src/core/fixture.cc", "int f() { return rand(); }\n");
-  std::ostringstream os;
-  bbsched::analysis::write_baseline(os, old);
-  const std::string path = ::testing::TempDir() + "bbsched_baseline_new.json";
-  {
-    std::ofstream f(path);
-    f << os.str();
-  }
-  bbsched::analysis::Baseline b;
-  std::string err;
-  ASSERT_TRUE(bbsched::analysis::load_baseline(path, b, err)) << err;
-  // The grandfathered sin survives; the new one fails the ratchet.
-  AnalysisResult now = lint_one(
-      "src/core/fixture.cc",
-      "int f() { return rand(); }\nlong g() { return time(nullptr); }\n");
-  bbsched::analysis::apply_baseline(b, now);
-  EXPECT_EQ(now.failing(), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(LintBaseline, DuplicatingAGrandfatheredSinStillFails) {
-  // Multiset consume-one: one baseline entry excuses one live finding,
-  // not every future copy of the same message.
-  AnalysisResult old =
-      lint_one("src/core/fixture.cc", "int f() { return rand(); }\n");
-  std::ostringstream os;
-  bbsched::analysis::write_baseline(os, old);
-  const std::string path = ::testing::TempDir() + "bbsched_baseline_dup.json";
-  {
-    std::ofstream f(path);
-    f << os.str();
-  }
-  bbsched::analysis::Baseline b;
-  std::string err;
-  ASSERT_TRUE(bbsched::analysis::load_baseline(path, b, err)) << err;
-  AnalysisResult now = lint_one(
-      "src/core/fixture.cc",
-      "int f() { return rand(); }\nint g() { return rand(); }\n");
-  ASSERT_EQ(now.findings.size(), 2u);
-  bbsched::analysis::apply_baseline(b, now);
-  EXPECT_EQ(now.failing(), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(LintBaseline, MalformedBaselineIsAnErrorNotASilentPass) {
-  const std::string path = ::testing::TempDir() + "bbsched_baseline_bad.json";
-  {
-    std::ofstream f(path);
-    f << "{ this is not json";
-  }
-  bbsched::analysis::Baseline b;
-  std::string err;
-  EXPECT_FALSE(bbsched::analysis::load_baseline(path, b, err));
-  EXPECT_FALSE(err.empty());
-  std::remove(path.c_str());
-}
-
-// ------------------------------------------------------------ emitters/stats
-
-TEST(LintReport, GithubEmitterListsFailingFindingsOnly) {
-  const std::string src =
-      "int f() { return rand(); }\n"
-      "int g() { return rand(); }  "
-      "// bbsched:allow(determinism): seeded fixture\n";
-  const AnalysisResult r = lint_one("src/core/fixture.cc", src);
-  std::ostringstream os;
-  bbsched::analysis::write_github_report(os, r);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("::error file=src/core/fixture.cc,line="),
-            std::string::npos);
-  EXPECT_NE(out.find("title=determinism::"), std::string::npos);
-  // One failing finding, one suppressed: exactly one annotation line.
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 1);
-}
-
-TEST(LintReport, GithubEmitterEscapesWorkflowCommandBytes) {
-  AnalysisResult r;
-  r.findings.push_back(
-      {"catalog", "docs/X.md", 1, 1, "50% done\nnext", false, false, {}});
-  std::ostringstream os;
-  bbsched::analysis::write_github_report(os, r);
-  EXPECT_NE(os.str().find("50%25 done%0Anext"), std::string::npos);
-}
-
-TEST(LintReport, JsonCarriesCallGraphStatsAndFailingCount) {
-  Analyzer a;
-  a.add_file("src/core/s1.cc",
-             "namespace bbsched::core {\n"
-             "void callee() {}\n"
-             "void caller() { callee(); }\n"
-             "}  // namespace bbsched::core\n");
-  const AnalysisResult r = a.run();
-  EXPECT_EQ(r.stats.functions, 2u);
-  EXPECT_GE(r.stats.call_sites, 1u);
-  EXPECT_GE(r.stats.resolved_edges, 1u);
-  std::ostringstream os;
-  bbsched::analysis::write_json_report(os, r);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"failing\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"stats\":{\"functions\":2"), std::string::npos);
 }
 
 // ----------------------------------------------------------- lexer edge cases
@@ -1145,38 +526,16 @@ TEST(LintLexer, DigitSeparatorsDoNotDesyncTheLexer) {
 }
 
 TEST(LintLexer, CallOperatorDefinitionsAreFunctions) {
+  // `operator()` lexes as one name, so the marker attaches to its body.
   const std::string src = R"(
 struct Functor {
-  // bbsched:hot
-  int* operator()(int n) { return new int(n); }
+  // bbsched:signal
+  void operator()(int n) { printf("%d", n); }
 };
 )";
-  const AnalysisResult r = lint_one("src/sim/fixture.cc", src);
-  EXPECT_EQ(count_rule(r, "hotpath"), 1u);
+  const AnalysisResult r = lint_one("src/runtime/fixture.cc", src);
+  EXPECT_EQ(count_rule(r, "signal"), 1u);
   EXPECT_EQ(count_rule(r, "annotation"), 0u);
-}
-
-TEST(LintLexer, OutOfLineTemplateMemberDefinitionsResolve) {
-  const std::string src = R"(
-template <typename T>
-struct Box {
-  void put(T v);
-  T slot_;
-};
-// bbsched:hot
-template <typename T>
-void Box<T>::put(T v) {
-  T* p = new T(v);
-  slot_ = *p;
-}
-)";
-  const AnalysisResult r = lint_one("src/sim/fixture.cc", src);
-  ASSERT_EQ(count_rule(r, "hotpath"), 1u);
-  for (const Finding& f : r.findings) {
-    if (f.rule == "hotpath") {
-      EXPECT_NE(f.message.find("Box::put"), std::string::npos) << f.message;
-    }
-  }
 }
 
 }  // namespace

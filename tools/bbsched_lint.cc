@@ -1,30 +1,18 @@
 // bbsched_lint — enforces the repo's machine-checkable contracts over its
 // own sources (see docs/STATIC_ANALYSIS.md for the rule catalog).
 //
-//   bbsched_lint [--root=DIR] [--format=text|json|github] [--stats]
-//                [--baseline=FILE] [--update-baseline] [--compdb=FILE]
-//                [--show-suppressed] [--list-rules] [paths...]
+//   bbsched_lint [--root=DIR] [--format=text|json] [--show-suppressed]
+//                [--list-rules] [paths...]
 //
-// With no paths, the translation units come from compile_commands.json
-// (looked for at <root>/compile_commands.json, then <root>/build/, or at
-// --compdb=FILE) plus every header under src/ tools/ bench/ examples/
-// tests/ and docs/OBSERVABILITY.md; when no compilation database exists
-// the .cc files are globbed from those directories too, with a warning,
-// since an unconfigured tree should still lint. Paths are interpreted
-// relative to the root.
+// With no paths, every .h/.hpp/.cc/.cpp file under src/ tools/ bench/
+// examples/ tests/ is linted, plus docs/OBSERVABILITY.md for the event
+// catalog. Paths are interpreted relative to the root.
 //
-// The ratchet: --baseline=FILE grandfathers the findings recorded in FILE
-// (missing file = empty baseline, with a warning); only findings not in
-// the baseline fail the run. --update-baseline rewrites FILE from the
-// current findings and exits 0.
-//
-// Exit status: 0 clean (or everything baselined/suppressed), 1 failing
+// Exit status: 0 clean (or every finding suppressed), 1 unsuppressed
 // findings, 2 usage or I/O error.
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,11 +31,6 @@ constexpr const char* kDocPath = "docs/OBSERVABILITY.md";
   return ext == ".h" || ext == ".hpp" || ext == ".cc" || ext == ".cpp";
 }
 
-[[nodiscard]] bool is_header_file(const fs::path& p) {
-  const std::string ext = p.extension().string();
-  return ext == ".h" || ext == ".hpp";
-}
-
 /// Repo-relative path with '/' separators (rule scoping keys off these).
 [[nodiscard]] std::string rel_path(const fs::path& p, const fs::path& root) {
   std::string s = p.lexically_relative(root).generic_string();
@@ -55,16 +38,13 @@ constexpr const char* kDocPath = "docs/OBSERVABILITY.md";
 }
 
 [[nodiscard]] int collect(bbsched::analysis::Analyzer& analyzer,
-                          const fs::path& target, const fs::path& root,
-                          bool headers_only) {
+                          const fs::path& target, const fs::path& root) {
   std::error_code ec;
   if (fs::is_directory(target, ec)) {
     std::vector<fs::path> files;
     for (auto it = fs::recursive_directory_iterator(target, ec);
          !ec && it != fs::recursive_directory_iterator(); ++it) {
-      if (it->is_regular_file(ec) &&
-          (headers_only ? is_header_file(it->path())
-                        : is_source_file(it->path()))) {
+      if (it->is_regular_file(ec) && is_source_file(it->path())) {
         files.push_back(it->path());
       }
     }
@@ -94,50 +74,12 @@ constexpr const char* kDocPath = "docs/OBSERVABILITY.md";
   return 0;
 }
 
-/// Pulls the "file" values out of a compile_commands.json. Deliberately a
-/// targeted scan, not a JSON parser: CMake's output is regular, and the
-/// only field we need is `"file": "..."` (absolute path, no escapes in
-/// practice; entries with escapes are skipped).
-[[nodiscard]] std::vector<fs::path> compdb_files(const fs::path& compdb) {
-  std::vector<fs::path> out;
-  std::ifstream in(compdb, std::ios::binary);
-  if (!in) return out;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = std::move(buf).str();
-  const std::string needle = "\"file\"";
-  for (std::size_t pos = text.find(needle); pos != std::string::npos;
-       pos = text.find(needle, pos + needle.size())) {
-    std::size_t q = text.find('"', pos + needle.size());
-    if (q == std::string::npos) break;
-    // The quote we found must open the value, i.e. follow a ':'.
-    const std::size_t colon = text.find_first_not_of(" \t\r\n",
-                                                     pos + needle.size());
-    if (colon == std::string::npos || text[colon] != ':') continue;
-    q = text.find('"', colon + 1);
-    if (q == std::string::npos) break;
-    const std::size_t end = text.find('"', q + 1);
-    if (end == std::string::npos) break;
-    const std::string value = text.substr(q + 1, end - q - 1);
-    if (value.find('\\') == std::string::npos && !value.empty()) {
-      out.emplace_back(value);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   fs::path root = fs::current_path();
   std::string format = "text";
   bool show_suppressed = false;
-  bool show_stats = false;
-  bool update_baseline = false;
-  std::string baseline_path;
-  std::string compdb_path;
   std::vector<std::string> paths;
 
   for (int i = 1; i < argc; ++i) {
@@ -146,21 +88,13 @@ int main(int argc, char** argv) {
       format = "json";
     } else if (arg.rfind("--format=", 0) == 0) {
       format = arg.substr(9);
-      if (format != "text" && format != "json" && format != "github") {
+      if (format != "text" && format != "json") {
         std::cerr << "bbsched_lint: unknown format '" << format
-                  << "' (want text, json, or github)\n";
+                  << "' (want text or json)\n";
         return 2;
       }
     } else if (arg == "--show-suppressed") {
       show_suppressed = true;
-    } else if (arg == "--stats") {
-      show_stats = true;
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (arg == "--update-baseline") {
-      update_baseline = true;
-    } else if (arg.rfind("--compdb=", 0) == 0) {
-      compdb_path = arg.substr(9);
     } else if (arg == "--list-rules") {
       for (const std::string& r : bbsched::analysis::known_rules()) {
         std::cout << r << "\n";
@@ -170,12 +104,9 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--root=", 0) == 0) {
       root = arg.substr(7);
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: bbsched_lint [--root=DIR] "
-                   "[--format=text|json|github] [--stats]\n"
-                   "                    [--baseline=FILE] [--update-baseline] "
-                   "[--compdb=FILE]\n"
-                   "                    [--show-suppressed] [--list-rules] "
-                   "[paths...]\n";
+      std::cout << "usage: bbsched_lint [--root=DIR] [--format=text|json] "
+                   "[--show-suppressed]\n"
+                   "                    [--list-rules] [paths...]\n";
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "bbsched_lint: unknown option " << arg << "\n";
@@ -183,10 +114,6 @@ int main(int argc, char** argv) {
     } else {
       paths.push_back(arg);
     }
-  }
-  if (update_baseline && baseline_path.empty()) {
-    std::cerr << "bbsched_lint: --update-baseline requires --baseline=FILE\n";
-    return 2;
   }
 
   std::error_code ec;
@@ -198,127 +125,30 @@ int main(int argc, char** argv) {
 
   bbsched::analysis::Analyzer analyzer;
   if (paths.empty()) {
-    // Translation units from the compilation database when one exists;
-    // headers (which carry inline bodies and annotations but no compile
-    // commands) always come from the directory walk.
-    fs::path compdb = compdb_path.empty() ? fs::path() : fs::path(compdb_path);
-    if (compdb.empty()) {
-      for (const fs::path& cand :
-           {root / "compile_commands.json",
-            root / "build" / "compile_commands.json"}) {
-        if (fs::is_regular_file(cand, ec)) {
-          compdb = cand;
-          break;
-        }
-      }
-    } else if (compdb.is_relative()) {
-      compdb = root / compdb;
-    }
-    std::vector<fs::path> units;
-    if (!compdb.empty() && fs::is_regular_file(compdb, ec)) {
-      units = compdb_files(compdb);
-    } else if (!compdb_path.empty()) {
-      std::cerr << "bbsched_lint: cannot read compdb " << compdb << "\n";
-      return 2;
-    }
-    if (units.empty()) {
-      std::cerr << "bbsched_lint: warning: no compile_commands.json found; "
-                   "globbing .cc files (configure with CMake for the "
-                   "authoritative unit list)\n";
-      for (const char* dir : kDefaultDirs) {
-        const fs::path d = root / dir;
-        if (!fs::is_directory(d, ec)) continue;
-        if (const int rc = collect(analyzer, d, root, false); rc != 0) {
-          return rc;
-        }
-      }
-    } else {
-      for (const fs::path& u : units) {
-        // Only lint units inside the root (skip e.g. generated files).
-        const std::string rel = rel_path(u, root);
-        if (rel.empty() || rel[0] == '.' || rel[0] == '/') continue;
-        if (!fs::is_regular_file(u, ec)) continue;
-        if (!analyzer.add_file_from_disk(u.string(), rel)) {
-          std::cerr << "bbsched_lint: cannot read " << u << "\n";
-          return 2;
-        }
-      }
-      for (const char* dir : kDefaultDirs) {
-        const fs::path d = root / dir;
-        if (!fs::is_directory(d, ec)) continue;
-        if (const int rc = collect(analyzer, d, root, true); rc != 0) {
-          return rc;
-        }
-      }
+    for (const char* dir : kDefaultDirs) {
+      const fs::path d = root / dir;
+      if (!fs::is_directory(d, ec)) continue;
+      if (const int rc = collect(analyzer, d, root); rc != 0) return rc;
     }
     const fs::path doc = root / kDocPath;
-    if (fs::is_regular_file(doc, ec)) {
-      if (!analyzer.add_file_from_disk(doc.string(), kDocPath)) {
-        std::cerr << "bbsched_lint: cannot read " << doc << "\n";
-        return 2;
-      }
+    if (fs::is_regular_file(doc, ec) &&
+        !analyzer.add_file_from_disk(doc.string(), kDocPath)) {
+      std::cerr << "bbsched_lint: cannot read " << doc << "\n";
+      return 2;
     }
   } else {
     for (const std::string& p : paths) {
       fs::path target = p;
       if (target.is_relative()) target = root / target;
-      if (const int rc = collect(analyzer, target, root, false); rc != 0) {
-        return rc;
-      }
+      if (const int rc = collect(analyzer, target, root); rc != 0) return rc;
     }
   }
 
-  bbsched::analysis::AnalysisResult result = analyzer.run();
-
-  if (update_baseline) {
-    std::ofstream out(baseline_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::cerr << "bbsched_lint: cannot write baseline " << baseline_path
-                << "\n";
-      return 2;
-    }
-    bbsched::analysis::write_baseline(out, result);
-    std::size_t entries = 0;
-    for (const auto& f : result.findings) {
-      if (!f.suppressed) ++entries;
-    }
-    std::cerr << "bbsched_lint: baseline updated (" << entries
-              << " grandfathered finding(s))\n";
-    return 0;
-  }
-  if (!baseline_path.empty()) {
-    bbsched::analysis::Baseline baseline;
-    std::string error;
-    if (fs::is_regular_file(baseline_path, ec)) {
-      if (!bbsched::analysis::load_baseline(baseline_path, baseline, error)) {
-        std::cerr << "bbsched_lint: " << error << "\n";
-        return 2;
-      }
-    } else {
-      std::cerr << "bbsched_lint: warning: baseline " << baseline_path
-                << " not found; treating as empty (every finding fails)\n";
-    }
-    bbsched::analysis::apply_baseline(baseline, result);
-  }
-
+  const bbsched::analysis::AnalysisResult result = analyzer.run();
   if (format == "json") {
     bbsched::analysis::write_json_report(std::cout, result);
-  } else if (format == "github") {
-    bbsched::analysis::write_github_report(std::cout, result);
   } else {
     bbsched::analysis::write_text_report(std::cout, result, show_suppressed);
   }
-  if (show_stats && format != "json") {
-    const auto& s = result.stats;
-    const double pct =
-        s.call_sites == 0
-            ? 100.0
-            : 100.0 * static_cast<double>(s.resolved_edges) /
-                  static_cast<double>(s.call_sites);
-    std::cerr << "bbsched_lint: " << result.files_scanned << " file(s), "
-              << s.functions << " function(s), " << s.call_sites
-              << " call site(s), " << s.resolved_edges << " resolved ("
-              << static_cast<int>(pct + 0.5) << "%)\n";
-  }
-  return result.failing() == 0 ? 0 : 1;
+  return result.unsuppressed() == 0 ? 0 : 1;
 }

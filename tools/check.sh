@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# Full local gate: build + lint + baseline freshness + test across the
-# sanitizer matrix.
+# Full local gate: build + lint + test across the sanitizer matrix.
 #
 #   tools/check.sh            # plain, thread, address, undefined
 #   tools/check.sh plain tsan # subset: plain + thread
@@ -8,8 +7,9 @@
 # Each configuration gets its own build directory (build-check-<name>), so
 # repeat runs are incremental. The plain configuration runs the whole suite;
 # sanitizer configurations run the concurrency/robustness labels that the
-# instrumentation is for (chaos, soak, syschaos) plus the lint gate —
-# except that the thread configuration skips the soak: the recovery soak
+# instrumentation is for (chaos, soak, syschaos) plus the lint gate. The
+# thread configuration adds the locks label (the mutex-taking thread pool,
+# client and manager-server tests) and skips the soak: the recovery soak
 # forks a supervised manager from a multi-threaded process, which TSan
 # refuses to run ("starting new threads after multi-threaded fork is not
 # supported"). The syschaos label stays fork-free by construction
@@ -48,28 +48,6 @@ skip_leg() {  # skip_leg <config> <step> <why>
   legs+=("$1/$2"); results+=("skip")
 }
 
-# The committed ratchet baseline must match what --update-baseline would
-# write today: a stale file hides drift in both directions (fixed findings
-# that should leave the baseline, or hand-edits that never matched a real
-# finding). Regenerate to a temp file and diff.
-baseline_fresh() {  # baseline_fresh <builddir>
-  local dir="$1" tmp
-  tmp=$(mktemp) || return 1
-  if ! "$dir/tools/bbsched_lint" --root="$PWD" \
-      --compdb="$dir/compile_commands.json" \
-      --baseline="$tmp" --update-baseline >/dev/null; then
-    rm -f "$tmp"
-    return 1
-  fi
-  if ! diff -u lint_baseline.json "$tmp"; then
-    echo "lint_baseline.json is stale: regenerate with" >&2
-    echo "  $dir/tools/bbsched_lint --root=. --compdb=$dir/compile_commands.json --baseline=lint_baseline.json --update-baseline" >&2
-    rm -f "$tmp"
-    return 1
-  fi
-  rm -f "$tmp"
-}
-
 ctest_leg() {  # ctest_leg <builddir> [label-regex]
   local dir="$1" labels="${2-}"
   if [ -n "$labels" ]; then
@@ -79,7 +57,6 @@ ctest_leg() {  # ctest_leg <builddir> [label-regex]
   fi
 }
 
-checked_fresh=0
 for cfg in "${configs[@]}"; do
   case "$cfg" in
     plain)               sanitize="" ;;
@@ -96,19 +73,12 @@ for cfg in "${configs[@]}"; do
   run_leg "$cfg" build cmake --build "$dir" -j "$jobs" \
     || { skip_leg "$cfg" lint "build failed"; continue; }
 
-  run_leg "$cfg" lint \
-    "$dir/tools/bbsched_lint" --root="$PWD" \
-      --compdb="$dir/compile_commands.json" --baseline=lint_baseline.json || true
-  # Freshness is configuration-independent; check it once.
-  if [ "$checked_fresh" -eq 0 ]; then
-    checked_fresh=1
-    run_leg "$cfg" baseline-fresh baseline_fresh "$dir" || true
-  fi
+  run_leg "$cfg" lint "$dir/tools/bbsched_lint" --root="$PWD" || true
   run_leg "$cfg" opt_solve "$dir/tools/opt_solve" --self-check || true
 
   case "$cfg" in
     plain)  run_leg "$cfg" ctest ctest_leg "$dir" || true ;;
-    thread) run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|fuzz|lint|syschaos' || true ;;
+    thread) run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|fuzz|lint|locks|syschaos' || true ;;
     *)      run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|soak|fuzz|lint|syschaos' || true ;;
   esac
 done
