@@ -4,10 +4,12 @@
 //   {
 //     "hardware_threads": ...,
 //     "tick_bench": { ticks, wall_s, ticks_per_sec, allocs, allocs_per_tick,
-//                     batched_ticks, batches, batched_frac },
-//     "tick_bench_traced": { ..., events, dropped, overhead_pct },
-//     "tick_bench_linux": { ..., batched_ticks, batches, batched_frac },
-//     "tick_bench_managed": { ..., fault_overhead_pct },
+//                     batched_ticks, batches, batched_frac, bus_resolves },
+//     "tick_bench_traced": { ..., events, dropped, overhead_pct,
+//                            bus_resolves },
+//     "tick_bench_linux": { ..., batched_ticks, batches, batched_frac,
+//                           bus_resolves },
+//     "tick_bench_managed": { ..., fault_overhead_pct, bus_resolves },
 //     "sweep":      { seeds, runs, serial_wall_s, parallel_wall_s, workers,
 //                     speedup, results_identical },
 //     "alloc_gate": { "<set>/<policy>": allocs, ... }
@@ -116,6 +118,7 @@ struct TickBench {
   double allocs_per_tick = 0.0;
   std::uint64_t batched_ticks = 0;  ///< ticks replayed by quantum batching
   std::uint64_t batches = 0;        ///< event-free batches entered
+  std::uint64_t bus_resolves = 0;   ///< BusModel::resolve calls, any tick
   std::uint64_t events = 0;   ///< traced variant only
   std::uint64_t dropped = 0;  ///< traced variant only
   bool degraded = false;  ///< managed schedulers: ended in degraded mode
@@ -164,6 +167,7 @@ TickBench bench_ticks(std::uint64_t ticks, bool trace_enabled,
   const std::uint64_t ticks_before = engine.stats().total_ticks;
   const std::uint64_t batched_before = engine.stats().batched_ticks;
   const std::uint64_t batches_before = engine.stats().batches;
+  const std::uint64_t resolves_before = engine.stats().bus_resolves;
   const std::uint64_t allocs_before =
       g_allocs.load(std::memory_order_relaxed);
   const auto start = Clock::now();
@@ -180,6 +184,7 @@ TickBench bench_ticks(std::uint64_t ticks, bool trace_enabled,
           : 0.0;
   out.batched_ticks = engine.stats().batched_ticks - batched_before;
   out.batches = engine.stats().batches - batches_before;
+  out.bus_resolves = engine.stats().bus_resolves - resolves_before;
   out.events = tracer.events().size();
   out.dropped = tracer.dropped();
   if (const auto* managed =
@@ -361,19 +366,22 @@ int main(int argc, char** argv) {
       "  \"tick_bench\": {\"ticks\": %llu, \"wall_s\": %.6f, "
       "\"ticks_per_sec\": %.1f, \"allocs\": %llu, "
       "\"allocs_per_tick\": %.6f, \"batched_ticks\": %llu, "
-      "\"batches\": %llu, \"batched_frac\": %.4f},\n"
+      "\"batches\": %llu, \"batched_frac\": %.4f, "
+      "\"bus_resolves\": %llu},\n"
       "  \"tick_bench_traced\": {\"ticks\": %llu, \"wall_s\": %.6f, "
       "\"ticks_per_sec\": %.1f, \"allocs\": %llu, "
       "\"allocs_per_tick\": %.6f, \"events\": %llu, \"dropped\": %llu, "
-      "\"overhead_pct\": %.2f},\n"
+      "\"overhead_pct\": %.2f, \"bus_resolves\": %llu},\n"
       "  \"tick_bench_linux\": {\"ticks\": %llu, \"wall_s\": %.6f, "
       "\"ticks_per_sec\": %.1f, \"allocs\": %llu, "
       "\"allocs_per_tick\": %.6f, \"batched_ticks\": %llu, "
-      "\"batches\": %llu, \"batched_frac\": %.4f},\n"
+      "\"batches\": %llu, \"batched_frac\": %.4f, "
+      "\"bus_resolves\": %llu},\n"
       "  \"tick_bench_managed\": {\"ticks\": %llu, \"wall_s\": %.6f, "
       "\"ticks_per_sec\": %.1f, \"allocs\": %llu, "
       "\"allocs_per_tick\": %.6f, \"batched_ticks\": %llu, "
-      "\"batches\": %llu, \"fault_overhead_pct\": %.2f},\n"
+      "\"batches\": %llu, \"fault_overhead_pct\": %.2f, "
+      "\"bus_resolves\": %llu},\n"
       "  \"sweep\": {\"seeds\": %d, \"runs\": %d, \"serial_wall_s\": %.6f, "
       "\"parallel_wall_s\": %.6f, \"workers\": %d, \"speedup\": %.3f, "
       "\"results_identical\": %s},\n"
@@ -383,19 +391,22 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(tb.allocs), tb.allocs_per_tick,
       static_cast<unsigned long long>(tb.batched_ticks),
       static_cast<unsigned long long>(tb.batches), batched_frac(tb),
+      static_cast<unsigned long long>(tb.bus_resolves),
       static_cast<unsigned long long>(tt.ticks), tt.wall_s, tt.ticks_per_sec,
       static_cast<unsigned long long>(tt.allocs), tt.allocs_per_tick,
       static_cast<unsigned long long>(tt.events),
       static_cast<unsigned long long>(tt.dropped), overhead_pct,
+      static_cast<unsigned long long>(tt.bus_resolves),
       static_cast<unsigned long long>(tl.ticks), tl.wall_s, tl.ticks_per_sec,
       static_cast<unsigned long long>(tl.allocs), tl.allocs_per_tick,
       static_cast<unsigned long long>(tl.batched_ticks),
       static_cast<unsigned long long>(tl.batches), batched_frac(tl),
+      static_cast<unsigned long long>(tl.bus_resolves),
       static_cast<unsigned long long>(tm.ticks), tm.wall_s, tm.ticks_per_sec,
       static_cast<unsigned long long>(tm.allocs), tm.allocs_per_tick,
       static_cast<unsigned long long>(tm.batched_ticks),
-      static_cast<unsigned long long>(tm.batches),
-      fault_overhead_pct,
+      static_cast<unsigned long long>(tm.batches), fault_overhead_pct,
+      static_cast<unsigned long long>(tm.bus_resolves),
       sb.seeds, sb.runs, sb.serial_wall_s, sb.parallel_wall_s, sb.workers,
       sb.speedup, sb.results_identical ? "true" : "false");
   for (std::size_t i = 0; i < gate.size(); ++i) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <limits>
 #include <vector>
 
 namespace bbsched::sim {
@@ -15,6 +15,22 @@ constexpr double kEps = 1e-9;
 std::uint64_t ticks_before(SimTime start, SimTime tick, SimTime bound) {
   if (bound <= start) return 0;
   return (bound - start + tick - 1) / tick;
+}
+
+/// The kBusResolution event of a tick resolved into `bus` over `agents`.
+obs::BusResolutionPayload resolution_payload(const BusResolution& bus,
+                                             std::size_t agents) {
+  obs::BusResolutionPayload p;
+  p.demand_tps = bus.offered_rho * bus.effective_capacity;
+  p.granted_tps = bus.total_granted;
+  p.capacity_tps = bus.effective_capacity;
+  p.utilization = bus.effective_capacity > 0.0
+                      ? bus.total_granted / bus.effective_capacity
+                      : 0.0;
+  p.stretch = bus.stretch;
+  p.agents = static_cast<std::int32_t>(agents);
+  p.saturated = bus.saturated ? 1 : 0;
+  return p;
 }
 }  // namespace
 
@@ -231,39 +247,8 @@ bool Engine::execute_tick() {
   // Resolve into the engine's workspace: slowdown/granted/alphas buffers are
   // reused tick over tick, never reallocated in steady state.
   const BusResolution& bus = bus_.resolve(demands_, weights_, bus_ws_);
-
-  // SMT: per-context penalty when a sibling context on the same core is
-  // actively executing (see SmtConfig). Spinning siblings are excluded —
-  // a spin loop leaves the core's execution resources mostly free.
-  smt_penalty_.assign(placed_.size(), 1.0);
-  if (mcfg_.threads_per_core > 1) {
-    placed_idx_by_cpu_.assign(machine_.cpus().size(), -1);
-    for (std::size_t i = 0; i < placed_.size(); ++i) {
-      placed_idx_by_cpu_[static_cast<std::size_t>(placed_[i].cpu)] =
-          static_cast<int>(i);
-    }
-    for (std::size_t i = 0; i < placed_.size(); ++i) {
-      if (placed_[i].spinning) continue;
-      const int core = mcfg_.core_of(placed_[i].cpu);
-      double max_sibling_alpha = -1.0;
-      for (int c = core * mcfg_.threads_per_core;
-           c < (core + 1) * mcfg_.threads_per_core; ++c) {
-        if (c == placed_[i].cpu) continue;
-        const int j = placed_idx_by_cpu_[static_cast<std::size_t>(c)];
-        if (j < 0 || placed_[static_cast<std::size_t>(j)].spinning) continue;
-        // resolve() already derived every agent's alpha; reuse instead of
-        // paying the pow() again.
-        max_sibling_alpha = std::max(
-            max_sibling_alpha, bus_ws_.alphas[static_cast<std::size_t>(j)]);
-      }
-      if (max_sibling_alpha >= 0.0) {
-        const double own_alpha = bus_ws_.alphas[i];
-        smt_penalty_[i] = 1.0 + mcfg_.smt.base_penalty +
-                          mcfg_.smt.memory_overlap_penalty *
-                              std::min(own_alpha, max_sibling_alpha);
-      }
-    }
-  }
+  ++stats_.bus_resolves;
+  update_smt_penalty();
 
   ++stats_.total_ticks;
   if (!demands_.empty()) {
@@ -287,17 +272,7 @@ bool Engine::execute_tick() {
     }
   }
   if (tracer_ && tracer_->enabled()) {
-    obs::BusResolutionPayload p;
-    p.demand_tps = bus.offered_rho * bus.effective_capacity;
-    p.granted_tps = bus.total_granted;
-    p.capacity_tps = bus.effective_capacity;
-    p.utilization = bus.effective_capacity > 0.0
-                        ? bus.total_granted / bus.effective_capacity
-                        : 0.0;
-    p.stretch = bus.stretch;
-    p.agents = static_cast<std::int32_t>(demands_.size());
-    p.saturated = bus.saturated ? 1 : 0;
-    tracer_->bus_resolution(now_, p);
+    tracer_->bus_resolution(now_, resolution_payload(bus, demands_.size()));
   }
 
   // Advance placed threads.
@@ -327,13 +302,7 @@ bool Engine::execute_tick() {
       continue;
     }
 
-    const double affinity_penalty =
-        1.0 + s.migration_sensitivity[ti] * (1.0 - s.warmth[ti]);
-    const double total_slowdown =
-        bus.slowdown[i] * affinity_penalty * smt_penalty_[i];
-    assert(total_slowdown >= 1.0 - kEps);
-
-    const double delta = tick / total_slowdown;
+    const double delta = tick_delta(i, ti, tick);
     const double allowed = std::max(0.0, p.limit - s.progress_us[ti]);
     const double frac = delta > 0.0 ? std::min(1.0, allowed / delta) : 1.0;
 
@@ -424,6 +393,50 @@ bool Engine::execute_tick() {
   account_unplaced(tick);
   if (barrier_transitions()) structural = true;
   return structural;
+}
+
+void Engine::update_smt_penalty() {
+  // SMT: per-context penalty when a sibling context on the same core is
+  // actively executing (see SmtConfig). Spinning siblings are excluded —
+  // a spin loop leaves the core's execution resources mostly free.
+  smt_penalty_.assign(placed_.size(), 1.0);
+  if (mcfg_.threads_per_core <= 1) return;
+  placed_idx_by_cpu_.assign(machine_.cpus().size(), -1);
+  for (std::size_t i = 0; i < placed_.size(); ++i) {
+    placed_idx_by_cpu_[static_cast<std::size_t>(placed_[i].cpu)] =
+        static_cast<int>(i);
+  }
+  for (std::size_t i = 0; i < placed_.size(); ++i) {
+    if (placed_[i].spinning) continue;
+    const int core = mcfg_.core_of(placed_[i].cpu);
+    double max_sibling_alpha = -1.0;
+    for (int c = core * mcfg_.threads_per_core;
+         c < (core + 1) * mcfg_.threads_per_core; ++c) {
+      if (c == placed_[i].cpu) continue;
+      const int j = placed_idx_by_cpu_[static_cast<std::size_t>(c)];
+      if (j < 0 || placed_[static_cast<std::size_t>(j)].spinning) continue;
+      // resolve() already derived every agent's alpha; reuse instead of
+      // paying the pow() again.
+      max_sibling_alpha = std::max(
+          max_sibling_alpha, bus_ws_.alphas[static_cast<std::size_t>(j)]);
+    }
+    if (max_sibling_alpha >= 0.0) {
+      const double own_alpha = bus_ws_.alphas[i];
+      smt_penalty_[i] = 1.0 + mcfg_.smt.base_penalty +
+                        mcfg_.smt.memory_overlap_penalty *
+                            std::min(own_alpha, max_sibling_alpha);
+    }
+  }
+}
+
+double Engine::tick_delta(std::size_t i, std::size_t ti, double tick) const {
+  const SoAStore& s = machine_.store();
+  const double affinity_penalty =
+      1.0 + s.migration_sensitivity[ti] * (1.0 - s.warmth[ti]);
+  const double total_slowdown =
+      bus_ws_.result.slowdown[i] * affinity_penalty * smt_penalty_[i];
+  assert(total_slowdown >= 1.0 - kEps);
+  return tick / total_slowdown;
 }
 
 void Engine::apply_cache_disturbance(double tick) {
@@ -579,9 +592,9 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
   }
   if (budget == 0) return 0;
 
-  // Per-placed-thread soundness: the bus resolution from the last full tick
-  // is reused for every replayed tick, which is only bit-exact if each
-  // agent's demand is provably constant over the window.
+  // Placed threads, with the rates of the last full tick's resolution. Their
+  // demands were derived at that tick's progress and warmth, so none counts
+  // as derived yet: the first replayed tick re-derives every one.
   const BusResolution& bus = bus_ws_.result;
   batch_threads_.clear();
   batch_stolen_.clear();
@@ -602,40 +615,10 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
     bt.delta = 0.0;
     bt.granted_tick = bus.granted[i] * tick;
     bt.attempt_tick = demands_[i] * tick;
-    if (!p.spinning) {
-      // Demand must not drift: the cold-cache boost and migration penalty
-      // freeze only at full warmth (or when their coefficients are zero),
-      // and the demand model must be inside a constant-rate interval.
-      const double w = s.warmth[ti];
-      if ((s.cold_demand_boost[ti] != 0.0 ||
-           s.migration_sensitivity[ti] != 0.0) &&
-          w != 1.0) {
-        return 0;
-      }
-      double d = s.demand[ti]->rate(s.tidx[ti], s.progress_us[ti]);
-      d *= 1.0 + s.cold_demand_boost[ti] * (1.0 - w);
-      if (d != demands_[i]) return 0;  // bitwise: resolve inputs must match
-
-      const double affinity_penalty =
-          1.0 + s.migration_sensitivity[ti] * (1.0 - w);
-      const double total_slowdown =
-          bus.slowdown[i] * affinity_penalty * smt_penalty_[i];
-      bt.delta = tick / total_slowdown;
-
-      const double steady_to =
-          s.demand[ti]->steady_until(s.tidx[ti], s.progress_us[ti]);
-      if (std::isfinite(steady_to)) {
-        const double avail = steady_to - s.progress_us[ti];
-        if (!(avail > 0.0) || !(bt.delta > 0.0)) return 0;
-        // One-tick safety margin against the horizon's own rounding.
-        const double nd = std::floor(avail / bt.delta) - 1.0;
-        if (nd < 1.0) return 0;
-        budget = std::min(budget, static_cast<std::uint64_t>(nd));
-      }
-    }
+    bt.warmth = std::numeric_limits<double>::quiet_NaN();
+    bt.steady_until = -std::numeric_limits<double>::infinity();
     batch_threads_.push_back(bt);
   }
-  if (budget == 0) return 0;
 
   // DMA agents behind placed entries: constant demand by construction.
   for (std::size_t k = 0; k < dma_tids_.size(); ++k) {
@@ -655,11 +638,11 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
   }
 
   // Cache-disturbance pairs (runner evicting a same-core thread's warmth)
-  // are fixed while placements and states hold. A victim that is itself an
-  // advancing placed thread with warmth-sensitive demand would invalidate
-  // the frozen bus resolution, so such pairs veto the batch. A thread is the
-  // victim of at most one runner per context of its last core, which bounds
-  // the pair lists; reserving that bound keeps them from growing mid-run.
+  // are fixed while placements and states hold. A victim that is itself a
+  // placed thread sees its warmth move, so the replay re-derives its demand.
+  // A thread is the victim of at most one runner per context of its last
+  // core, which bounds the pair lists; reserving that bound keeps them from
+  // growing mid-run.
   SoAStore& sm = machine_.store();
   const std::size_t n = s.size();
   const std::size_t max_pairs =
@@ -681,13 +664,6 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
       if (static_cast<int>(i) == runner || s.last_cpu[i] < 0) continue;
       if (mcfg_.core_of(s.last_cpu[i]) != runner_core) continue;
       if (s.state[i] == ThreadState::kDone) continue;
-      for (const BatchThread& bt : batch_threads_) {
-        if (bt.tid == static_cast<int>(i) && !bt.spinning &&
-            (s.cold_demand_boost[i] != 0.0 ||
-             s.migration_sensitivity[i] != 0.0)) {
-          return 0;
-        }
-      }
       batch_dist_.push_back(&sm.warmth[i]);
       batch_dist_dec_.push_back(dec);
     }
@@ -736,36 +712,70 @@ void Engine::replay_quiet_ticks(SimTime until) {
   SoAStore& s = machine_.store();
   const BusResolution& bus = bus_ws_.result;
 
-  // Per-tick constants of the frozen resolution.
+  // Per-tick values of the current resolution, refreshed after each resolve.
   const bool has_demands = !demands_.empty();
-  const double util = has_demands
-                          ? bus.total_granted / bus.effective_capacity
-                          : 0.0;
-  const double granted_x_tick = bus.total_granted * tick;
   const bool trace_on = trace_.enabled();
   const bool tracer_on = tracer_ && tracer_->enabled();
+  double util = 0.0;
+  double granted_x_tick = 0.0;
   obs::BusResolutionPayload bus_payload{};
-  if (tracer_on) {
-    bus_payload.demand_tps = bus.offered_rho * bus.effective_capacity;
-    bus_payload.granted_tps = bus.total_granted;
-    bus_payload.capacity_tps = bus.effective_capacity;
-    bus_payload.utilization =
-        bus.effective_capacity > 0.0
-            ? bus.total_granted / bus.effective_capacity
-            : 0.0;
-    bus_payload.stretch = bus.stretch;
-    bus_payload.agents = static_cast<std::int32_t>(demands_.size());
-    bus_payload.saturated = bus.saturated ? 1 : 0;
-  }
+  const auto take_resolution = [&] {
+    util = has_demands ? bus.total_granted / bus.effective_capacity : 0.0;
+    granted_x_tick = bus.total_granted * tick;
+    if (tracer_on) bus_payload = resolution_payload(bus, demands_.size());
+  };
+  take_resolution();
 
   batch_frac_.resize(batch_threads_.size());
   batch_pnew_.resize(batch_threads_.size());
 
   std::uint64_t done = 0;
   while (done < budget) {
-    // ---- phase A: per-tick event checks, no mutation. Every expression
-    // matches the full path bit for bit; any event defers the tick to the
-    // full path, which handles the transition exactly. ----
+    // ---- phase A: demand drift and per-tick event checks. Every
+    // expression matches the full path bit for bit; any event defers the
+    // tick to the full path, which re-gathers and re-resolves, so the
+    // scratch this phase rewrites (demands_, the workspace, smt_penalty_)
+    // needs no restoring. ----
+    //
+    // A thread is settled while its warmth is the one its demand was
+    // derived at and its progress stays a tick short of the demand model's
+    // steady bound (the margin absorbs the bound's own rounding); any other
+    // thread re-derives its demand as the gather does.
+    bool resolve = false;
+    for (BatchThread& bt : batch_threads_) {
+      if (bt.spinning) continue;
+      const auto ti = static_cast<std::size_t>(bt.tid);
+      const double w = s.warmth[ti];
+      const double p = s.progress_us[ti];
+      if (w == bt.warmth && p + bt.delta < bt.steady_until) continue;
+      if (!(p < bt.steady_until)) {
+        bt.steady_until = s.demand[ti]->steady_until(s.tidx[ti], p);
+      }
+      double d = s.demand[ti]->rate(s.tidx[ti], p);
+      d *= 1.0 + s.cold_demand_boost[ti] * (1.0 - w);
+      bt.warmth = w;
+      if (d != demands_[bt.pi]) {  // bitwise: the resolve's input moved
+        demands_[bt.pi] = d;
+        bt.attempt_tick = d * tick;
+        resolve = true;
+      }
+      bt.delta = tick_delta(bt.pi, ti, tick);
+    }
+    if (resolve) {
+      bus_.resolve(demands_, weights_, bus_ws_);
+      ++stats_.bus_resolves;
+      update_smt_penalty();
+      for (BatchThread& bt : batch_threads_) {
+        if (bt.spinning) continue;
+        bt.granted_tick = bus.granted[bt.pi] * tick;
+        bt.delta = tick_delta(bt.pi, static_cast<std::size_t>(bt.tid), tick);
+      }
+      for (std::size_t k = 0; k < batch_dma_.size(); ++k) {
+        batch_dma_[k].granted_tick = bus.granted[placed_.size() + k] * tick;
+      }
+      take_resolution();
+    }
+
     bool event = false;
     for (std::size_t b = 0; b < batch_threads_.size() && !event; ++b) {
       const BatchThread& bt = batch_threads_[b];

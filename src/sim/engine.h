@@ -34,6 +34,11 @@ struct EngineStats {
   /// per-tick stepping).
   std::uint64_t batches = 0;
   std::uint64_t batched_ticks = 0;
+  /// BusModel::resolve calls: one per full tick, plus one per replayed tick
+  /// on which some demand changed (a replay that then meets an event counts
+  /// its resolve too). A cost counter like batched_ticks: it depends on the
+  /// batch length, the outputs do not.
+  std::uint64_t bus_resolves = 0;
 };
 
 class Engine {
@@ -106,11 +111,14 @@ class Engine {
   //
   // After an event-free full tick, replay_quiet_ticks() advances through
   // ticks in which provably nothing changes shape — no arrival, noise
-  // boundary, I/O wake, scheduler action or demand-model change — repeating
-  // the exact per-tick arithmetic (same operations, same order, bit-identical
-  // results) while skipping the bus resolve, scheduler tick and per-tick
-  // gather whose inputs are constant. Any per-tick event check that fires
-  // falls back to full stepping for that tick.
+  // boundary, I/O wake or scheduler action — repeating the exact per-tick
+  // arithmetic (same operations, same order, bit-identical results) while
+  // skipping the scheduler tick, the gather and the disturbance scan. Demand
+  // may drift (cache warm-up, demand-model edges): the replay re-derives a
+  // thread's demand whenever its warmth moved or its progress nears the
+  // model's steady bound, and re-resolves the bus only on ticks where some
+  // demand changed bitwise. Any per-tick event check that fires falls back
+  // to full stepping for that tick.
 
   /// Validates batch preconditions, computes the event horizon (max replay
   /// ticks) and fills the batch_* scratch. Returns 0 when batching is not
@@ -118,6 +126,14 @@ class Engine {
   std::uint64_t prepare_batch(SimTime until);
   /// Replays up to prepare_batch() ticks; advances now_.
   void replay_quiet_ticks(SimTime until);
+
+  /// Fills smt_penalty_ from placed_ and the workspace's alphas; runs after
+  /// every resolve, full tick or replay.
+  void update_smt_penalty();
+  /// One tick's progress of placed_[i] (thread `ti`) under the workspace's
+  /// resolution, its warmth's affinity penalty and its SMT penalty.
+  [[nodiscard]] double tick_delta(std::size_t i, std::size_t ti,
+                                  double tick) const;
 
   MachineConfig mcfg_;
   EngineConfig ecfg_;
@@ -188,18 +204,21 @@ class Engine {
   // ---- quantum-batching scratch (reused across batches; allocation-free
   // in steady state) ----
 
-  /// One placed thread's batch-constant view, in placed_ order.
+  /// One placed thread's batch view, in placed_ order. The rates are
+  /// refreshed by the replay when their inputs change.
   struct BatchThread {
     int tid;
     int job;
     int cpu;
     std::size_t pi;       ///< index into demands_ / bus workspace arrays
-    bool spinning;        ///< pure spinner at batch start
+    bool spinning;        ///< pure spinner for the whole batch
     bool coupled;
     bool io_enabled;
-    double delta;         ///< tick / total_slowdown (constant in-batch)
+    double delta;         ///< tick / total_slowdown
     double granted_tick;  ///< granted rate * tick
     double attempt_tick;  ///< demand * tick
+    double warmth;        ///< warmth demands_[pi] was derived at (NaN: none)
+    double steady_until;  ///< demand model's steady bound, refreshed lazily
     double work;
     double interval;
     double next_io;

@@ -30,9 +30,11 @@ class DemandModel {
 
   /// Upper end of the progress interval [progress_us, steady_until) over
   /// which rate(tidx, ·) is guaranteed constant. The engine's tick batching
-  /// (DESIGN.md §11) uses this to bound event-free horizons; the
-  /// conservative default — the current point itself — claims no constant
-  /// interval, which disables batching for models that do not opt in.
+  /// (DESIGN.md §11) reuses a thread's derived demand while its progress
+  /// stays a tick below this bound, and opt_solve counts only demands
+  /// steady forever (infinity) toward its bus bound. The conservative
+  /// default — the current point itself — claims no constant interval, so
+  /// batched ticks re-derive such a model's demand every tick.
   [[nodiscard]] virtual double steady_until(int tidx,
                                             double progress_us) const {
     (void)tidx;

@@ -37,6 +37,22 @@ double TraceDemand::rate(int tidx, double progress_us) const {
   return segments_.front().rate_tps;
 }
 
+namespace {
+
+/// Parses a whole CSV field as a double: leading whitespace is skipped and
+/// only whitespace may follow the number ("12abc" and "3x" are malformed).
+bool parse_field(const std::string& field, double& out) {
+  std::size_t used = 0;
+  try {
+    out = std::stod(field, &used);
+  } catch (const std::exception&) {
+    return false;
+  }
+  return field.find_first_not_of(" \t\r", used) == std::string::npos;
+}
+
+}  // namespace
+
 std::vector<TraceSegment> parse_trace_csv(std::istream& in) {
   std::vector<TraceSegment> out;
   std::string line;
@@ -55,16 +71,16 @@ std::vector<TraceSegment> parse_trace_csv(std::istream& in) {
                                ": expected 'duration_us,rate_tps'");
     }
     TraceSegment seg;
-    try {
-      seg.duration_us = std::stod(dur_s);
-      seg.rate_tps = std::stod(rate_s);
-    } catch (const std::exception&) {
+    if (!parse_field(dur_s, seg.duration_us) ||
+        !parse_field(rate_s, seg.rate_tps)) {
       throw std::runtime_error("trace line " + std::to_string(lineno) +
                                ": malformed number");
     }
-    if (seg.duration_us <= 0.0 || seg.rate_tps < 0.0) {
-      throw std::runtime_error("trace line " + std::to_string(lineno) +
-                               ": duration must be > 0 and rate >= 0");
+    if (!std::isfinite(seg.duration_us) || !std::isfinite(seg.rate_tps) ||
+        seg.duration_us <= 0.0 || seg.rate_tps < 0.0) {
+      throw std::runtime_error(
+          "trace line " + std::to_string(lineno) +
+          ": duration must be finite and > 0, rate finite and >= 0");
     }
     out.push_back(seg);
   }

@@ -4,9 +4,12 @@
 // per tick (max_batch_ticks = 1). The workloads are chosen to cross every
 // event class mid-run: open-system arrivals, OS-noise window boundaries,
 // spin-grace expiry, I/O issue/wake edges, barrier wake-ups and completions.
-// Under the Linux 2.4 baseline the scheduler's own state must match too:
-// a batch defers its timeslice charge to the next tick(), so the counters
-// and the epoch-refill count are compared as well.
+// Demand that drifts inside a batch — cache warm-up, SMT sibling eviction,
+// demand-model edges — is re-derived and re-resolved by the replay, so those
+// workloads are compared too, with the tracer's per-tick bus events and the
+// bus metrics. Under the Linux 2.4 baseline the scheduler's own state must
+// match too: a batch defers its timeslice charge to the next tick(), so the
+// counters and the epoch-refill count are compared as well.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,9 +19,13 @@
 #include "core/managed_scheduler.h"
 #include "experiments/runner.h"
 #include "linuxsched/linux_sched.h"
+#include "obs/metrics.h"
+#include "obs/tracer.h"
 #include "sim/engine.h"
 #include "sim/scheduler.h"
+#include "workload/app_profile.h"
 #include "workload/demand_models.h"
+#include "workload/trace_demand.h"
 #include "workload/workload.h"
 
 namespace bbsched {
@@ -47,6 +54,10 @@ struct RunSnapshot {
   std::vector<trace::RunInterval> intervals;
   std::vector<double> counters;  ///< LinuxScheduler timeslice counters
   std::uint64_t epochs = 0;      ///< LinuxScheduler epoch refills
+  /// RunSpec::observe only: the tracer's kBusResolution events and the
+  /// engine's metrics (counters, then each bus histogram's sum and buckets).
+  std::vector<std::pair<std::uint64_t, obs::BusResolutionPayload>> bus_events;
+  std::vector<double> metrics;
 };
 
 struct RunSpec {
@@ -56,6 +67,7 @@ struct RunSpec {
   /// (when, spec) open-system arrivals.
   std::vector<std::pair<SimTime, JobSpec>> arrivals;
   SimTime until = 0;
+  bool observe = false;  ///< attach an enabled tracer and a metrics registry
 };
 
 RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
@@ -64,11 +76,37 @@ RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
   ecfg.trace = true;
   ecfg.max_batch_ticks = max_batch_ticks;
   Engine eng(s.machine, ecfg, std::move(sched));
+  obs::Tracer tracer({.enabled = s.observe,
+                      .capacity = s.observe ? std::size_t{1} << 17 : 1});
+  obs::MetricsRegistry metrics;
+  if (s.observe) {
+    eng.set_tracer(&tracer);
+    eng.set_metrics(&metrics);
+  }
   for (const auto& spec : s.jobs) eng.add_job(spec);
   for (const auto& [when, spec] : s.arrivals) eng.submit_job(spec, when);
   eng.run_until(s.until);
 
   RunSnapshot out;
+  if (s.observe) {
+    EXPECT_EQ(tracer.dropped(), 0u) << "trace ring too small for the run";
+    tracer.events().for_each([&](const obs::TraceEvent& e) {
+      if (e.type == obs::EventType::kBusResolution) {
+        out.bus_events.emplace_back(e.time_us, e.bus);
+      }
+    });
+    for (const char* name : {"sim.ticks", "sim.bus.saturated_ticks",
+                             "sim.bus.granted_transactions"}) {
+      out.metrics.push_back(metrics.find_counter(name)->value());
+    }
+    for (const char* name : {"sim.bus.utilization", "sim.bus.stretch"}) {
+      const obs::Histogram* h = metrics.find_histogram(name);
+      out.metrics.push_back(h->sum());
+      for (const std::uint64_t c : h->counts()) {
+        out.metrics.push_back(static_cast<double>(c));
+      }
+    }
+  }
   if (const auto* lx =
           dynamic_cast<const linuxsched::LinuxScheduler*>(&eng.scheduler())) {
     // A batched run charges the timeslices of the ticks it skipped at the
@@ -139,6 +177,20 @@ void expect_identical(const RunSnapshot& a, const RunSnapshot& b) {
   }
   EXPECT_EQ(a.counters, b.counters);  // bitwise
   EXPECT_EQ(a.epochs, b.epochs);
+  ASSERT_EQ(a.bus_events.size(), b.bus_events.size());
+  for (std::size_t i = 0; i < a.bus_events.size(); ++i) {
+    const auto& [ta, pa] = a.bus_events[i];
+    const auto& [tb, pb] = b.bus_events[i];
+    EXPECT_EQ(ta, tb) << "bus event #" << i;
+    EXPECT_EQ(pa.demand_tps, pb.demand_tps) << "bus event #" << i;
+    EXPECT_EQ(pa.granted_tps, pb.granted_tps) << "bus event #" << i;
+    EXPECT_EQ(pa.capacity_tps, pb.capacity_tps) << "bus event #" << i;
+    EXPECT_EQ(pa.utilization, pb.utilization) << "bus event #" << i;
+    EXPECT_EQ(pa.stretch, pb.stretch) << "bus event #" << i;
+    EXPECT_EQ(pa.agents, pb.agents) << "bus event #" << i;
+    EXPECT_EQ(pa.saturated, pb.saturated) << "bus event #" << i;
+  }
+  EXPECT_EQ(a.metrics, b.metrics);  // bitwise
 }
 
 std::unique_ptr<sim::Scheduler> pinned() {
@@ -294,6 +346,108 @@ TEST(Batching, RandomizedMixesAreBitIdentical) {
       const RunSnapshot stepped = run(s, linux_baseline(), 1);
       SCOPED_TRACE("linux seed " + std::to_string(seed));
       EXPECT_GT(batched.batched_ticks, 0u);
+      expect_identical(batched, stepped);
+    }
+  }
+}
+
+// A warmth-sensitive job starting cold: over its 40 ms warm-up every tick
+// raises warmth, which moves the job's demand (cold-cache boost) and its
+// progress rate (migration penalty), so every replayed tick re-derives the
+// demand and re-resolves the bus against two streamers.
+RunSpec cold_start_spec() {
+  RunSpec s;
+  s.engine.os_noise_interval_us = 0;
+  JobSpec cold;
+  cold.name = "cold";
+  cold.nthreads = 2;
+  cold.work_us = 1'000'000.0;
+  cold.demand = std::make_shared<sim::SteadyDemand>(9.0);
+  cold.cache.cold_demand_boost = 0.5;
+  cold.cache.migration_sensitivity = 0.08;
+  const JobSpec bbma = workload::make_bbma_job(s.machine.bus);
+  s.jobs = {cold, bbma, bbma};
+  s.until = s.machine.cache.warmup_us;
+  return s;
+}
+
+TEST(Batching, ColdStartWarmUpIsBitIdentical) {
+  const RunSpec s = cold_start_spec();
+  const RunSnapshot batched = run(s, pinned(), 4096);
+  const RunSnapshot stepped = run(s, pinned(), 1);
+  ASSERT_EQ(batched.total_ticks, 40u);
+  EXPECT_EQ(batched.batched_ticks, 39u) << "the warm-up must replay";
+  expect_identical(batched, stepped);
+}
+
+// Two-way SMT: each runner's footprint cools its sibling context's cache
+// every tick, and the SMT penalty depends on the resolution's alphas, so it
+// must follow every in-replay resolve.
+RunSpec smt_mix_spec(std::uint64_t seed) {
+  RunSpec s;
+  s.machine.threads_per_core = 2;
+  s.engine.seed = seed;
+  const auto w =
+      workload::random_mix(2, seed % 3, (seed + 1) % 2, s.machine.bus, seed);
+  s.jobs = w.jobs;
+  s.until = 1'200'000;
+  return s;
+}
+
+TEST(Batching, SmtMixesAreBitIdentical) {
+  std::uint64_t ticks = 0;
+  std::uint64_t batched_ticks = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const RunSpec s = smt_mix_spec(seed);
+    for (auto make : {pinned, managed, linux_baseline}) {
+      const RunSnapshot batched = run(s, make(), 4096);
+      const RunSnapshot stepped = run(s, make(), 1);
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      expect_identical(batched, stepped);
+      ticks += batched.total_ticks;
+      batched_ticks += batched.batched_ticks;
+    }
+  }
+  EXPECT_GT(batched_ticks, ticks / 2) << "SMT runs must batch";
+}
+
+// Trace-driven demand keeps DemandModel's default steady bound (none), so
+// every replayed tick re-derives each thread's demand; segment edges and
+// warm-up re-resolve the bus, OS noise and the Linux baseline end batches.
+RunSpec trace_spec() {
+  RunSpec s;
+  JobSpec traced = workload::make_trace_job(
+      "traced", {{3'000.0, 2.0}, {5'000.0, 11.0}, {2'000.0, 6.5}}, 2,
+      700'000.0);
+  s.jobs = {traced, workload::make_bbma_job(s.machine.bus)};
+  s.until = 1'000'000;
+  return s;
+}
+
+TEST(Batching, TraceDrivenDemandIsBitIdentical) {
+  const RunSpec s = trace_spec();
+  for (auto make : {pinned, managed, linux_baseline}) {
+    const RunSnapshot batched = run(s, make(), 4096);
+    const RunSnapshot stepped = run(s, make(), 1);
+    expect_identical(batched, stepped);
+    EXPECT_GT(batched.batched_ticks, batched.total_ticks / 2)
+        << "trace-driven demand must batch";
+  }
+}
+
+// The observability streams of drifting-demand replays: every tick's
+// kBusResolution payload must carry that tick's own resolution, and the bus
+// metrics must match per-tick stepping.
+TEST(Batching, ObservabilityStreamsAreBitIdentical) {
+  std::vector<RunSpec> specs = {cold_start_spec(), smt_mix_spec(2),
+                                trace_spec()};
+  for (RunSpec& s : specs) {
+    s.observe = true;
+    for (auto make : {pinned, managed}) {
+      const RunSnapshot batched = run(s, make(), 4096);
+      const RunSnapshot stepped = run(s, make(), 1);
+      EXPECT_GT(batched.batched_ticks, 0u) << "batching never engaged";
+      ASSERT_EQ(batched.bus_events.size(), batched.total_ticks);
       expect_identical(batched, stepped);
     }
   }

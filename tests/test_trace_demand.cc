@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "workload/trace_demand.h"
 
@@ -62,6 +64,43 @@ TEST(TraceCsv, RejectsMalformedLines) {
 
   std::istringstream empty("# only a comment\n");
   EXPECT_THROW(parse_trace_csv(empty), std::runtime_error);
+}
+
+/// parse_trace_csv(text) must throw a runtime_error naming `line`.
+void expect_rejected(const std::string& text, int line) {
+  std::istringstream in(text);
+  try {
+    (void)parse_trace_csv(in);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    const std::string want = "trace line " + std::to_string(line) + ":";
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TraceCsv, RejectsTrailingCharacters) {
+  expect_rejected("12abc,5\n", 1);
+  expect_rejected("1000,2\n1000,3x\n", 2);
+  expect_rejected("1000,2,7\n", 1);  // a third field
+}
+
+TEST(TraceCsv, RejectsNonFiniteValues) {
+  expect_rejected("1000,nan\n", 1);
+  expect_rejected("inf,5\n", 1);
+  expect_rejected("# header\n1000,inf\n", 2);
+  expect_rejected("nan,5\n", 1);
+  expect_rejected("1e999,5\n", 1);  // out of double range
+}
+
+TEST(TraceCsv, AcceptsSurroundingWhitespace) {
+  std::istringstream in(" 1000 , 2.5 \r\n\t2000,\t10\n");
+  const auto segs = parse_trace_csv(in);
+  ASSERT_EQ(segs.size(), 2u);
+  EXPECT_DOUBLE_EQ(segs[0].duration_us, 1000.0);
+  EXPECT_DOUBLE_EQ(segs[0].rate_tps, 2.5);
+  EXPECT_DOUBLE_EQ(segs[1].duration_us, 2000.0);
+  EXPECT_DOUBLE_EQ(segs[1].rate_tps, 10.0);
 }
 
 TEST(TraceCsv, MissingFileThrows) {
