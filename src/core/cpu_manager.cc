@@ -88,11 +88,14 @@ void CpuManager::snapshot(ManagerSnapshot& out) const {
   out.quantum_index = quantum_index_;
   out.dead_feed_quanta = dead_feed_quanta_;
   out.degraded = degraded_;
-  out.feeds.clear();
-  out.feeds.reserve(order_.size());
+  // Feeds are overwritten in place: a snapshot reused across quanta keeps
+  // its names' and windows' capacity and, once every slot has held its
+  // largest feed, fills without allocating.
+  std::size_t n = 0;
   const auto emit = [&](int id) {
     const ManagedApp& app = apps_.at(id);
-    FeedSnapshot f;
+    if (n == out.feeds.size()) out.feeds.emplace_back();
+    FeedSnapshot& f = out.feeds[n++];
     f.name = app.name;
     f.nthreads = app.nthreads;
     f.miss_streak = app.miss_streak;
@@ -100,7 +103,6 @@ void CpuManager::snapshot(ManagerSnapshot& out) const {
     f.decayed_estimate = f.has_decayed_estimate ? app.decayed_estimate : 0.0;
     f.quarantined = app.quarantined;
     app.tracker.snapshot(f.tracker);
-    out.feeds.push_back(std::move(f));
   };
   // Emit pre-rotated: schedule_quantum() splices the currently running gang
   // to the tail before electing, and a restored manager has an empty
@@ -120,6 +122,7 @@ void CpuManager::snapshot(ManagerSnapshot& out) const {
       ++out.running_tail;
     }
   }
+  out.feeds.resize(n);
 }
 
 int CpuManager::restore(const ManagerSnapshot& snap) {
@@ -300,7 +303,8 @@ double CpuManager::policy_estimate(int app_id) const {
 }
 
 // Runs inside schedule_quantum on every quantum boundary.
-void CpuManager::apply_staleness_policy(std::uint64_t now_us) {
+void CpuManager::apply_staleness_policy(std::uint64_t now_us,
+                                        bool full_quantum) {
   const double quantum = static_cast<double>(cfg_.quantum_us);
   const StalenessConfig& st = cfg_.staleness;
   const bool tracing = tracer_ != nullptr && tracer_->enabled();
@@ -310,7 +314,8 @@ void CpuManager::apply_staleness_policy(std::uint64_t now_us) {
   // elapsed: a mid-quantum re-election (job disconnect) may legitimately
   // arrive before the first sampling point, and must fold exactly like the
   // pre-hardening manager did (bit-identical fault-free behaviour).
-  const bool full_quantum = now_us >= last_election_us_ + cfg_.quantum_us;
+  full_quantum =
+      full_quantum || now_us >= last_election_us_ + cfg_.quantum_us;
 
   for (int id : running_) {
     auto it = apps_.find(id);
@@ -392,10 +397,11 @@ void CpuManager::apply_staleness_policy(std::uint64_t now_us) {
 
 // The per-quantum election path, run once per scheduling quantum.
 const ElectionResult& CpuManager::schedule_quantum(int nprocs,
-                                                   std::uint64_t now_us) {
+                                                   std::uint64_t now_us,
+                                                   bool full_quantum) {
   // (1) Update statistics of the jobs that ran during the ending quantum,
   // advancing the staleness ladder of any feed that went silent.
-  apply_staleness_policy(now_us);
+  apply_staleness_policy(now_us, full_quantum);
 
   // (2) Move previously running jobs to the end of the list, preserving
   // their relative order (splice: no node churn on the steady-state path).

@@ -180,9 +180,14 @@ class CpuManager {
   /// Returns elected app ids (allocation order) in a buffer reused across
   /// elections — read it before the next call, copy it to keep it. `now_us`
   /// timestamps the observability events of this election (simulated time
-  /// in the simulator, monotonic wall time in the native runtime).
+  /// in the simulator, monotonic wall time in the native runtime). A feed
+  /// that posted no sample counts as silent only if a whole quantum ended:
+  /// by default when `now_us` lies a quantum past the previous election;
+  /// `full_quantum` asserts it for a caller that paces elections on a
+  /// deadline grid, where a wake-up can follow a later one by less.
   const ElectionResult& schedule_quantum(int nprocs,
-                                         std::uint64_t now_us = 0);
+                                         std::uint64_t now_us = 0,
+                                         bool full_quantum = false);
 
   /// BBW/thread estimate the active policy would use right now.
   [[nodiscard]] double policy_estimate(int app_id) const;
@@ -276,7 +281,7 @@ class CpuManager {
   /// End-of-quantum staleness bookkeeping for the apps that ran: folds live
   /// feeds, advances miss streaks of silent ones along the hold → decay →
   /// quarantine ladder, and flips the manager-wide degraded mode.
-  void apply_staleness_policy(std::uint64_t now_us);
+  void apply_staleness_policy(std::uint64_t now_us, bool full_quantum);
   void count_fault(obs::FaultKind kind, int app_id, double value,
                    std::uint64_t now_us);
 

@@ -42,6 +42,30 @@ void put_string(std::vector<char>& out, const std::string& s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
+/// Appends the payload encoding of `snap` to `out`.
+void append_snapshot(const ManagerSnapshot& snap, std::vector<char>& out) {
+  put<std::uint64_t>(out, snap.quantum_index);
+  put<std::int32_t>(out, snap.dead_feed_quanta);
+  put<std::uint8_t>(out, snap.degraded ? 1 : 0);
+  put<std::int32_t>(out, snap.running_tail);
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(snap.feeds.size()));
+  for (const FeedSnapshot& f : snap.feeds) {
+    put_string(out, f.name);
+    put<std::int32_t>(out, f.nthreads);
+    put<std::int32_t>(out, f.miss_streak);
+    put<std::uint8_t>(out, f.has_decayed_estimate ? 1 : 0);
+    put<double>(out, f.decayed_estimate);
+    put<std::uint8_t>(out, f.quarantined ? 1 : 0);
+    put<std::uint8_t>(out, f.tracker.has_latest ? 1 : 0);
+    put<double>(out, f.tracker.latest);
+    put<std::uint8_t>(out, f.tracker.ewma_seeded ? 1 : 0);
+    put<double>(out, f.tracker.ewma);
+    put<std::uint32_t>(out,
+                       static_cast<std::uint32_t>(f.tracker.window.size()));
+    for (double rate : f.tracker.window) put<double>(out, rate);
+  }
+}
+
 /// Bounded sequential reader over an untrusted buffer.
 struct Reader {
   const char* p;
@@ -101,26 +125,7 @@ std::uint32_t crc32(const void* data, std::size_t len) noexcept {
 
 void encode_snapshot(const ManagerSnapshot& snap, std::vector<char>& out) {
   out.clear();
-  put<std::uint64_t>(out, snap.quantum_index);
-  put<std::int32_t>(out, snap.dead_feed_quanta);
-  put<std::uint8_t>(out, snap.degraded ? 1 : 0);
-  put<std::int32_t>(out, snap.running_tail);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(snap.feeds.size()));
-  for (const FeedSnapshot& f : snap.feeds) {
-    put_string(out, f.name);
-    put<std::int32_t>(out, f.nthreads);
-    put<std::int32_t>(out, f.miss_streak);
-    put<std::uint8_t>(out, f.has_decayed_estimate ? 1 : 0);
-    put<double>(out, f.decayed_estimate);
-    put<std::uint8_t>(out, f.quarantined ? 1 : 0);
-    put<std::uint8_t>(out, f.tracker.has_latest ? 1 : 0);
-    put<double>(out, f.tracker.latest);
-    put<std::uint8_t>(out, f.tracker.ewma_seeded ? 1 : 0);
-    put<double>(out, f.tracker.ewma);
-    put<std::uint32_t>(out,
-                       static_cast<std::uint32_t>(f.tracker.window.size()));
-    for (double rate : f.tracker.window) put<double>(out, rate);
-  }
+  append_snapshot(snap, out);
 }
 
 bool decode_snapshot(const char* data, std::size_t len, ManagerSnapshot& out) {
@@ -161,49 +166,42 @@ bool decode_snapshot(const char* data, std::size_t len, ManagerSnapshot& out) {
   return r.left == 0;  // trailing garbage means a framing bug somewhere
 }
 
-bool JournalWriter::write_file(const std::string& path,
-                               const std::vector<char>& record,
-                               bool append) const {
+bool JournalWriter::write_file(const std::string& path, bool append) const {
   std::FILE* f = std::fopen(path.c_str(), append ? "ab" : "wb");
   if (f == nullptr) return false;
   // Routed through the sysfail shim: an injected ENOSPC or short write
   // leaves a torn record prefix on disk, exactly what a full filesystem
   // produces — load_latest_snapshot's forward scan discards it.
-  const bool ok =
-      faults::sys::fwrite(record.data(), 1, record.size(), f) == record.size();
+  const bool ok = faults::sys::fwrite(record_.data(), 1, record_.size(), f) ==
+                  record_.size();
   return (std::fclose(f) == 0) && ok;
 }
 
-void JournalWriter::encode_record(const ManagerSnapshot& snap,
-                                  std::vector<char>& record) const {
-  std::vector<char> payload;
-  encode_snapshot(snap, payload);
-
-  record.clear();
-  record.reserve(kHeaderSize + payload.size());
-  RecordHeader h{kJournalMagic, kJournalVersion,
-                 static_cast<std::uint32_t>(payload.size()),
-                 crc32(payload.data(), payload.size())};
-  const char* hp = reinterpret_cast<const char*>(&h);
-  record.insert(record.end(), hp, hp + kHeaderSize);
-  record.insert(record.end(), payload.begin(), payload.end());
+void JournalWriter::encode_record(const ManagerSnapshot& snap) {
+  // resize, not clear: the buffer keeps its capacity across appends, so a
+  // steady manager frames records without allocating.
+  record_.resize(kHeaderSize);
+  append_snapshot(snap, record_);
+  const std::size_t len = record_.size() - kHeaderSize;
+  const RecordHeader h{kJournalMagic, kJournalVersion,
+                       static_cast<std::uint32_t>(len),
+                       crc32(record_.data() + kHeaderSize, len)};
+  std::memcpy(record_.data(), &h, kHeaderSize);
 }
 
 bool JournalWriter::rewrite(const ManagerSnapshot& snap) {
-  std::vector<char> record;
-  encode_record(snap, record);
+  encode_record(snap);
   // Single record to a temp file, then atomic rename. A crash (or ENOSPC)
   // between the two leaves either the old journal or the new one — both
   // restorable. Shrinking a multi-record journal to one record is also the
   // degrade ladder's bounded rotation: when appends start failing ENOSPC,
   // this reclaims every byte the journal can reclaim before the manager
   // gives up on journaling.
-  const std::string tmp = path_ + ".tmp";
-  if (!write_file(tmp, record, /*append=*/false)) {
-    std::remove(tmp.c_str());  // never leave a torn temp behind
+  if (!write_file(tmp_path_, /*append=*/false)) {
+    std::remove(tmp_path_.c_str());  // never leave a torn temp behind
     return false;
   }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) return false;
+  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) return false;
   records_ = 1;
   return true;
 }
@@ -211,9 +209,8 @@ bool JournalWriter::rewrite(const ManagerSnapshot& snap) {
 bool JournalWriter::append(const ManagerSnapshot& snap) {
   if (records_ >= max_records_) return rewrite(snap);
 
-  std::vector<char> record;
-  encode_record(snap, record);
-  if (!write_file(path_, record, /*append=*/true)) return false;
+  encode_record(snap);
+  if (!write_file(path_, /*append=*/true)) return false;
   ++records_;
   return true;
 }

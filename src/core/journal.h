@@ -83,7 +83,9 @@ class JournalWriter {
  public:
   /// `max_records` appends before the file is compacted to one record.
   explicit JournalWriter(std::string path, int max_records = 64)
-      : path_(std::move(path)), max_records_(max_records) {}
+      : path_(std::move(path)),
+        tmp_path_(path_ + ".tmp"),
+        max_records_(max_records) {}
 
   /// Appends one snapshot record (open → write whole record → close).
   /// Returns false on I/O failure; the manager treats that as advisory
@@ -101,12 +103,15 @@ class JournalWriter {
   [[nodiscard]] int records_written() const noexcept { return records_; }
 
  private:
-  void encode_record(const ManagerSnapshot& snap,
-                     std::vector<char>& record) const;
-  bool write_file(const std::string& path, const std::vector<char>& record,
-                  bool append) const;
+  /// Frames `snap` into record_: header, then the payload encoded in
+  /// place behind it.
+  void encode_record(const ManagerSnapshot& snap);
+  /// Writes record_ whole to `path` (open → write → close).
+  bool write_file(const std::string& path, bool append) const;
 
   std::string path_;
+  std::string tmp_path_;      ///< compaction temp file, `path_` + ".tmp"
+  std::vector<char> record_;  ///< reused across appends: no steady allocs
   int max_records_;
   int records_ = 0;
 };

@@ -3,7 +3,9 @@
 // malformed value (`--scale=abc`, `--jobs=4x`) prints one line naming the
 // flag and exits 2. Unknown flags are ignored, so binary-specific flags
 // (fig2_sweep's --seeds=N, read with cli_detail::int_flag) and
-// google-benchmark flags pass through.
+// google-benchmark flags pass through. The daemon tools (bbsched_managerd,
+// bbsched_kernel) read their numeric flags with the same cli_detail
+// helpers.
 #pragma once
 
 #include <charconv>
@@ -63,19 +65,34 @@ bool parse_whole(std::string_view text, T& out) {
   std::exit(2);
 }
 
-/// Binary-specific integer flags (fig2_sweep --seeds=N, perf_ticks
-/// --ticks=N): true, with `out` set, when `arg` is `flag=value`. A value
-/// that is malformed or below `min` exits 2 through bad_value.
-template <typename T>
-bool int_flag(const char* prog, std::string_view arg, std::string_view flag,
-              T min, T& out) {
+/// Binary-specific numeric flags: true, with `out` set, when `arg` is
+/// `flag=value`. A value that is malformed, has trailing characters, does
+/// not fit T, or fails `ok(out)` exits 2 through bad_value.
+template <typename T, typename Ok>
+bool checked_flag(const char* prog, std::string_view arg,
+                  std::string_view flag, Ok ok, T& out) {
   if (arg.size() <= flag.size() || arg.substr(0, flag.size()) != flag ||
       arg[flag.size()] != '=') {
     return false;
   }
   const std::string_view value = arg.substr(flag.size() + 1);
-  if (!parse_whole(value, out) || out < min) bad_value(prog, flag, value);
+  if (!parse_whole(value, out) || !ok(out)) bad_value(prog, flag, value);
   return true;
+}
+
+/// Integer flags bounded below (fig2_sweep --seeds=N, perf_ticks
+/// --ticks=N, bbsched_managerd --procs=N).
+template <typename T>
+bool int_flag(const char* prog, std::string_view arg, std::string_view flag,
+              T min, T& out) {
+  return checked_flag(prog, arg, flag, [min](T v) { return v >= min; }, out);
+}
+
+/// checked_flag predicates for reals. from_chars reads "inf" and "nan",
+/// so finiteness is checked here.
+inline bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
+inline bool finite_non_negative(double v) {
+  return std::isfinite(v) && v >= 0.0;
 }
 
 }  // namespace cli_detail
@@ -98,7 +115,7 @@ bool int_flag(const char* prog, std::string_view arg, std::string_view flag,
       opt.time_scale = 0.2;
     } else if (flag == "--scale") {
       if (!cli_detail::parse_whole(value, opt.time_scale) ||
-          !(opt.time_scale > 0.0) || !std::isfinite(opt.time_scale)) {
+          !cli_detail::finite_positive(opt.time_scale)) {
         cli_detail::bad_value(prog, flag, value);
       }
     } else if (arg == "--csv") {

@@ -115,6 +115,11 @@ ManagerServer::ManagerServer(const ServerConfig& cfg)
     m_sysfail_injected_ = &cfg_.metrics->gauge("server.sysfail.injected");
     m_sysfail_clock_clamped_ =
         &cfg_.metrics->gauge("server.sysfail.clock_clamped");
+    m_quanta_skipped_ = &cfg_.metrics->counter("server.quanta_skipped");
+    m_quantum_late_us_ = &cfg_.metrics->histogram(
+        "server.quantum_late_us",
+        {10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
+         10000.0});
   }
   peer_windows_.reserve(kPeerWindowSlots);
 }
@@ -185,6 +190,13 @@ void ManagerServer::count_fault(obs::FaultKind kind, int app_id, double value,
 
 bool ManagerServer::start() {
   assert(!started_);
+  // The sample period is quantum / samples_per_quantum; either being zero
+  // would leave the deadline grid standing still and the loop spinning.
+  if (cfg_.manager.quantum_us <
+      static_cast<std::uint64_t>(
+          std::max(1, cfg_.manager.samples_per_quantum))) {
+    return false;
+  }
   listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return false;
 
@@ -760,14 +772,28 @@ void ManagerServer::sample_running(std::uint64_t now_us) {
 void ManagerServer::quantum_boundary(std::uint64_t now_us) {
   std::lock_guard<std::mutex> lk(mu_);
   const std::uint64_t election_t0 = monotonic_now_us();
+  // Every boundary closes a whole grid quantum, even when this wake-up
+  // came less than a quantum after a later previous one.
   const core::ElectionResult& result =
-      manager_.schedule_quantum(cfg_.nprocs, now_us);
+      manager_.schedule_quantum(cfg_.nprocs, now_us, /*full_quantum=*/true);
   if (m_election_us_ != nullptr) {
     m_election_us_->observe(
         static_cast<double>(monotonic_now_us() - election_t0));
   }
   ++elections_;
-  quantum_start_us_ = now_us;
+  // The next quantum starts on the grid, not at this (late) wake-up. The
+  // deadlines a stalled manager slept through, and a next one too close to
+  // run a gang on, are counted, not replayed as back-to-back elections.
+  const std::uint64_t deadline = quantum_start_us_ + cfg_.manager.quantum_us;
+  const GridStep step = advance_quantum_grid(
+      quantum_start_us_, cfg_.manager.quantum_us, now_us);
+  if (m_quantum_late_us_ != nullptr) {
+    m_quantum_late_us_->observe(static_cast<double>(now_us - deadline));
+  }
+  if (step.skipped > 0 && m_quanta_skipped_ != nullptr) {
+    m_quanta_skipped_->inc(static_cast<double>(step.skipped));
+  }
+  quantum_start_us_ = step.start_us;
   samples_taken_ = 0;
 
   bool any_dead = false;
@@ -810,7 +836,7 @@ void ManagerServer::quantum_boundary(std::uint64_t now_us) {
   if (journal_ != nullptr &&
       ++quanta_since_journal_ >= std::max(1, cfg_.journal_period_quanta)) {
     quanta_since_journal_ = 0;
-    core::ManagerSnapshot snap;
+    core::ManagerSnapshot& snap = journal_snapshot_;
     manager_.snapshot(snap);
     if (journal_->append(snap)) {
       journal_fail_streak_ = 0;
@@ -850,83 +876,83 @@ void ManagerServer::loop() {
   const int per_quantum = std::max(1, cfg_.manager.samples_per_quantum);
   const std::uint64_t sample_interval =
       quantum / static_cast<std::uint64_t>(per_quantum);
+  // Deadline of the current quantum's next sample point.
+  const auto next_sample_us = [&] {
+    return quantum_start_us_ +
+           sample_interval * static_cast<std::uint64_t>(samples_taken_ + 1);
+  };
 
   for (;;) {
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (stopping_) return;
+      pollfds_.resize(2 + apps_.size());
+      for (std::size_t i = 0; i < apps_.size(); ++i) {
+        pollfds_[i + 2] = {apps_[i]->sock, POLLIN, 0};
+      }
     }
 
+    // Sleep until the next absolute deadline on the quantum grid: the
+    // next sample point, or the boundary once this quantum's sample points
+    // have passed. The wait is computed from the shim clock, in µs, so an
+    // injected clock leap moves it exactly as it moves the grid.
     const std::uint64_t now = monotonic_now_us();
-    std::uint64_t next_event;
-    if (samples_taken_ + 1 < per_quantum) {
-      next_event = quantum_start_us_ +
-                   sample_interval *
-                       static_cast<std::uint64_t>(samples_taken_ + 1);
-    } else {
-      next_event = quantum_start_us_ + quantum;
-    }
-    int timeout_ms =
-        next_event > now
-            ? static_cast<int>((next_event - now) / 1000 + 1)
-            : 0;
-
-    std::vector<pollfd> fds;
-    fds.push_back({listen_fd_, POLLIN, 0});
+    std::uint64_t wake_at = samples_taken_ + 1 < per_quantum
+                                ? next_sample_us()
+                                : quantum_start_us_ + quantum;
+    pollfds_[0] = {listen_fd_, POLLIN, 0};
     if (accept_retry_at_us_ > now) {
       // Accept backoff: a hard accept() failure (EMFILE/ENFILE) leaves the
       // listen fd permanently readable. Park it — poll ignores negative
       // fds — until the backoff expires, but wake no later than expiry so
       // a freed descriptor is picked up promptly.
-      fds[0].fd = -1;
-      const int backoff_ms =
-          static_cast<int>((accept_retry_at_us_ - now) / 1000 + 1);
-      if (backoff_ms < timeout_ms) timeout_ms = backoff_ms;
+      pollfds_[0].fd = -1;
+      wake_at = std::min(wake_at, accept_retry_at_us_);
     }
-    fds.push_back({wake_pipe_[0], POLLIN, 0});
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      for (const auto& app : apps_) fds.push_back({app->sock, POLLIN, 0});
-    }
+    pollfds_[1] = {wake_pipe_[0], POLLIN, 0};
+    const std::uint64_t wait_us = wake_at > now ? wake_at - now : 0;
+    const timespec timeout{static_cast<time_t>(wait_us / 1'000'000),
+                           static_cast<long>(wait_us % 1'000'000 * 1000)};
 
-    const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
+    const int rc =
+        ::ppoll(pollfds_.data(), pollfds_.size(), &timeout, nullptr);
     if (rc < 0 && errno != EINTR) return;
 
     if (rc > 0) {
-      if ((fds[1].revents & POLLIN) != 0) return;  // stop requested
-      // Client messages / disconnects. fds[i+2] corresponds to apps_[i] at
-      // poll time; handle back-to-front so erasures keep indices valid.
-      // This runs *before* accept_connection(): admission may load-shed an
-      // arbitrary apps_ entry and push a newcomer, which would shift every
-      // index above the victim and re-point the old last slot at the new
-      // socket — the poll-time mapping would then read (or drop) the wrong
-      // app. The fd identity check guards the same invariant against any
-      // future mid-round mutation.
-      for (std::size_t i = fds.size(); i-- > 2;) {
+      if ((pollfds_[1].revents & POLLIN) != 0) return;  // stop requested
+      // Client messages / disconnects. pollfds_[i+2] corresponds to
+      // apps_[i] at poll time; handle back-to-front so erasures keep
+      // indices valid. This runs *before* accept_connection(): admission
+      // may load-shed an arbitrary apps_ entry and push a newcomer, which
+      // would shift every index above the victim and re-point the old last
+      // slot at the new socket — the poll-time mapping would then read (or
+      // drop) the wrong app. The fd identity check guards the same
+      // invariant against any future mid-round mutation.
+      for (std::size_t i = pollfds_.size(); i-- > 2;) {
+        const pollfd& pfd = pollfds_[i];
         const std::size_t app_idx = i - 2;
-        if (app_idx >= apps_.size() || apps_[app_idx]->sock != fds[i].fd) {
+        if (app_idx >= apps_.size() || apps_[app_idx]->sock != pfd.fd) {
           continue;  // apps_ mutated since poll time; stale pollfd
         }
-        if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        if ((fds[i].revents & POLLIN) != 0 && handle_client(app_idx)) {
+        if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+        if ((pfd.revents & POLLIN) != 0 && handle_client(app_idx)) {
           continue;
         }
         drop_client(app_idx);
       }
-      if ((fds[0].revents & POLLIN) != 0) accept_connection();
+      if ((pollfds_[0].revents & POLLIN) != 0) accept_connection();
     }
 
     const std::uint64_t after = monotonic_now_us();
     if (after >= quantum_start_us_ + quantum) {
       sample_running(after);
       quantum_boundary(after);
-    } else if (samples_taken_ + 1 < per_quantum &&
-               after >= quantum_start_us_ +
-                            sample_interval *
-                                static_cast<std::uint64_t>(samples_taken_ +
-                                                           1)) {
+    } else if (samples_taken_ + 1 < per_quantum && after >= next_sample_us()) {
       sample_running(after);
-      ++samples_taken_;
+      // One sample covers every sample point this wake-up passed.
+      samples_taken_ = static_cast<int>(
+          std::min<std::uint64_t>((after - quantum_start_us_) / sample_interval,
+                                  static_cast<std::uint64_t>(per_quantum - 1)));
     }
   }
 }

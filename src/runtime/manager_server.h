@@ -26,6 +26,8 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
+
 #include "core/cpu_manager.h"
 #include "obs/tracer.h"
 #include "runtime/arena.h"
@@ -132,11 +134,13 @@ class ManagerServer {
   ManagerServer(const ManagerServer&) = delete;
   ManagerServer& operator=(const ManagerServer&) = delete;
 
-  /// Binds the socket and starts the manager thread. False on bind failure
-  /// or when another live manager already serves `socket_path`. A *stale*
-  /// socket file (left by a crashed manager: nothing accepts on it) is
-  /// detected by a probe connect, unlinked, and rebound — a crash never
-  /// needs manual cleanup before restart.
+  /// Binds the socket and starts the manager thread. False on bind failure,
+  /// when another live manager already serves `socket_path`, or when
+  /// `manager.quantum_us` is 0 or smaller than `manager.samples_per_quantum`
+  /// (a zero-length quantum or sample period never advances the deadline
+  /// grid). A *stale* socket file (left by a crashed manager: nothing
+  /// accepts on it) is detected by a probe connect, unlinked, and rebound —
+  /// a crash never needs manual cleanup before restart.
   bool start();
 
   /// Unblocks every application, stops the manager thread, unlinks the
@@ -217,6 +221,8 @@ class ManagerServer {
   /// Body of drop_client for callers already holding mu_.
   void drop_client_locked(std::size_t idx);
   void sample_running(std::uint64_t now_us);
+  /// Elects at a boundary reached at `now_us` and advances the deadline
+  /// grid past it.
   void quantum_boundary(std::uint64_t now_us);
   /// Signals the leader; returns false when the leader is gone (ESRCH),
   /// which marks the app dead for reaping.
@@ -242,12 +248,18 @@ class ManagerServer {
   core::CpuManager manager_;
   std::vector<std::unique_ptr<AppConn>> apps_;
   std::uint64_t elections_ = 0;
+  /// Grid start of the current quantum: its sample points and boundary are
+  /// absolute deadlines measured from here (advance_quantum_grid).
   std::uint64_t quantum_start_us_ = 0;
-  int samples_taken_ = 0;
+  int samples_taken_ = 0;  ///< sample points of this quantum already passed
   bool stopping_ = false;
+  /// poll set: listen fd, wake pipe, then one entry per apps_ slot. Sized
+  /// with apps_, so it only grows on admission (manager thread only).
+  std::vector<pollfd> pollfds_;
 
   // ---- crash recovery ----
   std::unique_ptr<core::JournalWriter> journal_;
+  core::ManagerSnapshot journal_snapshot_;  ///< overwritten per append
   int quanta_since_journal_ = 0;
   int restored_feeds_ = 0;
   int journal_fail_streak_ = 0;  ///< consecutive failed appends+rotations
@@ -275,6 +287,10 @@ class ManagerServer {
   obs::Counter* m_load_sheds_ = nullptr;       ///< .overload.load_sheds
   obs::Histogram* m_election_us_ = nullptr;    ///< server.election_us
 
+  // ---- quantum pacing (DESIGN.md §5) ----
+  obs::Counter* m_quanta_skipped_ = nullptr;     ///< server.quanta_skipped
+  obs::Histogram* m_quantum_late_us_ = nullptr;  ///< server.quantum_late_us
+
   // ---- OS-failure hardening instruments (docs/ROBUSTNESS.md §9) ----
   obs::Counter* m_journal_rotations_ = nullptr; ///< .recovery.journal_rotations
   obs::Gauge* m_journal_degraded_g_ = nullptr;  ///< manager.journal.degraded
@@ -285,5 +301,32 @@ class ManagerServer {
 
 /// Monotonic clock in microseconds.
 [[nodiscard]] std::uint64_t monotonic_now_us();
+
+/// Where the deadline grid stands after one quantum boundary.
+struct GridStep {
+  std::uint64_t start_us = 0;  ///< grid start of the next quantum
+  std::uint64_t skipped = 0;   ///< grid deadlines passed over, never elected
+};
+
+/// Advances the quantum grid past the boundary of the quantum that began at
+/// `start_us`, reached at `now_us`. The next deadline stays on the grid of
+/// `start_us + k * period_us`, not a period after the wake-up, so lateness
+/// never accumulates. It is the first grid point at least 7/8 of a period
+/// after `now_us`: a wake-up up to 1/8 period late keeps the next deadline,
+/// a later one also skips it, and one k periods late skips k. Skipped
+/// deadlines are counted, never replayed. The next quantum therefore lasts
+/// between 7/8 and 15/8 of a period (DESIGN.md §5 gives the reason for the
+/// floor). An early call counts as on time. `period_us` > 0.
+[[nodiscard]] constexpr GridStep advance_quantum_grid(
+    std::uint64_t start_us, std::uint64_t period_us,
+    std::uint64_t now_us) noexcept {
+  const std::uint64_t deadline = start_us + period_us;
+  const std::uint64_t slack = period_us / 8;
+  const std::uint64_t skipped =
+      now_us > deadline + slack
+          ? (now_us - deadline - slack + period_us - 1) / period_us
+          : 0;
+  return {deadline + skipped * period_us, skipped};
+}
 
 }  // namespace bbsched::runtime

@@ -6,7 +6,9 @@
 // exactly like one that never crashed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -404,6 +406,93 @@ TEST(Journal, RestoredManagerElectsIdenticallyToUncrashed) {
               elections[static_cast<std::size_t>(q)])
         << "election " << q << " diverged after restore";
   }
+}
+
+// ---- buffer reuse: a steady manager journals without allocating ----
+
+/// The record framing of journal.h, built independently of JournalWriter:
+/// [magic][version][payload_len][crc32(payload)] then the payload.
+std::vector<char> framed_record(const std::vector<char>& payload) {
+  const std::uint32_t header[4] = {
+      kJournalMagic, kJournalVersion,
+      static_cast<std::uint32_t>(payload.size()),
+      crc32(payload.data(), payload.size())};
+  const auto* h = reinterpret_cast<const char*>(header);
+  std::vector<char> out(h, h + sizeof header);
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+// The server reuses one ManagerSnapshot (CpuManager::snapshot overwrites
+// its feeds in place) and JournalWriter reuses its record buffer. Feeds
+// join and leave and names cross the short-string boundary both ways, so
+// slots are overwritten by longer and shorter names, fuller and emptier
+// windows, and the feed list shrinks and grows. Every journaled record
+// must still equal the framing of a fresh snapshot's encode_snapshot.
+TEST(Journal, ReusedSnapshotAndBuffersEncodeByteIdentically) {
+  const ManagerConfig c = det_cfg();
+  CpuManager mgr(c);
+  JournalFile j("reuse");
+  JournalWriter w(j.path, /*max_records=*/3);  // compactions along the way
+  ManagerSnapshot reused;
+  std::map<std::string, int> ids;
+  std::uint64_t now = 0;
+  const std::vector<std::pair<std::string, bool>> script = {
+      {"a", true},
+      {"bb", true},
+      {"an-application-name-longer-than-the-small-string-buffer", true},
+      {"c", true},
+      {"bb", false},
+      {"another-rather-long-application-name", true},
+      {"a", false},
+      {"an-application-name-longer-than-the-small-string-buffer", false},
+      {"e", true},
+      {"a", true},
+      {"another-rather-long-application-name", false},
+      {"c", false},
+  };
+  for (std::size_t step = 0; step < script.size(); ++step) {
+    const auto& [name, join] = script[step];
+    if (join) {
+      ids[name] = mgr.connect(name, 1 + static_cast<int>(step % 3));
+    } else {
+      mgr.disconnect(ids.at(name));
+      ids.erase(name);
+    }
+    for (int q = 0; q < 4; ++q) {
+      SCOPED_TRACE("step " + std::to_string(step) + " quantum " +
+                   std::to_string(q));
+      for (int id : mgr.running()) {
+        mgr.record_sample(id,
+                          0.5 * (1 + id % 4) *
+                              static_cast<double>(c.quantum_us),
+                          now);
+      }
+      now += c.quantum_us;
+      mgr.schedule_quantum(2, now);
+
+      mgr.snapshot(reused);
+      ASSERT_TRUE(w.append(reused));
+      ManagerSnapshot fresh;
+      mgr.snapshot(fresh);
+      std::vector<char> want;
+      encode_snapshot(fresh, want);
+      std::vector<char> got;
+      encode_snapshot(reused, got);
+      ASSERT_EQ(got, want);
+
+      const std::vector<char> record = framed_record(want);
+      const std::vector<char> file = read_file(j.path);
+      ASSERT_GE(file.size(), record.size());
+      EXPECT_TRUE(std::equal(record.begin(), record.end(),
+                             file.end() - static_cast<std::ptrdiff_t>(
+                                              record.size())))
+          << "journaled record differs from a fresh encoding";
+    }
+  }
+  ManagerSnapshot restored;
+  ASSERT_TRUE(load_latest_snapshot(j.path, restored));
+  EXPECT_TRUE(snaps_equal(restored, reused));
 }
 
 // Restored feeds are parked, not materialized: only a connect() matching

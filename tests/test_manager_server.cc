@@ -199,6 +199,120 @@ TEST_F(ManagerServerTest, ClientDisconnectRemovesApp) {
   server.stop();
 }
 
+// A deadline grid with a zero period never advances: start() refuses a
+// zero quantum, and one too short to split into its sample points, before
+// it binds anything.
+TEST_F(ManagerServerTest, ZeroPeriodConfigIsRefused) {
+  ServerConfig cfg;
+  cfg.socket_path = test_socket_path();
+  cfg.manager.quantum_us = 0;
+  EXPECT_FALSE(ManagerServer(cfg).start());
+  cfg.manager.quantum_us = 1;
+  cfg.manager.samples_per_quantum = 2;  // sample period 1 / 2 == 0 µs
+  EXPECT_FALSE(ManagerServer(cfg).start());
+
+  // Nothing was bound: the same path still serves a valid config.
+  cfg.manager.quantum_us = 2;
+  ManagerServer server(cfg);
+  EXPECT_TRUE(server.start());
+  server.stop();
+}
+
+// ---- quantum pacing: the absolute deadline grid (DESIGN.md §5) ----
+
+TEST(QuantumGrid, OnTimeBoundaryAdvancesOnePeriod) {
+  const GridStep s = advance_quantum_grid(1'000, 5'000, 6'000);
+  EXPECT_EQ(s.start_us, 6'000u);
+  EXPECT_EQ(s.skipped, 0u);
+}
+
+TEST(QuantumGrid, SlightlyLateWakeUpKeepsTheGrid) {
+  // 600 µs late, within 1/8 of the 5 ms period: the next quantum still
+  // starts at the missed deadline and ends on the grid, 4.4 ms from now.
+  const GridStep s = advance_quantum_grid(1'000, 5'000, 6'600);
+  EXPECT_EQ(s.start_us, 6'000u);
+  EXPECT_EQ(s.skipped, 0u);
+}
+
+TEST(QuantumGrid, LateWakeUpSkipsADeadlineTooCloseToRunAQuantum) {
+  // 4.9 ms late: the next grid deadline (11000) is 100 µs away, too close
+  // for a gang to run on, so it is skipped; the next one is 5.1 ms away.
+  const GridStep s = advance_quantum_grid(1'000, 5'000, 10'900);
+  EXPECT_EQ(s.skipped, 1u);
+  EXPECT_EQ(s.start_us, 11'000u);
+}
+
+TEST(QuantumGrid, WakeUpKQuantaLateSkipsKDeadlines) {
+  for (std::uint64_t k = 1; k <= 5; ++k) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    // Deadline 6000, woken k quanta plus 1 µs late.
+    const std::uint64_t now = 6'000 + k * 5'000 + 1;
+    const GridStep s = advance_quantum_grid(1'000, 5'000, now);
+    EXPECT_EQ(s.skipped, k);
+    EXPECT_EQ(s.start_us, 6'000 + k * 5'000);
+    EXPECT_GT(s.start_us + 5'000, now) << "next deadline must be ahead";
+  }
+}
+
+TEST(QuantumGrid, NextQuantumStaysOnTheGridAndLastsSevenToFifteenEighths) {
+  constexpr std::uint64_t kStart = 1'000;
+  constexpr std::uint64_t kPeriod = 8'000;
+  const std::uint64_t deadline = kStart + kPeriod;
+  for (std::uint64_t late = 0; late <= 4 * kPeriod; late += 37) {
+    SCOPED_TRACE("late=" + std::to_string(late));
+    const std::uint64_t now = deadline + late;
+    const GridStep s = advance_quantum_grid(kStart, kPeriod, now);
+    const std::uint64_t next_deadline = s.start_us + kPeriod;
+    ASSERT_EQ((s.start_us - kStart) % kPeriod, 0u);
+    // Every grid deadline before the next one was skipped, none replayed.
+    ASSERT_EQ(next_deadline, deadline + (s.skipped + 1) * kPeriod);
+    ASSERT_GE(next_deadline - now, kPeriod - kPeriod / 8);
+    ASSERT_LT(next_deadline - now, 2 * kPeriod - kPeriod / 8);
+  }
+}
+
+// Live pacing: every grid deadline is either elected or counted as
+// skipped, so elections + server.quanta_skipped tracks elapsed / quantum
+// however loaded the host is. A manager that restarted each quantum at its
+// late wake-up would fall behind by its accumulated lateness; at 2 ms even
+// tens of µs per wake-up add up to several quanta in 0.5 s. One that
+// replayed missed deadlines could run ahead.
+TEST_F(ManagerServerTest, ElectionsPlusSkipsTrackTheDeadlineGrid) {
+  for (const auto& [quantum_us, run] :
+       {std::pair{std::uint64_t{10'000}, 1000ms},
+        std::pair{std::uint64_t{2'000}, 500ms}}) {
+    SCOPED_TRACE("quantum " + std::to_string(quantum_us) + " us");
+    obs::MetricsRegistry metrics;
+    ServerConfig cfg;
+    cfg.socket_path = test_socket_path();
+    cfg.manager.quantum_us = quantum_us;
+    cfg.metrics = &metrics;
+    ManagerServer server(cfg);
+    const std::uint64_t t_before = monotonic_now_us();
+    ASSERT_TRUE(server.start());
+    const std::uint64_t t_after = monotonic_now_us();
+    const obs::Counter& skipped = metrics.counter("server.quanta_skipped");
+
+    std::this_thread::sleep_for(run);
+    // Read right after a boundary, so the count is not stale by a wake-up.
+    const std::uint64_t e = server.elections();
+    ASSERT_TRUE(eventually([&] { return server.elections() != e; }, 1000));
+    const std::uint64_t t = monotonic_now_us();
+    const auto counted =
+        static_cast<double>(server.elections()) + skipped.value();
+    const auto quantum = static_cast<double>(quantum_us);
+    EXPECT_GE(counted, static_cast<double>(t - t_after) / quantum - 2.0);
+    EXPECT_LE(counted, static_cast<double>(t - t_before) / quantum + 2.0);
+
+    server.stop();
+    // Each boundary's lateness is observed once, skipped deadlines or not.
+    const obs::Histogram* late =
+        metrics.find_histogram("server.quantum_late_us");
+    ASSERT_NE(late, nullptr);
+    EXPECT_EQ(late->count(), server.elections());
+  }
+}
+
 TEST_F(ManagerServerTest, ConnectFailsWithoutServer) {
   Client client;
   EXPECT_FALSE(client.connect("/tmp/bbsched-no-such-socket.sock", "x", 1));

@@ -11,7 +11,8 @@
 //     bounded rotation, then journal-less mode with the degraded gauge —
 //     never a dead manager;
 //   * injected clock jumps are clamped (time never runs backwards) while
-//     the election loop keeps ticking;
+//     the election loop keeps ticking, and a forward leap of many quanta
+//     costs one election plus a skip count, never a burst;
 //   * the election pipeline itself is untouched by injection: the same
 //     drive sequence elects bit-identically with a hostile injector
 //     installed (journal writes all failing) and after it ends.
@@ -26,6 +27,7 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -298,6 +300,49 @@ TEST_F(SysChaosTest, ClockJumpsAreClampedWhileElectionsAdvance) {
   EXPECT_TRUE(eventually([&] {
     return metrics.gauge("server.sysfail.injected").value() > 0.0;
   }));
+  server.stop();
+}
+
+// A forward leap of many quanta — what a manager suspended for that long
+// also sees — yields one election and a skip count, never a burst of
+// back-to-back elections replaying the missed deadlines.
+TEST_F(SysChaosTest, ForwardClockLeapSkipsMissedQuantaInsteadOfBursting) {
+  // Declared before the server, so the injector outlives the manager
+  // thread that reads the clock through it.
+  std::optional<sf::ScopedSysFail> leap;
+  obs::MetricsRegistry metrics;
+  ServerConfig cfg;
+  cfg.socket_path = syschaos_socket("leap");
+  cfg.manager.quantum_us = 10'000;
+  cfg.metrics = &metrics;
+  ManagerServer server(cfg);
+  ASSERT_TRUE(server.start());
+  ASSERT_TRUE(eventually([&] { return server.elections() >= 3; }));
+  const obs::Counter& skipped = metrics.counter("server.quanta_skipped");
+  const double skipped0 = skipped.value();
+
+  sf::SysFailConfig fcfg;
+  fcfg.enabled = true;
+  fcfg.triggers.push_back({sf::SysOp::kClock, 0, 0, 0, 205'000});
+  leap.emplace(fcfg);
+  const std::uint64_t e0 = server.elections();
+  // The first clock read leaps 20.5 quanta ahead. Readings never go
+  // backwards, so the clock then stands at the leap until real time
+  // catches up, ~205 ms later: the manager sees one huge late wake-up.
+  (void)monotonic_now_us();
+  ASSERT_TRUE(eventually([&] { return skipped.value() > skipped0; }, 1000));
+  std::this_thread::sleep_for(50ms);
+  const std::uint64_t e1 = server.elections();
+  // One election for the leap, plus at most one ordinary boundary that
+  // raced the trigger.
+  EXPECT_GE(e1 - e0, 1u);
+  EXPECT_LE(e1 - e0, 2u) << "missed deadlines were replayed as a burst";
+  // 20.5 quanta, give or take the manager's own lateness at the trigger.
+  EXPECT_GE(skipped.value() - skipped0, 18.0);
+  EXPECT_LE(skipped.value() - skipped0, 22.0);
+
+  // Pacing resumes on the grid once real time passes the leap.
+  EXPECT_TRUE(eventually([&] { return server.elections() >= e1 + 3; }));
   server.stop();
 }
 

@@ -154,6 +154,39 @@ TEST(ToolsIntegration, TraceValidateExitContract) {
   ::unlink(good.c_str());
 }
 
+// A bad numeric flag exits 2 before anything runs: no uncaught std::sto*
+// abort, no silent fallback to a default, no zero quantum busy-looping.
+// Were a value accepted, the daemon would run its 0.2 s and exit 0 and the
+// kernel would miss its manager and exit 1, so each case fails fast.
+TEST(ToolsIntegration, DaemonFlagsRejectBadValuesWithExit2) {
+  const std::string managerd = tool("bbsched_managerd");
+  const std::string kernel = tool("bbsched_kernel");
+  if (!executable_exists(managerd) || !executable_exists(kernel)) {
+    GTEST_SKIP() << "tools not built under " << BBSCHED_BINARY_DIR;
+  }
+  const std::string socket_path =
+      "/tmp/bbsched-flagtest-" + std::to_string(::getpid()) + ".sock";
+  for (const char* flag :
+       {"--quantum-ms=abc", "--quantum-ms=5x", "--quantum-ms=0",
+        "--quantum-ms=-5", "--window=x", "--window=0", "--procs=abc",
+        "--procs=0", "--bus-tps=1e999", "--bus-tps=abc", "--bus-tps=0",
+        "--bus-tps=-1", "--bus-tps=inf", "--bus-tps=nan", "--run-seconds=1x",
+        "--status-interval=-1"}) {
+    EXPECT_EQ(wait_exit(spawn({managerd, "--socket=" + socket_path,
+                               "--run-seconds=0.2", "--status-interval=0",
+                               flag})),
+              2)
+        << "bbsched_managerd " << flag;
+  }
+  for (const char* flag : {"--tps=abc", "--tps=inf", "--seconds=1x",
+                           "--threads=abc", "--threads=0"}) {
+    EXPECT_EQ(wait_exit(spawn({kernel, "--socket=" + socket_path,
+                               "--kind=nbbma", "--seconds=0.1", flag})),
+              2)
+        << "bbsched_kernel " << flag;
+  }
+}
+
 TEST(ToolsIntegration, KernelFailsCleanlyWithoutDaemon) {
   const std::string kernel = tool("bbsched_kernel");
   if (!executable_exists(kernel)) {

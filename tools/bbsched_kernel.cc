@@ -9,20 +9,25 @@
 //
 // Exit code 0: connected, ran, disconnected cleanly.
 // Exit code 1: could not reach the manager.
+// Exit code 2: unknown flag, or a malformed or out-of-range value.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "experiments/cli.h"
 #include "runtime/client.h"
 #include "runtime/microbench.h"
+#include "runtime/signal_gate.h"
 
 int main(int argc, char** argv) {
   using namespace bbsched;
+  namespace cli = experiments::cli_detail;
 
+  const char* prog = argv[0];
   std::string socket_path = "/tmp/bbsched.sock";
   std::string kind = "synthetic";
   std::string name;
@@ -31,25 +36,38 @@ int main(int argc, char** argv) {
   int threads = 1;
 
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--socket=", 0) == 0) socket_path = arg.substr(9);
-    else if (arg.rfind("--kind=", 0) == 0) kind = arg.substr(7);
-    else if (arg.rfind("--name=", 0) == 0) name = arg.substr(7);
-    else if (arg.rfind("--tps=", 0) == 0) tps = std::stod(arg.substr(6));
-    else if (arg.rfind("--seconds=", 0) == 0) seconds = std::stod(arg.substr(10));
-    else if (arg.rfind("--threads=", 0) == 0) threads = std::atoi(arg.c_str() + 10);
+    const std::string_view arg = argv[i];
+    // Numeric flags parse in place; a bad value exits 2 inside the helper.
+    // Every thread registers with the process's signal gate, whose slot
+    // table bounds --threads.
+    if (cli::checked_flag(prog, arg, "--tps", cli::finite_non_negative,
+                          tps) ||
+        cli::checked_flag(prog, arg, "--seconds", cli::finite_non_negative,
+                          seconds) ||
+        cli::checked_flag(prog, arg, "--threads",
+                          [](int v) {
+                            return v >= 1 &&
+                                   v <= runtime::SignalGate::kMaxThreads;
+                          },
+                          threads)) {
+      continue;
+    }
+    if (arg.starts_with("--socket=")) socket_path = arg.substr(9);
+    else if (arg.starts_with("--kind=")) kind = arg.substr(7);
+    else if (arg.starts_with("--name=")) name = arg.substr(7);
     else if (arg == "--help" || arg == "-h") {
       std::printf("bbsched_kernel --kind=bbma|nbbma|synthetic "
                   "[--socket=PATH] [--name=N] [--tps=X] [--seconds=S] "
-                  "[--threads=N]\n");
+                  "[--threads=1..%d]\n",
+                  runtime::SignalGate::kMaxThreads);
       return 0;
     } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
+      std::fprintf(stderr, "unknown flag '%.*s'\n",
+                   static_cast<int>(arg.size()), arg.data());
       return 2;
     }
   }
   if (name.empty()) name = kind;
-  if (threads < 1) threads = 1;
 
   runtime::Client client;
   if (!client.connect(socket_path, name, threads)) {

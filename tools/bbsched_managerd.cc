@@ -17,12 +17,13 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 
+#include "experiments/cli.h"
 #include "runtime/manager_server.h"
 
 namespace {
@@ -32,31 +33,47 @@ std::atomic<bool> g_stop{false};
 // bbsched:signal SIGINT/SIGTERM handler
 void handle_stop(int) { g_stop.store(true); }
 
-double arg_double(const std::string& arg, const char* prefix, double fallback) {
-  const std::size_t n = std::strlen(prefix);
-  if (arg.rfind(prefix, 0) == 0) return std::stod(arg.substr(n));
-  return fallback;
-}
+/// Longest accepted quantum: an hour is far beyond any scheduling use and
+/// keeps the deadline grid's µs arithmetic far from overflow.
+constexpr std::uint64_t kMaxQuantumMs = 3'600'000;
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace bbsched;
+  namespace cli = experiments::cli_detail;
 
+  const char* prog = argv[0];
   runtime::ServerConfig cfg;
   cfg.socket_path = "/tmp/bbsched.sock";
+  std::uint64_t quantum_ms = cfg.manager.quantum_us / 1000;
+  double bus_tps = cfg.manager.total_bus_bw_tps;
   double run_seconds = 0.0;
   double status_interval = 2.0;
 
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--socket=", 0) == 0) {
+    const std::string_view arg = argv[i];
+    // Numeric flags parse in place; a malformed, trailing-garbage,
+    // non-finite or out-of-range value exits 2 inside the helper.
+    if (cli::checked_flag(
+            prog, arg, "--quantum-ms",
+            [](std::uint64_t v) { return v >= 1 && v <= kMaxQuantumMs; },
+            quantum_ms) ||
+        cli::int_flag(prog, arg, "--window", std::size_t{1},
+                      cfg.manager.window_len) ||
+        cli::int_flag(prog, arg, "--procs", 1, cfg.nprocs) ||
+        cli::checked_flag(prog, arg, "--bus-tps", cli::finite_positive,
+                          bus_tps) ||
+        cli::checked_flag(prog, arg, "--run-seconds",
+                          cli::finite_non_negative, run_seconds) ||
+        cli::checked_flag(prog, arg, "--status-interval",
+                          cli::finite_non_negative, status_interval)) {
+      continue;
+    }
+    if (arg.starts_with("--socket=")) {
       cfg.socket_path = arg.substr(9);
-    } else if (arg.rfind("--quantum-ms=", 0) == 0) {
-      cfg.manager.quantum_us =
-          static_cast<sim::SimTime>(std::stoull(arg.substr(13)) * 1000);
-    } else if (arg.rfind("--policy=", 0) == 0) {
-      const std::string p = arg.substr(9);
+    } else if (arg.starts_with("--policy=")) {
+      const std::string_view p = arg.substr(9);
       if (p == "latest") {
         cfg.manager.policy = core::PolicyKind::kLatestQuantum;
       } else if (p == "window") {
@@ -65,38 +82,33 @@ int main(int argc, char** argv) {
         cfg.manager.policy = core::PolicyKind::kQuantaWindow;
         cfg.manager.use_predictive = true;
       } else {
-        std::fprintf(stderr, "unknown policy '%s'\n", p.c_str());
+        std::fprintf(stderr, "unknown policy '%.*s'\n",
+                     static_cast<int>(p.size()), p.data());
         return 2;
       }
-    } else if (arg.rfind("--window=", 0) == 0) {
-      cfg.manager.window_len = std::stoul(arg.substr(9));
-    } else if (arg.rfind("--procs=", 0) == 0) {
-      cfg.nprocs = std::atoi(arg.c_str() + 8);
-    } else if (arg.rfind("--bus-tps=", 0) == 0) {
-      cfg.manager.total_bus_bw_tps = arg_double(arg, "--bus-tps=", 29.5);
-      cfg.manager.initial_estimate_tps =
-          cfg.manager.total_bus_bw_tps / 4.0;
-    } else if (arg.rfind("--run-seconds=", 0) == 0) {
-      run_seconds = arg_double(arg, "--run-seconds=", 0.0);
-    } else if (arg.rfind("--status-interval=", 0) == 0) {
-      status_interval = arg_double(arg, "--status-interval=", 2.0);
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "bbsched-managerd: bus-bandwidth-aware user-level CPU manager\n"
           "  --socket=PATH       UNIX socket to listen on\n"
-          "  --quantum-ms=N      scheduling quantum (default 200)\n"
+          "  --quantum-ms=N      scheduling quantum, 1..3600000 (default 200)\n"
           "  --policy=latest|window|predictive\n"
-          "  --window=N          quanta-window length (default 5)\n"
-          "  --procs=N           processors to allocate (default: online)\n"
-          "  --bus-tps=X         bus capacity in transactions/us\n"
+          "  --window=N          quanta-window length, >= 1 (default 5)\n"
+          "  --procs=N           processors to allocate, >= 1 (default: "
+          "online)\n"
+          "  --bus-tps=X         bus capacity in transactions/us, > 0\n"
           "  --run-seconds=S     exit after S seconds (default: on signal)\n"
-          "  --status-interval=S status print period (0 = quiet)\n");
+          "  --status-interval=S status print period (0 = quiet)\n"
+          "A malformed or out-of-range value exits 2.\n");
       return 0;
     } else {
-      std::fprintf(stderr, "unknown flag '%s' (try --help)\n", arg.c_str());
+      std::fprintf(stderr, "unknown flag '%.*s' (try --help)\n",
+                   static_cast<int>(arg.size()), arg.data());
       return 2;
     }
   }
+  cfg.manager.quantum_us = quantum_ms * 1000;
+  cfg.manager.total_bus_bw_tps = bus_tps;
+  cfg.manager.initial_estimate_tps = bus_tps / 4.0;
 
   std::signal(SIGINT, handle_stop);
   std::signal(SIGTERM, handle_stop);
