@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "experiments/cli.h"
 #include "faults/adversarial_client.h"
 #include "obs/metrics.h"
 #include "runtime/client.h"
@@ -232,14 +233,15 @@ RowResult run_row(int adversaries, const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fast") opt.fast = true;
-    if (arg == "--strict") opt.strict = true;
-    if (arg == "--csv") opt.csv = true;
-    if (arg.rfind("--seed=", 0) == 0)
-      opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-  }
+  experiments::parse_flags(
+      argc, argv,
+      {{"--fast", "", "K in {0, 2} and a 0.8 s window (smoke run)",
+        experiments::set_true(opt.fast)},
+       {"--strict", "", "fail when honest throughput degrades > 5%",
+        experiments::set_true(opt.strict)},
+       {"--csv", "", "print the table as CSV", experiments::set_true(opt.csv)},
+       {"--seed", "N", "adversary seed (default 42)",
+        experiments::number(opt.seed)}});
 
   const std::vector<int> ks =
       opt.fast ? std::vector<int>{0, 2} : std::vector<int>{0, 1, 2, 4};

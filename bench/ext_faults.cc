@@ -52,12 +52,11 @@ struct RowResult {
 
 int main(int argc, char** argv) {
   using namespace bbsched;
-  const auto opt = experiments::parse_cli(argc, argv);
   std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json-out=", 0) == 0) json_out = arg.substr(11);
-  }
+  const auto opt = experiments::parse_cli(
+      argc, argv,
+      {{"--json-out", "FILE", "also write the sweep as JSON to FILE",
+        experiments::set_text(json_out)}});
 
   const auto& app =
       workload::paper_application(opt.app.empty() ? "SP" : opt.app);

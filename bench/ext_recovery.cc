@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "experiments/cli.h"
 #include "faults/runtime_fault_plan.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -463,14 +464,19 @@ void write_json(const Options& opt, const ReattachResult& ra,
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fast") opt.fast = true;
-    if (arg == "--strict") opt.strict = true;
-    if (arg.rfind("--seed=", 0) == 0) opt.seed = std::stoull(arg.substr(7));
-    if (arg.rfind("--json-out=", 0) == 0) opt.json_out = arg.substr(11);
-    if (arg.rfind("--trace-out=", 0) == 0) opt.trace_out = arg.substr(12);
-  }
+  experiments::parse_flags(
+      argc, argv,
+      {{"--fast", "", "fewer faults and shorter windows (smoke run)",
+        experiments::set_true(opt.fast)},
+       {"--strict", "",
+        "fail when post-recovery throughput degrades > 5%",
+        experiments::set_true(opt.strict)},
+       {"--seed", "N", "fault-plan seed (default 42)",
+        experiments::number(opt.seed)},
+       {"--json-out", "FILE", "write the soak results as JSON to FILE",
+        experiments::set_text(opt.json_out)},
+       {"--trace-out", "FILE", "write the Chrome trace of both phases",
+        experiments::set_text(opt.trace_out)}});
 
   obs::Tracer tracer({.enabled = true});
   obs::MetricsRegistry metrics;

@@ -33,6 +33,7 @@
 
 #include <dirent.h>
 
+#include "experiments/cli.h"
 #include "faults/sysfail.h"
 #include "obs/metrics.h"
 #include "runtime/client.h"
@@ -225,15 +226,16 @@ ScheduleResult run_schedule(int i, const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fast") opt.fast = true;
-    if (arg == "--csv") opt.csv = true;
-    if (arg.rfind("--seed=", 0) == 0)
-      opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    if (arg.rfind("--schedules=", 0) == 0)
-      opt.schedules = std::atoi(arg.c_str() + 12);
-  }
+  experiments::parse_flags(
+      argc, argv,
+      {{"--fast", "", "8 schedules and shorter windows (smoke run)",
+        experiments::set_true(opt.fast)},
+       {"--csv", "", "print the table as CSV", experiments::set_true(opt.csv)},
+       {"--seed", "N", "schedule seed (default 42)",
+        experiments::number(opt.seed)},
+       {"--schedules", "N",
+        "schedules to run, >= 1 (default 24, 8 with --fast)",
+        experiments::number(opt.schedules, 1)}});
   const int schedules =
       opt.schedules > 0 ? opt.schedules : (opt.fast ? 8 : 24);
 

@@ -18,11 +18,11 @@
 
 int main(int argc, char** argv) {
   using namespace bbsched;
-  const auto opt = experiments::parse_cli(argc, argv);
   int seeds = 5;
-  for (int i = 1; i < argc; ++i) {
-    experiments::cli_detail::int_flag(argv[0], argv[i], "--seeds", 1, seeds);
-  }
+  const auto opt = experiments::parse_cli(
+      argc, argv,
+      {{"--seeds", "N", "independent seeds per cell, >= 1 (default 5)",
+        experiments::number(seeds, 1)}});
 
   experiments::ExperimentConfig cfg;
   cfg.time_scale = opt.time_scale;

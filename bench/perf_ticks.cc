@@ -45,8 +45,6 @@
 //                   [--smoke]
 //   --smoke  tiny iteration counts + hard assertions (ctest label
 //            perf_smoke runs this so the bench stays green under tier-1)
-//   --ticks, --seeds and --workers exit 2 on a malformed value or one below
-//   1 (0 for --workers).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -54,7 +52,6 @@
 #include <cstring>
 #include <new>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -317,24 +314,22 @@ SweepBench bench_sweep(int seeds, int workers, double time_scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = experiments::parse_cli(argc, argv);
   std::uint64_t ticks = 200'000;
   int seeds = 6;
+  int workers = -1;
   bool smoke = false;
+  const auto opt = experiments::parse_cli(
+      argc, argv,
+      {{"--ticks", "N", "ticks per tick bench, >= 1 (default 200000)",
+        experiments::number(ticks, 1)},
+       {"--seeds", "N", "seeds of the sweep bench, >= 1 (default 6)",
+        experiments::number(seeds, 1)},
+       {"--workers", "N", "alias for --jobs=N, >= 0",
+        experiments::number(workers, 0)},
+       {"--smoke", "", "tiny counts plus the hard assertions",
+        experiments::set_true(smoke)}});
+  if (workers < 0) workers = opt.jobs;
   double sweep_scale = opt.time_scale != 1.0 ? opt.time_scale : 0.1;
-  int workers = opt.jobs;  // --workers=N is an alias for --jobs=N
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (experiments::cli_detail::int_flag(argv[0], arg, "--ticks",
-                                          std::uint64_t{1}, ticks) ||
-        experiments::cli_detail::int_flag(argv[0], arg, "--seeds", 1,
-                                          seeds) ||
-        experiments::cli_detail::int_flag(argv[0], arg, "--workers", 0,
-                                          workers)) {
-      continue;
-    }
-    if (arg == "--smoke") smoke = true;
-  }
   if (smoke) {
     ticks = 5'000;
     seeds = 2;

@@ -9,7 +9,7 @@
 // Every second the demo prints which applications the manager elected and
 // the per-thread bandwidth estimates it derived from the arenas.
 //
-// Usage: native_manager [seconds] [latest|window]
+// Usage: native_manager [SECONDS] [latest|window]   (SECONDS >= 1)
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -18,6 +18,7 @@
 #include <thread>
 #include <unistd.h>
 
+#include "experiments/cli.h"
 #include "runtime/client.h"
 #include "runtime/manager_server.h"
 #include "runtime/microbench.h"
@@ -61,7 +62,8 @@ void app_main(App& app, const std::string& socket_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int seconds = argc > 1 ? std::atoi(argv[1]) : 6;
+  const int seconds =
+      argc > 1 ? experiments::count_operand(argv[0], "SECONDS", argv[1]) : 6;
   const bool window = argc > 2 && std::strcmp(argv[2], "window") == 0;
 
   runtime::ServerConfig cfg;

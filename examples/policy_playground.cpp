@@ -3,13 +3,14 @@
 // estimate, the evolving ABBW/proc, the fitness values of Eq. 1 and the
 // elected gang — the exact arithmetic of §4 on live simulated counters.
 //
-// Usage: policy_playground [latest|window] [quanta]
+// Usage: policy_playground [latest|window] [QUANTA]   (QUANTA >= 1)
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 
 #include "core/managed_scheduler.h"
+#include "experiments/cli.h"
 #include "sim/engine.h"
 #include "workload/workload.h"
 
@@ -83,7 +84,8 @@ void explain_election(const core::CpuManager& mgr, int nprocs) {
 
 int main(int argc, char** argv) {
   const bool window = argc > 1 && std::strcmp(argv[1], "window") == 0;
-  const int quanta = argc > 2 ? std::atoi(argv[2]) : 8;
+  const int quanta =
+      argc > 2 ? experiments::count_operand(argv[0], "QUANTA", argv[2]) : 8;
 
   sim::MachineConfig mcfg;
   sim::EngineConfig ecfg;

@@ -4,12 +4,13 @@
 // interleaves everything; equipartition draws static horizontal stripes;
 // the bandwidth-aware managers alternate clean vertical gangs.
 //
-// Usage: schedule_gantt [app] [seconds]     (default: SP, 4 s)
+// Usage: schedule_gantt [APP] [SECONDS]     (default: SP, 4 s; SECONDS >= 1)
 #include <cstdio>
 #include <iostream>
 #include <memory>
 #include <string>
 
+#include "experiments/cli.h"
 #include "experiments/runner.h"
 #include "trace/gantt.h"
 #include "workload/workload.h"
@@ -17,7 +18,11 @@
 int main(int argc, char** argv) {
   using namespace bbsched;
   const std::string app_name = argc > 1 ? argv[1] : "SP";
-  const int seconds = argc > 2 ? std::atoi(argv[2]) : 4;
+  if (!experiments::is_paper_app(app_name)) {
+    experiments::bad_value(argv[0], "APP", app_name);
+  }
+  const int seconds =
+      argc > 2 ? experiments::count_operand(argv[0], "SECONDS", argv[2]) : 4;
 
   experiments::ExperimentConfig cfg;
   const auto w = workload::fig2_mixed(

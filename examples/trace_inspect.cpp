@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "experiments/cli.h"
 #include "experiments/fig2.h"
 #include "experiments/runner.h"
 #include "obs/export.h"
@@ -157,22 +158,19 @@ std::string demo_jsonl() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path;
   bool demo = false;
   long long only_quantum = -1;
   std::size_t limit = 0;  // 0 = no limit
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--demo") {
-      demo = true;
-    } else if (arg.rfind("--quantum=", 0) == 0) {
-      only_quantum = std::stoll(arg.substr(10));
-    } else if (arg.rfind("--limit=", 0) == 0) {
-      limit = std::stoull(arg.substr(8));
-    } else if (!arg.empty() && arg[0] != '-') {
-      path = arg;
-    }
-  }
+  const auto files = experiments::parse_flags(
+      argc, argv,
+      {{"--demo", "", "inspect a quick traced run instead of a file",
+        experiments::set_true(demo)},
+       {"--quantum", "N", "print only quantum N, >= 0",
+        experiments::number(only_quantum, 0)},
+       {"--limit", "N", "print at most N quanta (default 0 = all)",
+        experiments::number(limit)}},
+      "FILE.jsonl");
+  const std::string path = files.empty() ? "" : std::string(files.back());
   if (!demo && path.empty()) {
     std::cerr << "usage: trace_inspect FILE.jsonl [--quantum=N] [--limit=N]\n"
                  "       trace_inspect --demo\n";

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "experiments/cli.h"
 #include "experiments/parallel.h"
 #include "experiments/runner.h"
 #include "workload/workload.h"
@@ -26,15 +27,20 @@ struct ParsedJob {
   int count = 1;
 };
 
-ParsedJob parse_job(const std::string& arg) {
+/// NAME or NAMExN with N >= 1; anything else exits 2 naming the argument.
+ParsedJob parse_job(const char* prog, const std::string& arg) {
   ParsedJob out;
   const auto x = arg.rfind('x');
   if (x != std::string::npos && x + 1 < arg.size() &&
       std::isdigit(static_cast<unsigned char>(arg[x + 1]))) {
     out.name = arg.substr(0, x);
-    out.count = std::stoi(arg.substr(x + 1));
+    out.count = experiments::count_operand(prog, "NAMExN", arg.substr(x + 1));
   } else {
     out.name = arg;
+  }
+  if (out.name != "BBMA" && out.name != "nBBMA" &&
+      !experiments::is_paper_app(out.name)) {
+    experiments::bad_value(prog, "NAME", arg);
   }
   return out;
 }
@@ -46,7 +52,9 @@ int main(int argc, char** argv) {
   cfg.time_scale = 0.1;  // demo-sized jobs
 
   std::vector<ParsedJob> requested;
-  for (int i = 1; i < argc; ++i) requested.push_back(parse_job(argv[i]));
+  for (int i = 1; i < argc; ++i) {
+    requested.push_back(parse_job(argv[0], argv[i]));
+  }
   if (requested.empty()) {
     requested = {{"SP", 1}, {"CG", 1}, {"BBMA", 2}, {"nBBMA", 2}};
   }

@@ -1,6 +1,9 @@
 #include "experiments/fig2.h"
 
 #include <algorithm>
+#include <iterator>
+
+#include "experiments/parallel.h"
 
 namespace bbsched::experiments {
 
@@ -26,28 +29,30 @@ workload::Workload make_fig2_workload(Fig2Set set,
 
 std::vector<Fig2Row> run_fig2(Fig2Set set,
                               const std::vector<workload::AppProfile>& apps,
-                              const ExperimentConfig& cfg) {
-  std::vector<Fig2Row> rows;
-  rows.reserve(apps.size());
+                              const ExperimentConfig& cfg,
+                              ParallelExecutor& executor) {
+  constexpr SchedulerKind kKinds[] = {SchedulerKind::kLinux,
+                                      SchedulerKind::kLatestQuantum,
+                                      SchedulerKind::kQuantaWindow};
+  std::vector<RunRequest> requests;
+  requests.reserve(apps.size() * std::size(kKinds));
   for (const auto& app : apps) {
     const auto w = make_fig2_workload(set, app, cfg.machine.bus);
+    for (const auto kind : kKinds) requests.push_back({w, kind, cfg});
+  }
+  const auto runs = run_workloads_parallel(requests, executor);
 
-    const RunResult linux_run = run_workload(w, SchedulerKind::kLinux, cfg);
-    const RunResult latest_run =
-        run_workload(w, SchedulerKind::kLatestQuantum, cfg);
-    const RunResult window_run =
-        run_workload(w, SchedulerKind::kQuantaWindow, cfg);
-
-    Fig2Row row;
-    row.app = app.name;
-    row.t_linux_us = linux_run.measured_mean_turnaround_us;
-    row.t_latest_us = latest_run.measured_mean_turnaround_us;
-    row.t_window_us = window_run.measured_mean_turnaround_us;
+  std::vector<Fig2Row> rows(apps.size());
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    Fig2Row& row = rows[i];
+    row.app = apps[i].name;
+    row.t_linux_us = runs[3 * i].measured_mean_turnaround_us;
+    row.t_latest_us = runs[3 * i + 1].measured_mean_turnaround_us;
+    row.t_window_us = runs[3 * i + 2].measured_mean_turnaround_us;
     row.improvement_latest_pct =
         100.0 * (row.t_linux_us - row.t_latest_us) / row.t_linux_us;
     row.improvement_window_pct =
         100.0 * (row.t_linux_us - row.t_window_us) / row.t_linux_us;
-    rows.push_back(row);
   }
   return rows;
 }

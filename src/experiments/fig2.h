@@ -38,10 +38,14 @@ struct Fig2Row {
   double improvement_window_pct = 0.0;
 };
 
-/// Runs one set for every application in `apps`.
+class ParallelExecutor;
+
+/// Runs one set for every application in `apps`: the Linux, Latest-Quantum
+/// and Quanta-Window runs of every application go to `executor` as one
+/// batch. Rows follow `apps` and are identical at any worker count.
 [[nodiscard]] std::vector<Fig2Row> run_fig2(
     Fig2Set set, const std::vector<workload::AppProfile>& apps,
-    const ExperimentConfig& cfg);
+    const ExperimentConfig& cfg, ParallelExecutor& executor);
 
 /// Summary statistics over a set's rows (the paper quotes max and average
 /// improvements per set).

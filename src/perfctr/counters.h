@@ -6,9 +6,7 @@
 // Pettersson's perfctr driver. Here the same interface is served by:
 //   * SimCounterSource      — reads the simulator's modelled counters,
 //   * SoftwareCounterRegistry (software_counters.h) — instrumented native
-//     kernels account their own memory traffic,
-//   * PerfEventProbe (perf_event.h) — optional hardware counters via
-//     perf_event_open where the host allows it (never required).
+//     kernels account their own memory traffic.
 #pragma once
 
 #include <cstdint>

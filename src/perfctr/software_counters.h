@@ -45,6 +45,9 @@ class SoftwareCounterRegistry {
 };
 
 /// Process-wide registry used by the native runtime library.
-SoftwareCounterRegistry& global_counters();
+inline SoftwareCounterRegistry& global_counters() {
+  static SoftwareCounterRegistry registry;
+  return registry;
+}
 
 }  // namespace bbsched::perfctr

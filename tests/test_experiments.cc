@@ -4,6 +4,7 @@
 
 #include "experiments/fig1.h"
 #include "experiments/fig2.h"
+#include "experiments/parallel.h"
 
 namespace bbsched::experiments {
 namespace {
@@ -92,8 +93,9 @@ TEST(Fig1Test, SlowdownMonotoneInBandwidthClass) {
 }
 
 TEST(Fig2Test, PoliciesBeatLinuxOnSaturatedBusForHighBandwidthApps) {
-  const auto rows =
-      run_fig2(Fig2Set::kSaturated, apps_by_name({"SP", "CG"}), fast_cfg());
+  ParallelExecutor executor(2);
+  const auto rows = run_fig2(Fig2Set::kSaturated, apps_by_name({"SP", "CG"}),
+                             fast_cfg(), executor);
   for (const auto& r : rows) {
     EXPECT_GT(r.improvement_latest_pct, 5.0) << r.app;
     EXPECT_GT(r.improvement_window_pct, 5.0) << r.app;
@@ -101,8 +103,9 @@ TEST(Fig2Test, PoliciesBeatLinuxOnSaturatedBusForHighBandwidthApps) {
 }
 
 TEST(Fig2Test, PoliciesHelpWithLowBandwidthCompanions) {
-  const auto rows =
-      run_fig2(Fig2Set::kIdleBus, apps_by_name({"BT", "MG"}), fast_cfg());
+  ParallelExecutor executor(2);
+  const auto rows = run_fig2(Fig2Set::kIdleBus, apps_by_name({"BT", "MG"}),
+                             fast_cfg(), executor);
   for (const auto& r : rows) {
     EXPECT_GT(r.improvement_latest_pct, 0.0) << r.app;
     EXPECT_GT(r.improvement_window_pct, 0.0) << r.app;
@@ -110,8 +113,10 @@ TEST(Fig2Test, PoliciesHelpWithLowBandwidthCompanions) {
 }
 
 TEST(Fig2Test, MixedSetImprovementsWithinSaneBounds) {
-  const auto rows = run_fig2(Fig2Set::kMixed,
-                             apps_by_name({"Radiosity", "CG"}), fast_cfg());
+  ParallelExecutor executor(2);
+  const auto rows =
+      run_fig2(Fig2Set::kMixed, apps_by_name({"Radiosity", "CG"}),
+               fast_cfg(), executor);
   const auto s = summarize(rows);
   // Nothing catastrophic in either direction (paper: -7% .. +50%).
   EXPECT_GT(s.latest_min_pct, -20.0);

@@ -1,11 +1,10 @@
 // Tests for the performance-counter abstraction: the simulator-backed
-// source and the optional perf_event probe's graceful degradation.
+// source.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "perfctr/counters.h"
-#include "perfctr/perf_event.h"
 #include "sim/engine.h"
 #include "sim/scheduler.h"
 
@@ -36,39 +35,6 @@ TEST(SimCounterSource, TracksThreadTransactions) {
 
   for (int i = 0; i < 50; ++i) eng.step();
   EXPECT_GT(source.read_transactions(0), mid0);  // monotone
-}
-
-TEST(PerfEvent, ProbeNeverCrashes) {
-  // Hardware counters may or may not exist here; either way the probe must
-  // answer without crashing and with a reason on failure.
-  PerfEventCounter counter;
-  const bool ok = counter.open_for_current_thread();
-  if (ok) {
-    EXPECT_TRUE(counter.is_open());
-    // A read must return something (possibly 0) without error.
-    (void)counter.read();
-    counter.close();
-    EXPECT_FALSE(counter.is_open());
-  } else {
-    EXPECT_FALSE(counter.is_open());
-    EXPECT_FALSE(counter.reason().empty());
-    EXPECT_EQ(counter.read(), 0u);
-  }
-}
-
-TEST(PerfEvent, AvailabilityIsStable) {
-  const bool a = PerfEventCounter::available();
-  const bool b = PerfEventCounter::available();
-  EXPECT_EQ(a, b);
-}
-
-TEST(PerfEvent, MoveSemantics) {
-  PerfEventCounter a;
-  a.open_for_current_thread();  // may fail; move must work regardless
-  PerfEventCounter b = std::move(a);
-  EXPECT_FALSE(a.is_open());
-  b.close();
-  EXPECT_FALSE(b.is_open());
 }
 
 }  // namespace

@@ -25,48 +25,34 @@
 
 int main(int argc, char** argv) {
   using namespace bbsched;
-  namespace cli = experiments::cli_detail;
+  namespace cli = experiments;
 
-  const char* prog = argv[0];
   std::string socket_path = "/tmp/bbsched.sock";
   std::string kind = "synthetic";
   std::string name;
   double tps = 9.3;
   double seconds = 10.0;
   int threads = 1;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    // Numeric flags parse in place; a bad value exits 2 inside the helper.
-    // Every thread registers with the process's signal gate, whose slot
-    // table bounds --threads.
-    if (cli::checked_flag(prog, arg, "--tps", cli::finite_non_negative,
-                          tps) ||
-        cli::checked_flag(prog, arg, "--seconds", cli::finite_non_negative,
-                          seconds) ||
-        cli::checked_flag(prog, arg, "--threads",
-                          [](int v) {
-                            return v >= 1 &&
-                                   v <= runtime::SignalGate::kMaxThreads;
-                          },
-                          threads)) {
-      continue;
-    }
-    if (arg.starts_with("--socket=")) socket_path = arg.substr(9);
-    else if (arg.starts_with("--kind=")) kind = arg.substr(7);
-    else if (arg.starts_with("--name=")) name = arg.substr(7);
-    else if (arg == "--help" || arg == "-h") {
-      std::printf("bbsched_kernel --kind=bbma|nbbma|synthetic "
-                  "[--socket=PATH] [--name=N] [--tps=X] [--seconds=S] "
-                  "[--threads=1..%d]\n",
-                  runtime::SignalGate::kMaxThreads);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag '%.*s'\n",
-                   static_cast<int>(arg.size()), arg.data());
-      return 2;
-    }
-  }
+  // Every thread registers with the process's signal gate, whose slot table
+  // bounds --threads.
+  cli::parse_flags(
+      argc, argv,
+      {{"--kind", "KIND", "bbma, nbbma or synthetic (default synthetic)",
+        [&kind](std::string_view k) {
+          kind = k;
+          return k == "bbma" || k == "nbbma" || k == "synthetic";
+        }},
+       {"--socket", "PATH",
+        "the manager's UNIX socket (default /tmp/bbsched.sock)",
+        cli::set_text(socket_path)},
+       {"--name", "NAME", "application name (default: the kind)",
+        cli::set_text(name)},
+       {"--tps", "X", "synthetic transactions/us, >= 0 (default 9.3)",
+        cli::number(tps, 0.0)},
+       {"--seconds", "S", "run time, >= 0 (default 10)",
+        cli::number(seconds, 0.0)},
+       {"--threads", "N", "worker threads, 1..128 (default 1)",
+        cli::number(threads, 1, runtime::SignalGate::kMaxThreads)}});
   if (name.empty()) name = kind;
 
   runtime::Client client;

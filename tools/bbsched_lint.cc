@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
+#include "experiments/cli.h"
 
 namespace fs = std::filesystem;
 
@@ -80,40 +81,35 @@ int main(int argc, char** argv) {
   fs::path root = fs::current_path();
   std::string format = "text";
   bool show_suppressed = false;
-  std::vector<std::string> paths;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      format = "json";
-    } else if (arg.rfind("--format=", 0) == 0) {
-      format = arg.substr(9);
-      if (format != "text" && format != "json") {
-        std::cerr << "bbsched_lint: unknown format '" << format
-                  << "' (want text or json)\n";
-        return 2;
-      }
-    } else if (arg == "--show-suppressed") {
-      show_suppressed = true;
-    } else if (arg == "--list-rules") {
-      for (const std::string& r : bbsched::analysis::known_rules()) {
-        std::cout << r << "\n";
-      }
-      std::cout << "annotation (not suppressible)\n";
-      return 0;
-    } else if (arg.rfind("--root=", 0) == 0) {
-      root = arg.substr(7);
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: bbsched_lint [--root=DIR] [--format=text|json] "
-                   "[--show-suppressed]\n"
-                   "                    [--list-rules] [paths...]\n";
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "bbsched_lint: unknown option " << arg << "\n";
-      return 2;
-    } else {
-      paths.push_back(arg);
+  bool list_rules = false;
+  const auto paths = bbsched::experiments::parse_flags(
+      argc, argv,
+      {{"--root", "DIR", "tree to lint (default: the current directory)",
+        [&root](std::string_view dir) {
+          root = dir;
+          return true;
+        }},
+       {"--format", "FORMAT", "text or json (default text)",
+        [&format](std::string_view f) {
+          format = f;
+          return f == "text" || f == "json";
+        }},
+       {"--json", "", "same as --format=json",
+        [&format](std::string_view) {
+          format = "json";
+          return true;
+        }},
+       {"--show-suppressed", "", "also print suppressed findings",
+        bbsched::experiments::set_true(show_suppressed)},
+       {"--list-rules", "", "print the rule names and exit",
+        bbsched::experiments::set_true(list_rules)}},
+      "[paths...]");
+  if (list_rules) {
+    for (const std::string& r : bbsched::analysis::known_rules()) {
+      std::cout << r << "\n";
     }
+    std::cout << "annotation (not suppressible)\n";
+    return 0;
   }
 
   std::error_code ec;
@@ -137,7 +133,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   } else {
-    for (const std::string& p : paths) {
+    for (const std::string_view p : paths) {
       fs::path target = p;
       if (target.is_relative()) target = root / target;
       if (const int rc = collect(analyzer, target, root); rc != 0) return rc;

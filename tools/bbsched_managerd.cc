@@ -41,71 +41,43 @@ constexpr std::uint64_t kMaxQuantumMs = 3'600'000;
 
 int main(int argc, char** argv) {
   using namespace bbsched;
-  namespace cli = experiments::cli_detail;
+  namespace cli = experiments;
 
-  const char* prog = argv[0];
   runtime::ServerConfig cfg;
   cfg.socket_path = "/tmp/bbsched.sock";
   std::uint64_t quantum_ms = cfg.manager.quantum_us / 1000;
   double bus_tps = cfg.manager.total_bus_bw_tps;
   double run_seconds = 0.0;
   double status_interval = 2.0;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    // Numeric flags parse in place; a malformed, trailing-garbage,
-    // non-finite or out-of-range value exits 2 inside the helper.
-    if (cli::checked_flag(
-            prog, arg, "--quantum-ms",
-            [](std::uint64_t v) { return v >= 1 && v <= kMaxQuantumMs; },
-            quantum_ms) ||
-        cli::int_flag(prog, arg, "--window", std::size_t{1},
-                      cfg.manager.window_len) ||
-        cli::int_flag(prog, arg, "--procs", 1, cfg.nprocs) ||
-        cli::checked_flag(prog, arg, "--bus-tps", cli::finite_positive,
-                          bus_tps) ||
-        cli::checked_flag(prog, arg, "--run-seconds",
-                          cli::finite_non_negative, run_seconds) ||
-        cli::checked_flag(prog, arg, "--status-interval",
-                          cli::finite_non_negative, status_interval)) {
-      continue;
-    }
-    if (arg.starts_with("--socket=")) {
-      cfg.socket_path = arg.substr(9);
-    } else if (arg.starts_with("--policy=")) {
-      const std::string_view p = arg.substr(9);
-      if (p == "latest") {
-        cfg.manager.policy = core::PolicyKind::kLatestQuantum;
-      } else if (p == "window") {
-        cfg.manager.policy = core::PolicyKind::kQuantaWindow;
-      } else if (p == "predictive") {
-        cfg.manager.policy = core::PolicyKind::kQuantaWindow;
-        cfg.manager.use_predictive = true;
-      } else {
-        std::fprintf(stderr, "unknown policy '%.*s'\n",
-                     static_cast<int>(p.size()), p.data());
-        return 2;
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "bbsched-managerd: bus-bandwidth-aware user-level CPU manager\n"
-          "  --socket=PATH       UNIX socket to listen on\n"
-          "  --quantum-ms=N      scheduling quantum, 1..3600000 (default 200)\n"
-          "  --policy=latest|window|predictive\n"
-          "  --window=N          quanta-window length, >= 1 (default 5)\n"
-          "  --procs=N           processors to allocate, >= 1 (default: "
-          "online)\n"
-          "  --bus-tps=X         bus capacity in transactions/us, > 0\n"
-          "  --run-seconds=S     exit after S seconds (default: on signal)\n"
-          "  --status-interval=S status print period (0 = quiet)\n"
-          "A malformed or out-of-range value exits 2.\n");
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag '%.*s' (try --help)\n",
-                   static_cast<int>(arg.size()), arg.data());
-      return 2;
-    }
-  }
+  cli::parse_flags(
+      argc, argv,
+      {{"--socket", "PATH",
+        "UNIX socket to listen on (default /tmp/bbsched.sock)",
+        cli::set_text(cfg.socket_path)},
+       {"--quantum-ms", "N", "scheduling quantum, 1..3600000 (default 200)",
+        cli::number(quantum_ms, 1, kMaxQuantumMs)},
+       {"--policy", "NAME", "latest, window or predictive (default latest)",
+        [&cfg](std::string_view p) {
+          if (p != "latest" && p != "window" && p != "predictive") {
+            return false;
+          }
+          cfg.manager.policy = p == "latest"
+                                   ? core::PolicyKind::kLatestQuantum
+                                   : core::PolicyKind::kQuantaWindow;
+          cfg.manager.use_predictive = p == "predictive";
+          return true;
+        }},
+       {"--window", "N", "quanta-window length, >= 1 (default 5)",
+        cli::number(cfg.manager.window_len, 1)},
+       {"--procs", "N", "processors to allocate, >= 1 (default: online)",
+        cli::number(cfg.nprocs, 1)},
+       {"--bus-tps", "X",
+        "bus capacity in transactions/us, > 0 (default 29.5)",
+        cli::number_if(bus_tps, [](double x) { return x > 0.0; })},
+       {"--run-seconds", "S", "exit after S seconds (default 0 = on signal)",
+        cli::number(run_seconds, 0.0)},
+       {"--status-interval", "S", "status print period (0 = quiet, default 2)",
+        cli::number(status_interval, 0.0)}});
   cfg.manager.quantum_us = quantum_ms * 1000;
   cfg.manager.total_bus_bw_tps = bus_tps;
   cfg.manager.initial_estimate_tps = bus_tps / 4.0;

@@ -159,15 +159,15 @@ std::string describe(const OptSchedule& s, const OptInstance& inst) {
 
 int main(int argc, char** argv) {
   using namespace bbsched;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--self-check") return self_check();
-  }
-  const auto opt = experiments::parse_cli(argc, argv);
   int nprocs = 4;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--procs=", 0) == 0) nprocs = std::stoi(arg.substr(8));
-  }
+  bool check = false;
+  const auto opt = experiments::parse_cli(
+      argc, argv,
+      {{"--procs", "N", "processors, >= 1 (default 4)",
+        experiments::number(nprocs, 1)},
+       {"--self-check", "", "run the embedded fixture suite and exit",
+        experiments::set_true(check)}});
+  if (check) return self_check();
 
   sim::MachineConfig machine;
   machine.num_cpus = nprocs;

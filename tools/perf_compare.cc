@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "experiments/cli.h"
+
 namespace {
 
 using Section = std::map<std::string, double>;
@@ -118,19 +120,15 @@ void print_section(const std::string& name, const Section& base,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> files;
   double min_speedup = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--min-speedup=", 0) == 0) {
-      min_speedup = std::strtod(arg.c_str() + 14, nullptr);
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return 2;
-    } else {
-      files.push_back(arg);
-    }
-  }
+  const auto operands = bbsched::experiments::parse_flags(
+      argc, argv,
+      {{"--min-speedup", "X",
+        "fail unless tick_bench.ticks_per_sec rose X-fold, X >= 0 "
+        "(default 0 = no gate)",
+        bbsched::experiments::number(min_speedup, 0.0)}},
+      "BASELINE.json CURRENT.json");
+  const std::vector<std::string> files(operands.begin(), operands.end());
   if (files.size() != 2) {
     std::fprintf(stderr,
                  "usage: perf_compare BASELINE.json CURRENT.json "

@@ -36,6 +36,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "experiments/cli.h"
 #include "obs/metrics.h"
 #include "runtime/manager_server.h"
 #include "runtime/protocol.h"
@@ -339,26 +340,17 @@ int fuzz_run(const Options& opt) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto num = [&](const char* prefix) -> long long {
-      return std::stoll(arg.substr(std::strlen(prefix)));
-    };
-    if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = static_cast<std::uint64_t>(num("--seed="));
-    } else if (arg.rfind("--frames=", 0) == 0) {
-      opt.frames = static_cast<int>(num("--frames="));
-    } else if (arg.rfind("--seconds=", 0) == 0) {
-      opt.seconds = static_cast<int>(num("--seconds="));
-    } else if (arg == "--verbose") {
-      opt.verbose = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: proto_fuzz [--frames=N] [--seconds=N] [--seed=N] "
-                   "[--verbose]\n");
-      return 2;
-    }
-  }
+  bbsched::experiments::parse_flags(
+      argc, argv,
+      {{"--frames", "N", "mutant frames to send, >= 1 (default 2000)",
+        bbsched::experiments::number(opt.frames, 1)},
+       {"--seconds", "N",
+        "fuzz rotating seeds for N s instead of --frames (default 0 = off)",
+        bbsched::experiments::number(opt.seconds, 0)},
+       {"--seed", "N", "first seed (default 1)",
+        bbsched::experiments::number(opt.seed)},
+       {"--verbose", "", "print progress every 1000 frames",
+        bbsched::experiments::set_true(opt.verbose)}});
   if (opt.seconds > 0) {
     // Soak mode: rotate the seed every bounded sub-run so crashes found in
     // soak reproduce with a plain --frames invocation of the same seed.
