@@ -1,9 +1,11 @@
 #include "sim/bus_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace bbsched::sim {
@@ -59,9 +61,21 @@ const BusResolution& BusModel::resolve(std::span<const double> demands,
 
   std::vector<double>& alphas = ws.alphas;
   std::vector<double>& inv_w = ws.inv_w;
-  // Workspace scratch, reused and size-stable.
+  // Workspace scratch, reused and size-stable. A slot keeps its alpha while
+  // its demand compares equal to the one the alpha came from (alpha(+0) and
+  // alpha(-0) are both 0) and the model's alpha parameters keep their bits.
   alphas.resize(n);
   inv_w.resize(n);
+  constexpr double kNoDemand = std::numeric_limits<double>::quiet_NaN();
+  if (std::bit_cast<std::uint64_t>(ws.alpha_peak_tps_) !=
+          std::bit_cast<std::uint64_t>(cfg_.per_thread_peak_tps) ||
+      std::bit_cast<std::uint64_t>(ws.alpha_exponent_) !=
+          std::bit_cast<std::uint64_t>(cfg_.alpha_exponent)) {
+    ws.alpha_peak_tps_ = cfg_.per_thread_peak_tps;
+    ws.alpha_exponent_ = cfg_.alpha_exponent;
+    ws.alpha_demand_.assign(ws.alpha_demand_.size(), kNoDemand);
+  }
+  ws.alpha_demand_.resize(n, kNoDemand);
 
   // Single fused gather: one pass writes every per-agent array (the neutral
   // slowdown/granted values double as the idle-bus result) instead of the
@@ -71,7 +85,10 @@ const BusResolution& BusModel::resolve(std::span<const double> demands,
   for (std::size_t i = 0; i < n; ++i) {
     assert(demands[i] >= 0.0 && "bus demand must be non-negative");
     total_demand += demands[i];
-    alphas[i] = alpha(demands[i]);
+    if (!(demands[i] == ws.alpha_demand_[i])) {
+      alphas[i] = alpha(demands[i]);
+      ws.alpha_demand_[i] = demands[i];
+    }
     if (!weights.empty()) {
       assert(weights[i] >= 1.0 && "arbitration weight must be >= 1");
       inv_w[i] = 1.0 / weights[i];

@@ -102,7 +102,10 @@ struct BusResolution {
 /// Reusable scratch state for resolve(). A caller that resolves every tick
 /// (the engine) keeps one workspace alive so the per-agent vectors — and
 /// the result's slowdown/granted arrays — are allocated once and reused,
-/// making the steady-state tick path allocation-free.
+/// making the steady-state tick path allocation-free. Tick over tick most
+/// agents repeat their demand, so resolve() also keeps each slot's alpha
+/// and recomputes its pow() only when the slot's demand or the model's
+/// alpha parameters changed since the last resolve into this workspace.
 struct BusWorkspace {
   /// Per-agent memory-boundedness, filled by resolve(). Exposed so callers
   /// that need alphas after resolution (the engine's SMT penalty) can reuse
@@ -123,6 +126,11 @@ struct BusWorkspace {
  private:
   friend class BusModel;
   int granted_sum_evals_ = 0;
+  /// The demand each alphas[i] was derived from (NaN: none yet), and the
+  /// alpha parameters of the model that derived them.
+  std::vector<double> alpha_demand_;
+  double alpha_peak_tps_ = 0.0;
+  double alpha_exponent_ = 0.0;
 };
 
 /// Stateless solver for the contention model; one instance per machine.

@@ -36,7 +36,8 @@ struct BusConfig {
   double arbitration_floor = 0.88;
 
   /// A thread counts as "demanding" for arbitration purposes above this
-  /// rate (transactions/µs).
+  /// rate (transactions/µs). Non-negative, so the zero-demand agents of
+  /// spinning and noise-stolen runners never count.
   double demanding_threshold_tps = 1.0;
 
   /// Sub-saturation queueing inflation: X_light = 1 + kappa * rho^2.

@@ -47,12 +47,12 @@ Engine::Engine(const MachineConfig& mcfg, const EngineConfig& ecfg,
   assert(ecfg_.tick_us > 0);
   noise_until_.assign(static_cast<std::size_t>(mcfg.num_cpus), 0);
   noise_next_.assign(static_cast<std::size_t>(mcfg.num_cpus), 0);
-  // At most one stolen resident and one batch thread per CPU. Warm-up
-  // rarely meets a batch with a stolen CPU or with every CPU busy, so
-  // without these the first such batch would allocate mid-run.
+  // At most one batch thread, and so one batch job, per CPU. Warm-up
+  // rarely meets a batch with every CPU busy, so without these the first
+  // such batch would allocate mid-run.
   const auto ncpus = static_cast<std::size_t>(mcfg.num_cpus);
-  batch_stolen_.reserve(ncpus);
   batch_threads_.reserve(ncpus);
+  batch_jobs_.reserve(ncpus);
   batch_frac_.reserve(ncpus);
   batch_pnew_.reserve(ncpus);
   if (ecfg_.os_noise_interval_us > 0) {
@@ -166,22 +166,7 @@ bool Engine::execute_tick() {
   // it between ticks.
   if (job_front_.size() != machine_.jobs().size()) refresh_job_fronts();
 
-  // OS-noise bookkeeping: open new steal windows whose start time passed.
-  if (ecfg_.os_noise_interval_us > 0) {
-    for (std::size_t c = 0; c < noise_next_.size(); ++c) {
-      if (now_ >= noise_next_[c]) {
-        noise_until_[c] =
-            now_ + static_cast<SimTime>(rng_.uniform(
-                       static_cast<double>(ecfg_.os_noise_min_us),
-                       static_cast<double>(ecfg_.os_noise_max_us)));
-        noise_next_[c] =
-            noise_until_[c] +
-            static_cast<SimTime>(rng_.uniform(
-                0.5 * static_cast<double>(ecfg_.os_noise_interval_us),
-                1.5 * static_cast<double>(ecfg_.os_noise_interval_us)));
-      }
-    }
-  }
+  open_noise_windows();
 
   // Gather placed threads and their demands (into reusable scratch). All
   // inputs stream from the SoA arrays; the flattened spec constants avoid
@@ -196,8 +181,13 @@ bool Engine::execute_tick() {
     const auto ti = static_cast<std::size_t>(tid);
     if (now_ < noise_until_[c]) {
       // The kernel stole this CPU for the tick: the resident thread makes
-      // no progress and issues no traffic.
+      // no progress and issues no traffic. It stays a zero-demand bus agent
+      // under its own weight, which leaves every other agent's resolution
+      // bit-identical (DESIGN.md §11 "Demand-only events").
       s.stolen_us[ti] += tick;
+      placed_.push_back({static_cast<int>(c), tid, 0.0, false, false, true});
+      demands_.push_back(0.0);
+      weights_.push_back(s.bus_priority[ti]);
       continue;
     }
     assert(s.state[ti] == ThreadState::kReady &&
@@ -228,7 +218,7 @@ bool Engine::execute_tick() {
       demand *= 1.0 + s.cold_demand_boost[ti] * (1.0 - s.warmth[ti]);
     }
     placed_.push_back(
-        {static_cast<int>(c), tid, limit, spinning, barrier_limited});
+        {static_cast<int>(c), tid, limit, spinning, barrier_limited, false});
     demands_.push_back(demand);
     weights_.push_back(s.bus_priority[ti]);
   }
@@ -251,7 +241,8 @@ bool Engine::execute_tick() {
   update_smt_penalty();
 
   ++stats_.total_ticks;
-  if (!demands_.empty()) {
+  const std::size_t agents = bus_agents();
+  if (agents > 0) {
     stats_.bus_utilization.add(bus.total_granted / bus.effective_capacity);
     stats_.stretch.add(bus.stretch);
     if (bus.saturated) ++stats_.saturated_ticks;
@@ -263,7 +254,7 @@ bool Engine::execute_tick() {
   // simulated time (a quantum, a noise window) is guaranteed coverage.
   if (metrics_) {
     m_ticks_->inc();
-    if (!demands_.empty()) {
+    if (agents > 0) {
       m_bus_utilization_->observe(bus.total_granted /
                                   bus.effective_capacity);
       m_bus_stretch_->observe(bus.stretch);
@@ -272,12 +263,13 @@ bool Engine::execute_tick() {
     }
   }
   if (tracer_ && tracer_->enabled()) {
-    tracer_->bus_resolution(now_, resolution_payload(bus, demands_.size()));
+    tracer_->bus_resolution(now_, resolution_payload(bus, agents));
   }
 
   // Advance placed threads.
   for (std::size_t i = 0; i < placed_.size(); ++i) {
     const PlacedThread& p = placed_[i];
+    if (p.stolen) continue;  // accrued its stolen time in the gather
     const auto ti = static_cast<std::size_t>(p.tid);
     const bool coupled = s.coupled[ti] != 0;
 
@@ -395,10 +387,37 @@ bool Engine::execute_tick() {
   return structural;
 }
 
+void Engine::open_noise_windows() {
+  // A replayed tick that meets an event hands its tick to the full path,
+  // which calls again at the same time; the windows are already open.
+  if (ecfg_.os_noise_interval_us == 0 || noise_opened_at_ == now_) return;
+  noise_opened_at_ = now_;
+  for (std::size_t c = 0; c < noise_next_.size(); ++c) {
+    if (now_ >= noise_next_[c]) {
+      noise_until_[c] =
+          now_ + static_cast<SimTime>(rng_.uniform(
+                     static_cast<double>(ecfg_.os_noise_min_us),
+                     static_cast<double>(ecfg_.os_noise_max_us)));
+      noise_next_[c] =
+          noise_until_[c] +
+          static_cast<SimTime>(rng_.uniform(
+              0.5 * static_cast<double>(ecfg_.os_noise_interval_us),
+              1.5 * static_cast<double>(ecfg_.os_noise_interval_us)));
+    }
+  }
+}
+
+std::size_t Engine::bus_agents() const noexcept {
+  std::size_t stolen = 0;
+  for (const PlacedThread& p : placed_) stolen += p.stolen ? 1 : 0;
+  return demands_.size() - stolen;
+}
+
 void Engine::update_smt_penalty() {
   // SMT: per-context penalty when a sibling context on the same core is
   // actively executing (see SmtConfig). Spinning siblings are excluded —
-  // a spin loop leaves the core's execution resources mostly free.
+  // a spin loop leaves the core's execution resources mostly free — and so
+  // are stolen ones, whose context runs the kernel's work, not a thread's.
   smt_penalty_.assign(placed_.size(), 1.0);
   if (mcfg_.threads_per_core <= 1) return;
   placed_idx_by_cpu_.assign(machine_.cpus().size(), -1);
@@ -407,14 +426,14 @@ void Engine::update_smt_penalty() {
         static_cast<int>(i);
   }
   for (std::size_t i = 0; i < placed_.size(); ++i) {
-    if (placed_[i].spinning) continue;
+    if (!placed_[i].active()) continue;
     const int core = mcfg_.core_of(placed_[i].cpu);
     double max_sibling_alpha = -1.0;
     for (int c = core * mcfg_.threads_per_core;
          c < (core + 1) * mcfg_.threads_per_core; ++c) {
       if (c == placed_[i].cpu) continue;
       const int j = placed_idx_by_cpu_[static_cast<std::size_t>(c)];
-      if (j < 0 || placed_[static_cast<std::size_t>(j)].spinning) continue;
+      if (j < 0 || !placed_[static_cast<std::size_t>(j)].active()) continue;
       // resolve() already derived every agent's alpha; reuse instead of
       // paying the pow() again.
       max_sibling_alpha = std::max(
@@ -499,29 +518,38 @@ bool Engine::barrier_transitions() {
   // this wake-up pass and the next tick's barrier-limit computation read
   // the cache instead of re-scanning siblings per job.
   refresh_job_fronts();
-  SoAStore& s = machine_.store();
   bool woke = false;
   for (const auto& j : machine_.jobs()) {
     if (j.completed || j.spec.barrier_interval_us <= 0.0) continue;
-    const double front = job_front_[static_cast<std::size_t>(j.id)];
-    for (int tid : j.thread_ids) {
-      const auto ti = static_cast<std::size_t>(tid);
-      if (s.state[ti] == ThreadState::kBarrierWait &&
-          s.progress_us[ti] < front + j.spec.barrier_interval_us - kEps) {
-        s.state[ti] = ThreadState::kReady;
-        woke = true;
-        if (tracer_ && tracer_->enabled()) {
-          tracer_->job_state_change(now_, {s.app_id[ti], tid,
-                                           obs::JobState::kBarrierWait,
-                                           obs::JobState::kReady});
-        }
-      }
-    }
+    for (int tid : j.thread_ids) woke |= wake_if_released(tid);
   }
   return woke;
 }
 
+bool Engine::wake_if_released(int tid) {
+  SoAStore& s = machine_.store();
+  const auto ti = static_cast<std::size_t>(tid);
+  if (s.state[ti] != ThreadState::kBarrierWait ||
+      !(s.progress_us[ti] <
+        job_front_[static_cast<std::size_t>(s.app_id[ti])] +
+            s.barrier_interval_us[ti] - kEps)) {
+    return false;
+  }
+  s.state[ti] = ThreadState::kReady;
+  if (tracer_ && tracer_->enabled()) {
+    tracer_->job_state_change(now_, {s.app_id[ti], tid,
+                                     obs::JobState::kBarrierWait,
+                                     obs::JobState::kReady});
+  }
+  return true;
+}
+
 void Engine::refresh_job_fronts() {
+  job_front_.resize(machine_.jobs().size());
+  for (const auto& j : machine_.jobs()) refresh_job_front(j);
+}
+
+void Engine::refresh_job_front(const Job& j) {
   // Completed jobs keep an infinity front: nothing reads it — the gather
   // loop only consults fronts of placed (live) threads and the wake-up scan
   // skips completed jobs — so skipping their thread scans keeps this pass
@@ -529,17 +557,14 @@ void Engine::refresh_job_fronts() {
   // participate: their progress can sit a hair below work_us (within the
   // completion epsilon) and the front min must see the same values it
   // always did.
-  job_front_.assign(machine_.jobs().size(),
-                    std::numeric_limits<double>::infinity());
-  const SoAStore& s = machine_.store();
-  for (const auto& j : machine_.jobs()) {
-    if (j.completed) continue;
-    double front = std::numeric_limits<double>::infinity();
+  double front = std::numeric_limits<double>::infinity();
+  if (!j.completed) {
+    const SoAStore& s = machine_.store();
     for (int tid : j.thread_ids) {
       front = std::min(front, s.progress_us[static_cast<std::size_t>(tid)]);
     }
-    job_front_[static_cast<std::size_t>(j.id)] = front;
   }
+  job_front_[static_cast<std::size_t>(j.id)] = front;
 }
 
 // Validates batch soundness and computes the event horizon.
@@ -566,20 +591,6 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
     budget = std::min(
         budget, ticks_before(start, tick_us, pending_[pending_next_].when));
   }
-
-  // OS noise: opening a steal window consumes RNG draws and flips the
-  // resident thread's stolen status, so every window boundary ends the
-  // batch. A currently-stolen CPU must stay stolen for the whole window.
-  if (ecfg_.os_noise_interval_us > 0) {
-    for (std::size_t c = 0; c < noise_next_.size(); ++c) {
-      budget = std::min(budget, ticks_before(start, tick_us, noise_next_[c]));
-      if (machine_.cpus()[c].thread != Cpu::kIdle &&
-          start - tick_us < noise_until_[c]) {
-        budget = std::min(budget,
-                          ticks_before(start, tick_us, noise_until_[c]));
-      }
-    }
-  }
   if (budget == 0) return 0;
 
   // I/O wake-ups fire when T + tick >= io_wake_us.
@@ -592,12 +603,13 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
   }
   if (budget == 0) return 0;
 
-  // Placed threads, with the rates of the last full tick's resolution. Their
-  // demands were derived at that tick's progress and warmth, so none counts
-  // as derived yet: the first replayed tick re-derives every one.
+  // Placed threads, stolen runners included, with the rates of the last
+  // full tick's resolution. Their demands were derived at that tick's
+  // progress and warmth, so none counts as derived yet: the first replayed
+  // tick re-derives every one.
   const BusResolution& bus = bus_ws_.result;
   batch_threads_.clear();
-  batch_stolen_.clear();
+  batch_jobs_.clear();
   for (std::size_t i = 0; i < placed_.size(); ++i) {
     const PlacedThread& p = placed_[i];
     const auto ti = static_cast<std::size_t>(p.tid);
@@ -607,6 +619,7 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
     bt.cpu = p.cpu;
     bt.pi = i;
     bt.spinning = p.spinning;
+    bt.stolen = p.stolen;
     bt.coupled = s.coupled[ti] != 0;
     bt.io_enabled = s.io_enabled[ti] != 0;
     bt.work = s.work_us[ti];
@@ -618,6 +631,29 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
     bt.warmth = std::numeric_limits<double>::quiet_NaN();
     bt.steady_until = -std::numeric_limits<double>::infinity();
     batch_threads_.push_back(bt);
+    const Job* job = &machine_.job(bt.job);
+    if (bt.coupled && std::find(batch_jobs_.begin(), batch_jobs_.end(),
+                                job) == batch_jobs_.end()) {
+      batch_jobs_.push_back(job);
+    }
+  }
+
+  // Only a batch thread's progress moves inside the batch, so only its
+  // job's front can, and only that job's barrier waiters can wake: every
+  // other waiter stayed asleep at the full tick's wake-up pass, against a
+  // front that stays put. Fronts are read only for coupled jobs, so an
+  // uncoupled job's front may go stale until the next full tick rebuilds
+  // every front. A placed thread is ready, so its job is live.
+  std::sort(batch_jobs_.begin(), batch_jobs_.end(),
+            [](const Job* a, const Job* b) { return a->id < b->id; });
+  batch_waiters_.clear();
+  batch_waiters_.reserve(s.size());
+  for (const Job* j : batch_jobs_) {
+    for (const int tid : j->thread_ids) {
+      if (s.state[static_cast<std::size_t>(tid)] == ThreadState::kBarrierWait) {
+        batch_waiters_.push_back(tid);
+      }
+    }
   }
 
   // DMA agents behind placed entries: constant demand by construction.
@@ -625,16 +661,6 @@ std::uint64_t Engine::prepare_batch(SimTime until) {
     const std::size_t idx = placed_.size() + k;
     batch_dma_.push_back(
         {dma_tids_[k], bus.granted[idx] * tick, demands_[idx] * tick});
-  }
-
-  // Noise-stolen residents accrue stolen time each tick.
-  if (ecfg_.os_noise_interval_us > 0) {
-    for (std::size_t c = 0; c < machine_.cpus().size(); ++c) {
-      const int tid = machine_.cpus()[c].thread;
-      if (tid != Cpu::kIdle && start - tick_us < noise_until_[c]) {
-        batch_stolen_.push_back(tid);
-      }
-    }
   }
 
   // Cache-disturbance pairs (runner evicting a same-core thread's warmth)
@@ -713,16 +739,18 @@ void Engine::replay_quiet_ticks(SimTime until) {
   const BusResolution& bus = bus_ws_.result;
 
   // Per-tick values of the current resolution, refreshed after each resolve.
-  const bool has_demands = !demands_.empty();
   const bool trace_on = trace_.enabled();
   const bool tracer_on = tracer_ && tracer_->enabled();
+  bool has_agents = false;
   double util = 0.0;
   double granted_x_tick = 0.0;
   obs::BusResolutionPayload bus_payload{};
   const auto take_resolution = [&] {
-    util = has_demands ? bus.total_granted / bus.effective_capacity : 0.0;
+    const std::size_t agents = bus_agents();
+    has_agents = agents > 0;
+    util = has_agents ? bus.total_granted / bus.effective_capacity : 0.0;
     granted_x_tick = bus.total_granted * tick;
-    if (tracer_on) bus_payload = resolution_payload(bus, demands_.size());
+    if (tracer_on) bus_payload = resolution_payload(bus, agents);
   };
   take_resolution();
 
@@ -731,22 +759,61 @@ void Engine::replay_quiet_ticks(SimTime until) {
 
   std::uint64_t done = 0;
   while (done < budget) {
-    // ---- phase A: demand drift and per-tick event checks. Every
-    // expression matches the full path bit for bit; any event defers the
-    // tick to the full path, which re-gathers and re-resolves, so the
-    // scratch this phase rewrites (demands_, the workspace, smt_penalty_)
-    // needs no restoring. ----
+    // ---- phase A: the gather's view of every runner, demand drift and
+    // per-tick event checks. Every expression matches the full path bit
+    // for bit; any event defers the tick to the full path, which
+    // re-gathers and re-resolves, so the scratch this phase rewrites
+    // (placed_, demands_, the workspace, smt_penalty_) needs no restoring.
+    // ----
     //
-    // A thread is settled while its warmth is the one its demand was
-    // derived at and its progress stays a tick short of the demand model's
-    // steady bound (the margin absorbs the bound's own rounding); any other
-    // thread re-derives its demand as the gather does.
+    // Steal windows open as the full tick opens them, and each runner is
+    // classified as the gather does: stolen, or its progress bound and
+    // whether it spins there. A runner whose CPU was stolen or released,
+    // or whose spin classification flipped, turns into or out of a
+    // zero-demand agent: its demand is zeroed, and re-derived below if it
+    // runs, and the bus is re-resolved so the SMT penalty and every
+    // progress step follow the new agent set.
+    //
+    // A running thread is settled while its warmth is the one its demand
+    // was derived at and its progress stays a tick short of the demand
+    // model's steady bound (the margin absorbs the bound's own rounding);
+    // any other running thread re-derives its demand as the gather does.
+    open_noise_windows();
     bool resolve = false;
     for (BatchThread& bt : batch_threads_) {
-      if (bt.spinning) continue;
       const auto ti = static_cast<std::size_t>(bt.tid);
-      const double w = s.warmth[ti];
       const double p = s.progress_us[ti];
+      const bool stolen =
+          now_ < noise_until_[static_cast<std::size_t>(bt.cpu)];
+      bool spinning = false;
+      if (!stolen) {
+        bt.limit = bt.work;
+        bt.barrier_limited = false;
+        if (bt.coupled) {
+          const double barrier_limit =
+              job_front_[static_cast<std::size_t>(bt.job)] + bt.interval;
+          if (barrier_limit < bt.limit) {
+            bt.limit = barrier_limit;
+            bt.barrier_limited = true;
+          }
+        }
+        if (bt.io_enabled && bt.next_io < bt.limit) {
+          bt.limit = bt.next_io;
+          bt.barrier_limited = false;
+        }
+        spinning = bt.barrier_limited && p >= bt.limit - kEps;
+      }
+      if (stolen != bt.stolen || spinning != bt.spinning) {
+        PlacedThread& pt = placed_[bt.pi];
+        bt.stolen = pt.stolen = stolen;
+        bt.spinning = pt.spinning = spinning;
+        demands_[bt.pi] = 0.0;
+        bt.attempt_tick = 0.0;
+        bt.warmth = std::numeric_limits<double>::quiet_NaN();
+        resolve = true;
+      }
+      if (stolen || spinning) continue;
+      const double w = s.warmth[ti];
       if (w == bt.warmth && p + bt.delta < bt.steady_until) continue;
       if (!(p < bt.steady_until)) {
         bt.steady_until = s.demand[ti]->steady_until(s.tidx[ti], p);
@@ -766,7 +833,7 @@ void Engine::replay_quiet_ticks(SimTime until) {
       ++stats_.bus_resolves;
       update_smt_penalty();
       for (BatchThread& bt : batch_threads_) {
-        if (bt.spinning) continue;
+        if (bt.spinning || bt.stolen) continue;
         bt.granted_tick = bus.granted[bt.pi] * tick;
         bt.delta = tick_delta(bt.pi, static_cast<std::size_t>(bt.tid), tick);
       }
@@ -780,37 +847,21 @@ void Engine::replay_quiet_ticks(SimTime until) {
     for (std::size_t b = 0; b < batch_threads_.size() && !event; ++b) {
       const BatchThread& bt = batch_threads_[b];
       const auto ti = static_cast<std::size_t>(bt.tid);
-      double limit = bt.work;
-      bool barrier_limited = false;
-      if (bt.coupled) {
-        const double barrier_limit =
-            job_front_[static_cast<std::size_t>(bt.job)] + bt.interval;
-        if (barrier_limit < limit) {
-          limit = barrier_limit;
-          barrier_limited = true;
-        }
-      }
-      if (bt.io_enabled && bt.next_io < limit) {
-        limit = bt.next_io;
-        barrier_limited = false;
-      }
-      const double p = s.progress_us[ti];
-      const bool spinning_now = barrier_limited && p >= limit - kEps;
-      if (spinning_now != bt.spinning) {
-        event = true;  // spin classification flipped: demand set changes
-        break;
-      }
+      if (bt.stolen) continue;
       if (bt.spinning) {
         if (bt.coupled && s.consecutive_spin_us[ti] + tick >= grace) {
           event = true;  // spin-then-block would fire
         }
         continue;
       }
-      const double allowed = std::max(0.0, limit - p);
+      const double p = s.progress_us[ti];
+      const double allowed = std::max(0.0, bt.limit - p);
+      // The full tick's min(1, allowed / delta), dividing only when the
+      // bound can bind: allowed >= delta > 0 rounds the quotient to >= 1.
       const double frac =
-          bt.delta > 0.0 ? std::min(1.0, allowed / bt.delta) : 1.0;
+          bt.delta > 0.0 && allowed < bt.delta ? allowed / bt.delta : 1.0;
       const double p_new = p + bt.delta * frac;
-      if (frac < 1.0 && !barrier_limited) {
+      if (frac < 1.0 && !bt.barrier_limited) {
         event = true;  // ran into an I/O point or end of work
         break;
       }
@@ -832,7 +883,7 @@ void Engine::replay_quiet_ticks(SimTime until) {
     // path: stats, observability, advance, DMA, disturbance, waits). ----
     ++stats_.total_ticks;
     ++stats_.batched_ticks;
-    if (has_demands) {
+    if (has_agents) {
       stats_.bus_utilization.add(util);
       stats_.stretch.add(bus.stretch);
       if (bus.saturated) ++stats_.saturated_ticks;
@@ -840,7 +891,7 @@ void Engine::replay_quiet_ticks(SimTime until) {
     }
     if (metrics_) {
       m_ticks_->inc();
-      if (has_demands) {
+      if (has_agents) {
         m_bus_utilization_->observe(util);
         m_bus_stretch_->observe(bus.stretch);
         if (bus.saturated) m_saturated_ticks_->inc();
@@ -852,6 +903,10 @@ void Engine::replay_quiet_ticks(SimTime until) {
     for (std::size_t b = 0; b < batch_threads_.size(); ++b) {
       const BatchThread& bt = batch_threads_[b];
       const auto ti = static_cast<std::size_t>(bt.tid);
+      if (bt.stolen) {
+        s.stolen_us[ti] += tick;
+        continue;
+      }
       if (trace_on) {
         trace_.occupy(now_, now_ + tick_us, bt.job, bt.tid, bt.cpu);
       }
@@ -880,18 +935,18 @@ void Engine::replay_quiet_ticks(SimTime until) {
       s.bus_transactions[ti] += d.granted_tick;
       s.bus_attempts[ti] += d.attempt_tick;
     }
-    for (const int tid : batch_stolen_) {
-      s.stolen_us[static_cast<std::size_t>(tid)] += tick;
-    }
     for (std::size_t k = 0; k < batch_dist_.size(); ++k) {
       *batch_dist_[k] = std::max(0.0, *batch_dist_[k] - batch_dist_dec_[k]);
     }
     for (double* acc : batch_wait_) *acc += tick;
 
-    // ---- phase C: barrier fronts and wake-ups, exactly as the full path
-    // ends a tick. A wake changes a thread state, so it closes the batch
-    // (the scheduler may react next tick). ----
-    const bool woke = barrier_transitions();
+    // ---- phase C: barrier fronts and wake-ups as the full path ends a
+    // tick, restricted to the batch's jobs (prepare_batch). A wake changes
+    // a thread state, so it closes the batch (the scheduler may react next
+    // tick). ----
+    for (const Job* j : batch_jobs_) refresh_job_front(*j);
+    bool woke = false;
+    for (const int tid : batch_waiters_) woke |= wake_if_released(tid);
     now_ += tick_us;
     ++done;
     if (woke) break;

@@ -35,9 +35,10 @@ struct EngineStats {
   std::uint64_t batches = 0;
   std::uint64_t batched_ticks = 0;
   /// BusModel::resolve calls: one per full tick, plus one per replayed tick
-  /// on which some demand changed (a replay that then meets an event counts
-  /// its resolve too). A cost counter like batched_ticks: it depends on the
-  /// batch length, the outputs do not.
+  /// on which some demand changed or a runner was stolen, released or
+  /// flipped its spin classification (a replay that then meets an event
+  /// counts its resolve too). A cost counter like batched_ticks: it depends
+  /// on the batch length, the outputs do not.
   std::uint64_t bus_resolves = 0;
 };
 
@@ -98,27 +99,36 @@ class Engine {
 
   /// Returns true on a structural event (see step_once).
   bool execute_tick();
+  /// Opens the OS-noise steal windows whose start time has come, drawing
+  /// from rng_ in CPU order. Runs at the start of every tick, full or
+  /// replayed, and at most once per tick.
+  void open_noise_windows();
   void account_unplaced(double tick);
   void apply_cache_disturbance(double tick);
   /// Wakes barrier waiters whose siblings caught up; true if any woke.
   bool barrier_transitions();
+  /// Wakes `tid` if it waits at a barrier its job's cached front has
+  /// released; true if it woke.
+  bool wake_if_released(int tid);
 
   /// Recomputes the cached per-job barrier front (min progress over the
   /// job's live threads); completed jobs keep an (unread) infinity front.
   void refresh_job_fronts();
+  void refresh_job_front(const Job& j);
 
   // ---- quantum batching (DESIGN.md §11) ----
   //
   // After an event-free full tick, replay_quiet_ticks() advances through
-  // ticks in which provably nothing changes shape — no arrival, noise
-  // boundary, I/O wake or scheduler action — repeating the exact per-tick
-  // arithmetic (same operations, same order, bit-identical results) while
-  // skipping the scheduler tick, the gather and the disturbance scan. Demand
-  // may drift (cache warm-up, demand-model edges): the replay re-derives a
-  // thread's demand whenever its warmth moved or its progress nears the
-  // model's steady bound, and re-resolves the bus only on ticks where some
-  // demand changed bitwise. Any per-tick event check that fires falls back
-  // to full stepping for that tick.
+  // ticks in which no thread state or placement changes — no arrival, I/O
+  // wake or scheduler action — repeating the exact per-tick arithmetic
+  // (same operations, same order, bit-identical results) while skipping
+  // the scheduler tick, the gather and the disturbance scan. Events that
+  // move only the bus demand vector are absorbed: cache warm-up and
+  // demand-model edges re-derive a thread's demand, an OS-noise steal or
+  // release zeroes or re-derives its runner's, and a spin-classification
+  // flip does the same; the bus is re-resolved only on ticks where some
+  // demand changed bitwise or some runner flipped. Any per-tick event check
+  // that fires falls back to full stepping for that tick.
 
   /// Validates batch preconditions, computes the event horizon (max replay
   /// ticks) and fills the batch_* scratch. Returns 0 when batching is not
@@ -130,6 +140,9 @@ class Engine {
   /// Fills smt_penalty_ from placed_ and the workspace's alphas; runs after
   /// every resolve, full tick or replay.
   void update_smt_penalty();
+  /// Bus agents that count in the stats, metrics and BusResolution payload:
+  /// every demands_ entry except the stolen runners' zero-demand slots.
+  [[nodiscard]] std::size_t bus_agents() const noexcept;
   /// One tick's progress of placed_[i] (thread `ti`) under the workspace's
   /// resolution, its warmth's affinity penalty and its SMT penalty.
   [[nodiscard]] double tick_delta(std::size_t i, std::size_t ti,
@@ -159,10 +172,11 @@ class Engine {
   obs::Histogram* m_bus_utilization_ = nullptr;
   obs::Histogram* m_bus_stretch_ = nullptr;
 
-  /// OS-noise state: until when each CPU is stolen, and when the next
-  /// steal begins.
+  /// OS-noise state: until when each CPU is stolen, when the next steal
+  /// begins, and the tick whose windows open_noise_windows() last opened.
   std::vector<SimTime> noise_until_;
   std::vector<SimTime> noise_next_;
+  SimTime noise_opened_at_ = kForever;
 
   /// Pending open-system arrivals. Sorted lazily at run start (submit_job
   /// only appends); drained with the `pending_next_` cursor so arrivals
@@ -178,13 +192,17 @@ class Engine {
   // ---- per-tick scratch (reused across ticks: the steady-state tick path
   // performs no heap allocation) ----
 
-  /// One placed thread's tick-local view.
+  /// One placed thread's tick-local view. A stolen runner stays placed as
+  /// a zero-demand bus agent (DESIGN.md §11 "Demand-only events").
   struct PlacedThread {
     int cpu;
     int tid;
     double limit;          // progress bound this tick (barrier/end of work)
     bool spinning;         // already at the bound => pure spin
     bool barrier_limited;  // bound comes from a barrier, not end of work
+    bool stolen;           // OS noise holds the CPU: no progress, no traffic
+    /// Executing: neither spinning nor stolen (an active SMT sibling).
+    [[nodiscard]] bool active() const noexcept { return !spinning && !stolen; }
   };
   std::vector<PlacedThread> placed_;
   std::vector<double> demands_;
@@ -196,24 +214,29 @@ class Engine {
   BusWorkspace bus_ws_;
 
   /// Cached barrier front per job, kept current by refresh_job_fronts() at
-  /// the end of every tick (and re-derived when jobs arrive). Avoids the
-  /// per-job min scans the tick-start loop and barrier_transitions() used
-  /// to duplicate.
+  /// the end of every full tick (and re-derived when jobs arrive); a
+  /// replayed tick refreshes only the coupled jobs' fronts, the only ones
+  /// read. Avoids the per-job min scans the tick-start loop and
+  /// barrier_transitions() used to duplicate.
   std::vector<double> job_front_;
 
   // ---- quantum-batching scratch (reused across batches; allocation-free
   // in steady state) ----
 
   /// One placed thread's batch view, in placed_ order. The rates are
-  /// refreshed by the replay when their inputs change.
+  /// refreshed by the replay when their inputs change; a steal or spin flip
+  /// is mirrored into the thread's placed_ entry for update_smt_penalty().
   struct BatchThread {
     int tid;
     int job;
     int cpu;
-    std::size_t pi;       ///< index into demands_ / bus workspace arrays
-    bool spinning;        ///< pure spinner for the whole batch
+    std::size_t pi;       ///< index into placed_, demands_ and the workspace
+    bool spinning;        ///< pure spinner this tick
+    bool stolen;          ///< OS noise holds its CPU this tick
+    bool barrier_limited; ///< this tick's bound comes from a barrier
     bool coupled;
     bool io_enabled;
+    double limit;         ///< this tick's progress bound
     double delta;         ///< tick / total_slowdown
     double granted_tick;  ///< granted rate * tick
     double attempt_tick;  ///< demand * tick
@@ -233,7 +256,12 @@ class Engine {
     double attempt_tick;
   };
   std::vector<BatchDma> batch_dma_;
-  std::vector<int> batch_stolen_;        ///< noise-stolen resident threads
+  /// The live coupled jobs of the batch threads (ascending id: the only
+  /// fronts a replayed tick can move that anything reads) and those jobs'
+  /// barrier waiters in barrier_transitions() order (the only threads it
+  /// can wake).
+  std::vector<const Job*> batch_jobs_;
+  std::vector<int> batch_waiters_;
   std::vector<double*> batch_dist_;      ///< disturbance victims' warmth
   std::vector<double> batch_dist_dec_;   ///< matching warmth decrement
   std::vector<double*> batch_wait_;      ///< unplaced wait accumulators

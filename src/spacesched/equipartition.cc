@@ -126,6 +126,36 @@ void EquipartitionScheduler::place_partitions(Machine& m, SimTime now) {
   }
 }
 
+SimTime EquipartitionScheduler::quiescent_until(const Machine& m,
+                                                SimTime now) const {
+  if (order_.size() != m.jobs().size() || m.jobs().size() != known_jobs_ ||
+      count_active(m) != active_jobs_at_alloc_) {
+    return now;  // tick() would join a job or reallocate
+  }
+  for (const auto& job : m.jobs()) {
+    const auto idx = static_cast<std::size_t>(job.id);
+    if (idx >= partitions_.size() || partitions_[idx].empty()) continue;
+    const auto& cpus = partitions_[idx];
+    const auto nthreads = job.thread_ids.size();
+    for (std::size_t k = 0; k < cpus.size(); ++k) {
+      const int cpu = cpus[k];
+      const int want = job.thread_ids[(fold_cursor_[idx] + k) % nthreads];
+      const int cur = m.cpus()[static_cast<std::size_t>(cpu)].thread;
+      if (cur == want) continue;
+      if (cur != Cpu::kIdle) return now;  // tick() would vacate it
+      const auto t = m.thread(want);
+      if (t.state == ThreadState::kReady && m.cpu_of(want) == -1) {
+        return now;  // tick() would place the wanted thread
+      }
+    }
+  }
+  SimTime until = quantum_start_ + cfg_.quantum_us;
+  if (cfg_.fold_slice_us > 0) {
+    until = std::min(until, last_fold_advance_ + cfg_.fold_slice_us);
+  }
+  return std::max(now, until);
+}
+
 void EquipartitionScheduler::tick(Machine& m, SimTime now,
                                   trace::ScheduleTrace& trace) {
   // Late arrivals join the rotation.

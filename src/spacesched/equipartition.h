@@ -50,6 +50,15 @@ class EquipartitionScheduler final : public sim::Scheduler {
 
   [[nodiscard]] const char* name() const override { return "equipartition"; }
 
+  /// `now` while the next tick() would act: an unseen job to join the
+  /// rotation, an active-job count that changed since the allocation, or a
+  /// partition CPU whose occupant is not the thread the fold window wants
+  /// there (unless the CPU is idle and that thread cannot be placed).
+  /// Otherwise the earlier of the quantum end and the next fold-slice
+  /// advance, both of which act whatever the machine looks like.
+  [[nodiscard]] sim::SimTime quiescent_until(const sim::Machine& m,
+                                             sim::SimTime now) const override;
+
   /// Partition sizes of the current quantum, indexed by job id (0 when the
   /// job has no processors this quantum). Exposed for tests.
   [[nodiscard]] const std::vector<int>& allocation() const noexcept {

@@ -2,14 +2,17 @@
 // batching enabled must be bit-identical — thread accounting, engine stats,
 // schedule-trace event and interval streams — to the same run forced to step
 // per tick (max_batch_ticks = 1). The workloads are chosen to cross every
-// event class mid-run: open-system arrivals, OS-noise window boundaries,
-// spin-grace expiry, I/O issue/wake edges, barrier wake-ups and completions.
-// Demand that drifts inside a batch — cache warm-up, SMT sibling eviction,
-// demand-model edges — is re-derived and re-resolved by the replay, so those
-// workloads are compared too, with the tracer's per-tick bus events and the
-// bus metrics. Under the Linux 2.4 baseline the scheduler's own state must
-// match too: a batch defers its timeslice charge to the next tick(), so the
-// counters and the epoch-refill count are compared as well.
+// event class mid-run: open-system arrivals, spin-grace expiry, I/O
+// issue/wake edges, barrier wake-ups and completions, which end a batch, and
+// the demand-only events the replay absorbs: demand that drifts (cache
+// warm-up, SMT sibling eviction, demand-model edges), OS-noise steals and
+// releases, and spin-classification flips. Those are compared with the
+// tracer's per-tick bus events and the bus metrics too, including ticks on
+// which every runner is stolen and the bus has no agent, and SMT siblings
+// whose penalty must ignore a stolen context. Equipartition batches between
+// its fold-slice advances. Under the Linux 2.4 baseline the scheduler's own
+// state must match too: a batch defers its timeslice charge to the next
+// tick(), so the counters and the epoch-refill count are compared as well.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -23,6 +26,7 @@
 #include "obs/tracer.h"
 #include "sim/engine.h"
 #include "sim/scheduler.h"
+#include "spacesched/equipartition.h"
 #include "workload/app_profile.h"
 #include "workload/demand_models.h"
 #include "workload/trace_demand.h"
@@ -208,6 +212,10 @@ std::unique_ptr<sim::Scheduler> linux_baseline() {
   return std::make_unique<linuxsched::LinuxScheduler>();
 }
 
+std::unique_ptr<sim::Scheduler> equipartition() {
+  return std::make_unique<spacesched::EquipartitionScheduler>();
+}
+
 // The Fig.-1 contention set under a pinned scheduler with OS noise: the
 // fast barrier sibling rides the barrier limit (frac < 1 inside batches),
 // spinners expire their grace, noise windows open on every CPU.
@@ -221,6 +229,75 @@ TEST(Batching, PinnedNoiseContentionSetIsBitIdentical) {
   const RunSnapshot stepped = run(s, pinned(), 1);
   EXPECT_GT(batched.batched_ticks, 0u) << "batching never engaged";
   EXPECT_EQ(stepped.batched_ticks, 0u);
+  // Noise edges and spin flips are replayed, not stepped: what is left are
+  // the spin-then-block and wake-up edges.
+  EXPECT_LE(batched.total_ticks - batched.batched_ticks, 20u);
+  expect_identical(batched, stepped);
+}
+
+// One CPU under dense noise: whenever its only resident is stolen the bus
+// has no agent, so those ticks add no bus stats or metrics and their
+// kBusResolution events carry zero agents, replayed or stepped.
+TEST(Batching, FullyStolenMachineIsBitIdentical) {
+  RunSpec s;
+  s.machine.num_cpus = 1;
+  s.engine.os_noise_interval_us = 30'000;
+  s.engine.os_noise_min_us = 5'000;
+  s.engine.os_noise_max_us = 20'000;
+  s.jobs = {workload::make_bbma_job(s.machine.bus)};
+  s.until = 1'000'000;
+  s.observe = true;
+  const RunSnapshot batched = run(s, pinned(), 4096);
+  const RunSnapshot stepped = run(s, pinned(), 1);
+  EXPECT_GT(batched.batched_ticks, batched.total_ticks / 2);
+  std::uint64_t empty = 0;
+  for (const auto& [when, payload] : batched.bus_events) {
+    if (payload.agents == 0) ++empty;
+  }
+  EXPECT_GT(empty, 0u) << "no tick had every resident stolen";
+  EXPECT_EQ(batched.util_n + empty, batched.total_ticks);
+  expect_identical(batched, stepped);
+}
+
+// Two-way SMT under noise: two memory-bound threads share each core, so a
+// running context's SMT penalty depends on whether its sibling is stolen
+// this tick (a stolen sibling must not raise it), and the replay has to
+// follow every steal and release.
+TEST(Batching, SmtSiblingStealsAreBitIdentical) {
+  RunSpec s;
+  s.machine.num_cpus = 4;
+  s.machine.threads_per_core = 2;
+  s.engine.os_noise_interval_us = 40'000;
+  const JobSpec app = workload::make_app_job(
+      workload::paper_application("SP"), s.machine.bus, 2);
+  s.jobs = {app, workload::make_bbma_job(s.machine.bus),
+            workload::make_bbma_job(s.machine.bus)};
+  s.until = 1'500'000;
+  s.observe = true;
+  for (auto make : {pinned, managed}) {
+    const RunSnapshot batched = run(s, make(), 4096);
+    const RunSnapshot stepped = run(s, make(), 1);
+    EXPECT_GT(batched.batched_ticks, batched.total_ticks / 2);
+    expect_identical(batched, stepped);
+  }
+}
+
+// Equipartition folds a job with more threads than its partition: the
+// wanted thread changes every fold slice, each slice's first tick re-warms
+// a cold thread, and noise steals partition CPUs mid-slice.
+TEST(Batching, EquipartitionFoldedJobUnderNoiseIsBitIdentical) {
+  RunSpec s;
+  s.engine.os_noise_interval_us = 60'000;
+  JobSpec folded = workload::make_app_job(
+      workload::paper_application("LU-CB"), s.machine.bus, 4);
+  folded.work_us = 400'000.0;
+  s.jobs = {folded, workload::make_bbma_job(s.machine.bus),
+            workload::make_bbma_job(s.machine.bus)};
+  s.until = 2'000'000;
+  const RunSnapshot batched = run(s, equipartition(), 4096);
+  const RunSnapshot stepped = run(s, equipartition(), 1);
+  EXPECT_GT(batched.batched_ticks, batched.total_ticks / 2)
+      << "equipartition must batch";
   expect_identical(batched, stepped);
 }
 

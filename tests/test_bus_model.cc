@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "sim/bus_model.h"
@@ -318,6 +319,49 @@ TEST(BusModelResolve, BisectionEarlyExitMatchesFixedIterations) {
   std::nth_element(evals4.begin(), evals4.begin() + evals4.size() / 2,
                    evals4.end());
   EXPECT_LE(evals4[evals4.size() / 2], 20);
+}
+
+// The workspace keeps each slot's alpha while the slot's demand repeats.
+// The model's alpha parameters are part of that key: one workspace
+// alternating between models that share demand vectors must give the bits
+// of a fresh workspace on every call.
+TEST(BusModelResolve, WorkspaceAlphaReuseFollowsTheModel) {
+  BusConfig steep;
+  steep.alpha_exponent = 2.0;
+  BusConfig low_peak;
+  low_peak.per_thread_peak_tps = 11.8;
+  const std::vector<BusModel> models{BusModel(default_bus()), BusModel(steep),
+                                     BusModel(low_peak)};
+  BusWorkspace shared;
+  std::vector<double> demands{9.3, 9.3, 23.6, 0.0, 4.1};
+  const std::vector<double> weights(8, 1.5);
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  int saturated = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    // Every third call moves one slot or the agent count; the others
+    // repeat the vector under the next model.
+    if (trial % 3 == 0) {
+      const std::size_t slot = (state >> 33) % demands.size();
+      demands[slot] = static_cast<double>((state >> 40) % 2400) / 100.0;
+      if ((state >> 20) % 4 == 0) {
+        demands.resize(3 + (state >> 50) % 6, 12.5);
+      }
+    }
+    const BusModel& m = models[static_cast<std::size_t>(trial) % 3];
+    const std::span<const double> w(weights.data(), demands.size());
+    BusWorkspace fresh;
+    const BusResolution& want = m.resolve(demands, w, fresh);
+    const BusResolution& got = m.resolve(demands, w, shared);
+    expect_same_bits(got, want, trial);
+    ASSERT_EQ(shared.alphas.size(), fresh.alphas.size());
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+      EXPECT_EQ(bits(shared.alphas[i]), bits(fresh.alphas[i]))
+          << "trial " << trial << " agent " << i;
+    }
+    if (want.saturated) ++saturated;
+  }
+  EXPECT_GT(saturated, 100);
 }
 
 TEST(BusModelResolve, CertifiedBracketOnFig2MixedVector) {

@@ -56,6 +56,9 @@ struct Options {
   bool verbose = false;
 };
 
+/// No wall-clock deadline: fuzz_run sends exactly opt.frames mutants.
+constexpr std::uint64_t kNoDeadline = ~std::uint64_t{0};
+
 int count_open_fds() {
   DIR* dir = ::opendir("/proc/self/fd");
   if (dir == nullptr) return -1;
@@ -192,7 +195,9 @@ std::uint64_t now_ms() {
   return runtime::monotonic_now_us() / 1000;
 }
 
-int fuzz_run(const Options& opt) {
+/// Sends opt.frames mutants, or fewer if the monotonic clock reaches
+/// `deadline_ms` first, then checks the invariants.
+int fuzz_run(const Options& opt, std::uint64_t deadline_ms) {
   const std::string socket_path =
       "/tmp/bbsched-fuzz-" + std::to_string(::getpid()) + ".sock";
 
@@ -216,12 +221,8 @@ int fuzz_run(const Options& opt) {
   double accepted = 0.0;
   int sent = 0;
   int undialable = 0;
-  const std::uint64_t deadline =
-      opt.seconds > 0
-          ? now_ms() + static_cast<std::uint64_t>(opt.seconds) * 1000ULL
-          : 0;
 
-  for (int i = 0; deadline != 0 ? now_ms() < deadline : i < opt.frames; ++i) {
+  for (int i = 0; i < opt.frames && now_ms() < deadline_ms; ++i) {
     const auto bytes = mutate(corpus[rng() % corpus.size()], rng);
     const int sock = dial(socket_path);
     if (sock < 0) {
@@ -353,19 +354,19 @@ int main(int argc, char** argv) {
         bbsched::experiments::set_true(opt.verbose)}});
   if (opt.seconds > 0) {
     // Soak mode: rotate the seed every bounded sub-run so crashes found in
-    // soak reproduce with a plain --frames invocation of the same seed.
+    // soak reproduce with a plain --frames invocation of the same seed. The
+    // deadline also cuts the last sub-run short, so the soak ends within
+    // one sub-run's invariant checks of it.
     std::uint64_t seed = opt.seed;
     const std::uint64_t deadline =
-        bbsched::runtime::monotonic_now_us() +
-        static_cast<std::uint64_t>(opt.seconds) * 1000000ULL;
-    while (bbsched::runtime::monotonic_now_us() < deadline) {
+        now_ms() + static_cast<std::uint64_t>(opt.seconds) * 1000ULL;
+    while (now_ms() < deadline) {
       Options sub = opt;
-      sub.seconds = 0;
       sub.seed = seed++;
-      const int rc = fuzz_run(sub);
+      const int rc = fuzz_run(sub, deadline);
       if (rc != 0) return rc;
     }
     return 0;
   }
-  return fuzz_run(opt);
+  return fuzz_run(opt, kNoDeadline);
 }
