@@ -73,11 +73,9 @@ int main(int argc, char** argv) {
       std::vector<std::string> row = {app_names[a]};
       for (std::size_t r = 0; r < rules.size(); ++r) {
         const auto& run = runs[a * stride + 1 + r];
-        const double imp = 100.0 *
-                           (linux_run.measured_mean_turnaround_us -
-                            run.measured_mean_turnaround_us) /
-                           linux_run.measured_mean_turnaround_us;
-        row.push_back(stats::Table::pct(imp));
+        row.push_back(stats::Table::pct(experiments::improvement_pct(
+            linux_run.measured_mean_turnaround_us,
+            run.measured_mean_turnaround_us)));
       }
       table.add_row(row);
     }

@@ -55,10 +55,9 @@ int main(int argc, char** argv) {
     const sim::SimTime q_ms = quanta_ms[i];
     const auto& qcfg = requests[i + 1].cfg;
     const auto& run = runs[i + 1];
-    const double imp = 100.0 *
-                       (linux_run.measured_mean_turnaround_us -
-                        run.measured_mean_turnaround_us) /
-                       linux_run.measured_mean_turnaround_us;
+    const double imp = experiments::improvement_pct(
+        linux_run.measured_mean_turnaround_us,
+        run.measured_mean_turnaround_us);
     const double overhead_us =
         static_cast<double>(run.elections) *
         (static_cast<double>(qcfg.managed.overhead_base_us) +

@@ -128,10 +128,8 @@ int main(int argc, char** argv) {
 
   const auto& linux_run = runs[0];
   auto improvement = [&](const experiments::RunResult& run) {
-    return 100.0 *
-           (linux_run.measured_mean_turnaround_us -
-            run.measured_mean_turnaround_us) /
-           linux_run.measured_mean_turnaround_us;
+    return experiments::improvement_pct(linux_run.measured_mean_turnaround_us,
+                                        run.measured_mean_turnaround_us);
   };
   for (std::size_t i = 0; i < window_lens.size(); ++i) {
     e2e.add_row({std::to_string(window_lens[i]),

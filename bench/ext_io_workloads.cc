@@ -69,10 +69,9 @@ int main(int argc, char** argv) {
     const auto& window_run = runs[3 * d + 2];
 
     auto pct = [&](const experiments::RunResult& r) {
-      return 100.0 *
-             (linux_run.measured_mean_turnaround_us -
-              r.measured_mean_turnaround_us) /
-             linux_run.measured_mean_turnaround_us;
+      return experiments::improvement_pct(
+          linux_run.measured_mean_turnaround_us,
+          r.measured_mean_turnaround_us);
     };
     // Server throughput proxy: transactions it pushed per second of run.
     const double tx_linux = linux_run.job_transactions[2] /

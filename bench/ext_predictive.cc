@@ -59,10 +59,9 @@ int main(int argc, char** argv) {
       const auto& linux_run = runs[a * kinds.size()];
       auto improvement = [&](std::size_t kind_idx) {
         const auto& run = runs[a * kinds.size() + kind_idx];
-        return 100.0 *
-               (linux_run.measured_mean_turnaround_us -
-                run.measured_mean_turnaround_us) /
-               linux_run.measured_mean_turnaround_us;
+        return experiments::improvement_pct(
+            linux_run.measured_mean_turnaround_us,
+            run.measured_mean_turnaround_us);
       };
       table.add_row({names[a], stats::Table::pct(improvement(1)),
                      stats::Table::pct(improvement(2)),

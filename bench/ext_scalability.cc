@@ -75,10 +75,9 @@ int main(int argc, char** argv) {
     const auto& cfg = requests[3 * c].cfg;
 
     auto pct = [&](const experiments::RunResult& r) {
-      return 100.0 *
-             (linux_run.measured_mean_turnaround_us -
-              r.measured_mean_turnaround_us) /
-             linux_run.measured_mean_turnaround_us;
+      return experiments::improvement_pct(
+          linux_run.measured_mean_turnaround_us,
+          r.measured_mean_turnaround_us);
     };
     table.add_row(
         {std::to_string(cpu_counts[c]),

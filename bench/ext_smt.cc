@@ -84,10 +84,9 @@ int main(int argc, char** argv) {
     const auto& off_run = runs[4 * a + 3];
 
     auto pct = [&](const experiments::RunResult& r) {
-      return 100.0 *
-             (linux_run.measured_mean_turnaround_us -
-              r.measured_mean_turnaround_us) /
-             linux_run.measured_mean_turnaround_us;
+      return experiments::improvement_pct(
+          linux_run.measured_mean_turnaround_us,
+          r.measured_mean_turnaround_us);
     };
     table.add_row(
         {names[a], stats::Table::pct(pct(latest_run)),

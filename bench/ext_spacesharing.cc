@@ -70,7 +70,8 @@ int main(int argc, char** argv) {
       table.add_row({names[a], stats::Table::num(t_linux),
                      stats::Table::num(t_equi), stats::Table::num(t_latest),
                      stats::Table::num(t_window),
-                     stats::Table::pct(100.0 * (t_equi - t_window) / t_equi)});
+                     stats::Table::pct(
+                         experiments::improvement_pct(t_equi, t_window))});
     }
     table.render(std::cout);
     if (opt.csv) table.render_csv(std::cout);

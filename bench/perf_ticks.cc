@@ -113,7 +113,7 @@ struct TickBench {
   double ticks_per_sec = 0.0;
   std::uint64_t allocs = 0;
   double allocs_per_tick = 0.0;
-  std::uint64_t batched_ticks = 0;  ///< ticks replayed by quantum batching
+  std::uint64_t batched_ticks = 0;  ///< quiet ticks (quantum batching)
   std::uint64_t batches = 0;        ///< event-free batches entered
   std::uint64_t bus_resolves = 0;   ///< BusModel::resolve calls, any tick
   std::uint64_t events = 0;   ///< traced variant only
@@ -150,8 +150,8 @@ TickBench bench_ticks(std::uint64_t ticks, bool trace_enabled,
 
   // Warm up: scratch buffers reach steady-state capacity, placements settle.
   for (int i = 0; i < 512; ++i) engine.step();
-  // Also warm the batch-replay scratch (step() never batches): one short
-  // run_until lets those vectors reach steady capacity before measuring.
+  // Also warm the quiet ticks (step() never runs one): one short run_until
+  // lets every scratch vector reach steady capacity before measuring.
   engine.run_until(engine.now() + 2048 * engine.config().tick_us);
 
   // Measured region drives run_until so quantum batching (DESIGN.md §11)

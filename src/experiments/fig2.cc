@@ -50,9 +50,9 @@ std::vector<Fig2Row> run_fig2(Fig2Set set,
     row.t_latest_us = runs[3 * i + 1].measured_mean_turnaround_us;
     row.t_window_us = runs[3 * i + 2].measured_mean_turnaround_us;
     row.improvement_latest_pct =
-        100.0 * (row.t_linux_us - row.t_latest_us) / row.t_linux_us;
+        improvement_pct(row.t_linux_us, row.t_latest_us);
     row.improvement_window_pct =
-        100.0 * (row.t_linux_us - row.t_window_us) / row.t_linux_us;
+        improvement_pct(row.t_linux_us, row.t_window_us);
   }
   return rows;
 }

@@ -44,7 +44,7 @@ std::vector<ImprovementStats> parallel_sweep_improvements(
     for (std::size_t s = 0; s < static_cast<std::size_t>(seeds); ++s) {
       const double base = turnaround[s * stride];
       const double pol = turnaround[s * stride + 1 + p];
-      samples.add(100.0 * (base - pol) / base);
+      samples.add(improvement_pct(base, pol));
     }
     out.push_back(summarize_samples(samples));
   }

@@ -39,10 +39,8 @@ ImprovementStats sweep_improvement(const workload::Workload& workload,
     const ExperimentConfig run_cfg = seed_shifted(cfg, s);
     const auto base = run_workload(workload, baseline, run_cfg);
     const auto pol = run_workload(workload, policy, run_cfg);
-    samples.add(100.0 *
-                (base.measured_mean_turnaround_us -
-                 pol.measured_mean_turnaround_us) /
-                base.measured_mean_turnaround_us);
+    samples.add(improvement_pct(base.measured_mean_turnaround_us,
+                                pol.measured_mean_turnaround_us));
   }
   return summarize_samples(samples);
 }

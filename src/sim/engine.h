@@ -1,14 +1,18 @@
 // Quantum-stepped simulation engine.
 //
-// Each tick the engine (1) lets the scheduler adjust placements, (2) derives
-// every placed thread's uncontended bus demand (barrier-spinning threads
-// demand ~nothing), (3) resolves bus contention analytically, (4) advances
-// progress / warmth / accounting, and (5) applies barrier spin-then-block
-// and completion transitions. See DESIGN.md §3 for the model.
+// Each tick the engine (1) derives every placed thread's uncontended bus
+// demand (barrier-spinning threads demand ~nothing), (2) resolves bus
+// contention analytically, (3) advances progress / warmth / accounting, and
+// (4) applies barrier spin-then-block, I/O and completion transitions. A
+// gathered tick first lets the scheduler adjust placements and re-gathers the
+// runners; a quiet tick reuses the last gather. Both run one tick body. See
+// DESIGN.md §3 for the model and §11 for gathered and quiet ticks.
 #pragma once
 
-#include <functional>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -29,16 +33,16 @@ struct EngineStats {
   std::uint64_t saturated_ticks = 0;    ///< ticks the saturation eq. was active
   std::uint64_t total_ticks = 0;
   double total_granted_transactions = 0.0;
-  /// Quantum batching (DESIGN.md §11): event-free batches entered and the
-  /// ticks they replayed (a subset of total_ticks; results bit-identical to
-  /// per-tick stepping).
+  /// Quantum batching (DESIGN.md §11): runs of consecutive quiet ticks, and
+  /// the quiet ticks themselves (a subset of total_ticks; the others are
+  /// gathered ticks). Results are bit-identical to per-tick stepping.
   std::uint64_t batches = 0;
   std::uint64_t batched_ticks = 0;
-  /// BusModel::resolve calls: one per full tick, plus one per replayed tick
-  /// on which some demand changed or a runner was stolen, released or
-  /// flipped its spin classification (a replay that then meets an event
-  /// counts its resolve too). A cost counter like batched_ticks: it depends
-  /// on the batch length, the outputs do not.
+  /// BusModel::resolve calls: one per gathered tick, plus one per quiet
+  /// tick on which some demand changed or a runner was stolen, released or
+  /// flipped its spin classification (a quiet tick that then meets an event
+  /// and re-gathers counts its resolve too). A cost counter like
+  /// batched_ticks: it depends on the batch length, the outputs do not.
   std::uint64_t bus_resolves = 0;
 };
 
@@ -63,7 +67,7 @@ class Engine {
   /// Runs until `until` (absolute simulated time) or finite-job completion.
   SimTime run_until(SimTime until);
 
-  /// Executes exactly one tick.
+  /// Executes exactly one gathered tick.
   void step();
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
@@ -74,11 +78,6 @@ class Engine {
   [[nodiscard]] trace::ScheduleTrace& trace() noexcept { return trace_; }
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const EngineConfig& config() const noexcept { return ecfg_; }
-
-  /// Optional observer called after every tick (used by experiments that
-  /// sample time series, e.g. the window-length ablation).
-  using TickObserver = std::function<void(const Engine&)>;
-  void set_tick_observer(TickObserver obs) { observer_ = std::move(obs); }
 
   /// Attaches a structured event tracer (non-owning; nullptr detaches).
   /// When enabled, every tick records one kBusResolution event and thread
@@ -92,53 +91,47 @@ class Engine {
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
-  /// One full tick: arrivals, scheduler, execute, observer. Returns true
-  /// when a structural event occurred (any thread state or placement
-  /// change), which invalidates quantum-batch preconditions.
-  bool step_once();
+  // ---- the tick body (DESIGN.md §11) ----
+  //
+  // A gathered tick calls Scheduler::tick and rebuilds the slot list
+  // (placed_) from the placements: the first tick, step(), the tick after
+  // a state-changing event, the tick that ends a quiet horizon, and every
+  // tick at max_batch_ticks <= 1. Inside the horizon (quiet_horizon) a
+  // quiet tick reuses the list. Both kinds classify every slot, derive the
+  // demands that drifted (every one after a gather), resolve the bus if an
+  // input changed (always after a gather), commit once, then apply the
+  // disturbance, wait, front and wake lists built after the last gathered
+  // tick's advance. A quiet tick whose runners would meet a state-changing
+  // event hands the tick to the scheduler and a fresh gather: the scheduler
+  // may charge a deferred span to the placements its next tick() sees, so
+  // none may change before that call (Scheduler::quiescent_until).
 
-  /// Returns true on a structural event (see step_once).
-  bool execute_tick();
+  /// Runs one gathered tick at now_, then the quiet ticks of its horizon;
+  /// `until` bounds the horizon.
+  void run_ticks(SimTime until);
+  /// A gathered tick's start: admits due arrivals, runs the scheduler's
+  /// tick and rebuilds the slots and DMA agents from the placements.
+  void gather();
+  /// Builds the disturbance, wait, front and waiter lists after a gathered
+  /// tick's advance; they hold until the next gather, since a quiet tick
+  /// changes no thread state and no placement.
+  void build_tick_lists();
+  /// Quiet ticks that may follow an event-free gathered tick: the minimum
+  /// of max_batch_ticks, `until`, the scheduler's quiescent_until promise,
+  /// the next arrival and the next I/O wake. 0 at max_batch_ticks <= 1.
+  [[nodiscard]] std::uint64_t quiet_horizon(SimTime until) const;
+
   /// Opens the OS-noise steal windows whose start time has come, drawing
-  /// from rng_ in CPU order. Runs at the start of every tick, full or
-  /// replayed, and at most once per tick.
+  /// from rng_ in CPU order, once at the start of every tick.
   void open_noise_windows();
-  void account_unplaced(double tick);
-  void apply_cache_disturbance(double tick);
-  /// Wakes barrier waiters whose siblings caught up; true if any woke.
-  bool barrier_transitions();
-  /// Wakes `tid` if it waits at a barrier its job's cached front has
-  /// released; true if it woke.
-  bool wake_if_released(int tid);
 
   /// Recomputes the cached per-job barrier front (min progress over the
   /// job's live threads); completed jobs keep an (unread) infinity front.
   void refresh_job_fronts();
   void refresh_job_front(const Job& j);
 
-  // ---- quantum batching (DESIGN.md §11) ----
-  //
-  // After an event-free full tick, replay_quiet_ticks() advances through
-  // ticks in which no thread state or placement changes — no arrival, I/O
-  // wake or scheduler action — repeating the exact per-tick arithmetic
-  // (same operations, same order, bit-identical results) while skipping
-  // the scheduler tick, the gather and the disturbance scan. Events that
-  // move only the bus demand vector are absorbed: cache warm-up and
-  // demand-model edges re-derive a thread's demand, an OS-noise steal or
-  // release zeroes or re-derives its runner's, and a spin-classification
-  // flip does the same; the bus is re-resolved only on ticks where some
-  // demand changed bitwise or some runner flipped. Any per-tick event check
-  // that fires falls back to full stepping for that tick.
-
-  /// Validates batch preconditions, computes the event horizon (max replay
-  /// ticks) and fills the batch_* scratch. Returns 0 when batching is not
-  /// currently sound.
-  std::uint64_t prepare_batch(SimTime until);
-  /// Replays up to prepare_batch() ticks; advances now_.
-  void replay_quiet_ticks(SimTime until);
-
   /// Fills smt_penalty_ from placed_ and the workspace's alphas; runs after
-  /// every resolve, full tick or replay.
+  /// every resolve.
   void update_smt_penalty();
   /// Bus agents that count in the stats, metrics and BusResolution payload:
   /// every demands_ entry except the stolen runners' zero-demand slots.
@@ -156,7 +149,8 @@ class Engine {
   trace::ScheduleTrace trace_;
   EngineStats stats_;
   stats::Rng rng_;
-  TickObserver observer_;
+  /// Warmth a running thread gains per tick (tick / cache warm-up time).
+  double warm_inc_ = 0.0;
   SimTime now_ = 0;
   bool started_ = false;
 
@@ -172,11 +166,10 @@ class Engine {
   obs::Histogram* m_bus_utilization_ = nullptr;
   obs::Histogram* m_bus_stretch_ = nullptr;
 
-  /// OS-noise state: until when each CPU is stolen, when the next steal
-  /// begins, and the tick whose windows open_noise_windows() last opened.
+  /// OS-noise state: until when each CPU is stolen and when the next steal
+  /// begins.
   std::vector<SimTime> noise_until_;
   std::vector<SimTime> noise_next_;
-  SimTime noise_opened_at_ = kForever;
 
   /// Pending open-system arrivals. Sorted lazily at run start (submit_job
   /// only appends); drained with the `pending_next_` cursor so arrivals
@@ -192,15 +185,27 @@ class Engine {
   // ---- per-tick scratch (reused across ticks: the steady-state tick path
   // performs no heap allocation) ----
 
-  /// One placed thread's tick-local view. A stolen runner stays placed as
-  /// a zero-demand bus agent (DESIGN.md §11 "Demand-only events").
+  /// The state change a runner's step meets this tick.
+  enum class TickEvent { kNone, kBlock, kIoIssue, kComplete };
+
+  /// One slot: a CPU's runner at the last gather. A stolen runner stays a
+  /// zero-demand bus agent (DESIGN.md §11 "Demand-only events"). Every tick
+  /// re-classifies it; `warmth` and `steady_until` let a quiet tick keep a
+  /// settled demand.
   struct PlacedThread {
-    int cpu;
-    int tid;
-    double limit;          // progress bound this tick (barrier/end of work)
-    bool spinning;         // already at the bound => pure spin
-    bool barrier_limited;  // bound comes from a barrier, not end of work
-    bool stolen;           // OS noise holds the CPU: no progress, no traffic
+    int cpu = -1;
+    int tid = -1;
+    bool stolen = false;           // OS noise holds the CPU: no progress
+    bool spinning = false;         // already at the bound => pure spin
+    bool barrier_limited = false;  // bound comes from a barrier
+    TickEvent event = TickEvent::kNone;
+    double limit = 0.0;  // progress bound this tick (barrier/I/O/end of work)
+    double delta = 0.0;  // tick / total slowdown
+    double frac = 1.0;   // share of the tick spent advancing
+    /// Warmth demands_[i] was derived at (NaN: not derived).
+    double warmth = std::numeric_limits<double>::quiet_NaN();
+    /// Demand model's steady bound, refreshed lazily.
+    double steady_until = -std::numeric_limits<double>::infinity();
     /// Executing: neither spinning nor stolen (an active SMT sibling).
     [[nodiscard]] bool active() const noexcept { return !spinning && !stolen; }
   };
@@ -212,59 +217,23 @@ class Engine {
   std::vector<int> dma_tids_;
   std::vector<char> is_placed_;
   BusWorkspace bus_ws_;
+  /// The current resolution's agent count and utilization.
+  std::size_t bus_agents_ = 0;
+  double bus_util_ = 0.0;
 
-  /// Cached barrier front per job, kept current by refresh_job_fronts() at
-  /// the end of every full tick (and re-derived when jobs arrive); a
-  /// replayed tick refreshes only the coupled jobs' fronts, the only ones
-  /// read. Avoids the per-job min scans the tick-start loop and
-  /// barrier_transitions() used to duplicate.
+  /// Cached barrier front per job. Only a slot's progress moves, so a tick
+  /// refreshes only the slots' coupled jobs (front_jobs_); every front is
+  /// re-derived when jobs arrive. An uncoupled job's front is never read.
   std::vector<double> job_front_;
 
-  // ---- quantum-batching scratch (reused across batches; allocation-free
-  // in steady state) ----
-
-  /// One placed thread's batch view, in placed_ order. The rates are
-  /// refreshed by the replay when their inputs change; a steal or spin flip
-  /// is mirrored into the thread's placed_ entry for update_smt_penalty().
-  struct BatchThread {
-    int tid;
-    int job;
-    int cpu;
-    std::size_t pi;       ///< index into placed_, demands_ and the workspace
-    bool spinning;        ///< pure spinner this tick
-    bool stolen;          ///< OS noise holds its CPU this tick
-    bool barrier_limited; ///< this tick's bound comes from a barrier
-    bool coupled;
-    bool io_enabled;
-    double limit;         ///< this tick's progress bound
-    double delta;         ///< tick / total_slowdown
-    double granted_tick;  ///< granted rate * tick
-    double attempt_tick;  ///< demand * tick
-    double warmth;        ///< warmth demands_[pi] was derived at (NaN: none)
-    double steady_until;  ///< demand model's steady bound, refreshed lazily
-    double work;
-    double interval;
-    double next_io;
-  };
-  std::vector<BatchThread> batch_threads_;
-  std::vector<double> batch_frac_;  ///< per-BatchThread tick fraction
-  std::vector<double> batch_pnew_;  ///< per-BatchThread predicted progress
-  /// DMA agents: (thread id, granted*tick, demand*tick).
-  struct BatchDma {
-    int tid;
-    double granted_tick;
-    double attempt_tick;
-  };
-  std::vector<BatchDma> batch_dma_;
-  /// The live coupled jobs of the batch threads (ascending id: the only
-  /// fronts a replayed tick can move that anything reads) and those jobs'
-  /// barrier waiters in barrier_transitions() order (the only threads it
-  /// can wake).
-  std::vector<const Job*> batch_jobs_;
-  std::vector<int> batch_waiters_;
-  std::vector<double*> batch_dist_;      ///< disturbance victims' warmth
-  std::vector<double> batch_dist_dec_;   ///< matching warmth decrement
-  std::vector<double*> batch_wait_;      ///< unplaced wait accumulators
+  /// build_tick_lists() output: cache-disturbance victims' warmth with the
+  /// matching decrement, unplaced threads' wait accumulators, the slots'
+  /// coupled jobs (ascending id) and those jobs' barrier waiters.
+  std::vector<double*> dist_;
+  std::vector<double> dist_dec_;
+  std::vector<double*> wait_;
+  std::vector<int> front_jobs_;
+  std::vector<int> waiters_;
 };
 
 }  // namespace bbsched::sim

@@ -4,7 +4,7 @@
 // per tick (max_batch_ticks = 1). The workloads are chosen to cross every
 // event class mid-run: open-system arrivals, spin-grace expiry, I/O
 // issue/wake edges, barrier wake-ups and completions, which end a batch, and
-// the demand-only events the replay absorbs: demand that drifts (cache
+// the demand-only events quiet ticks absorb: demand that drifts (cache
 // warm-up, SMT sibling eviction, demand-model edges), OS-noise steals and
 // releases, and spin-classification flips. Those are compared with the
 // tracer's per-tick bus events and the bus metrics too, including ticks on
@@ -396,8 +396,8 @@ TEST(Batching, ArrivalsMidBatchAreBitIdentical) {
 
 // Randomized sweep: heterogeneous mixes (bursty/phased demand, barriers,
 // warmth-sensitive apps) across seeds, under every scheduler. Any divergence
-// between the replay arithmetic and the full path shows up as a bitwise
-// mismatch in some seed.
+// between quiet and gathered ticks shows up as a bitwise mismatch in some
+// seed.
 TEST(Batching, RandomizedMixesAreBitIdentical) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     RunSpec s;
@@ -530,9 +530,8 @@ TEST(Batching, ObservabilityStreamsAreBitIdentical) {
   }
 }
 
-// A small max_batch_ticks still matches (batches are just shorter), and the
-// tick observer disables batching outright.
-TEST(Batching, ShortBatchesAndObserverForcePerTick) {
+// A small max_batch_ticks still matches: batches are just shorter.
+TEST(Batching, ShortBatchesAreBitIdentical) {
   RunSpec s;
   const auto w = workload::fig1_with_bbma(
       workload::paper_application("Raytrace"), s.machine.bus);
@@ -541,16 +540,6 @@ TEST(Batching, ShortBatchesAndObserverForcePerTick) {
   const RunSnapshot b4096 = run(s, pinned(), 4096);
   const RunSnapshot b7 = run(s, pinned(), 7);
   expect_identical(b4096, b7);
-
-  EngineConfig ecfg = s.engine;
-  ecfg.trace = true;
-  Engine eng(s.machine, ecfg, pinned());
-  for (const auto& spec : s.jobs) eng.add_job(spec);
-  std::uint64_t observed = 0;
-  eng.set_tick_observer([&](const Engine&) { ++observed; });
-  eng.run_until(s.until);
-  EXPECT_EQ(eng.stats().batched_ticks, 0u);
-  EXPECT_EQ(observed, eng.stats().total_ticks);
 }
 
 }  // namespace

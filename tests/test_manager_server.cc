@@ -294,12 +294,26 @@ TEST_F(ManagerServerTest, ElectionsPlusSkipsTrackTheDeadlineGrid) {
     const obs::Counter& skipped = metrics.counter("server.quanta_skipped");
 
     std::this_thread::sleep_for(run);
-    // Read right after a boundary, so the count is not stale by a wake-up.
-    const std::uint64_t e = server.elections();
-    ASSERT_TRUE(eventually([&] { return server.elections() != e; }, 1000));
-    const std::uint64_t t = monotonic_now_us();
-    const auto counted =
-        static_cast<double>(server.elections()) + skipped.value();
+    // Take the count right after a boundary and the time from that
+    // boundary: poll without sleeping (a 5 ms poll outlasts the 2 ms
+    // quantum) and keep only a change that two reads less than a quarter
+    // quantum apart bracket, so neither a starved server nor a starved test
+    // thread leaves `t` more than that past the boundary.
+    double counted = 0.0;
+    std::uint64_t t = 0;
+    std::uint64_t seen_from = monotonic_now_us();
+    std::uint64_t seen = server.elections();
+    const std::uint64_t give_up = seen_from + 1'000'000;
+    for (;;) {
+      const std::uint64_t read_from = monotonic_now_us();
+      const std::uint64_t e = server.elections();
+      counted = static_cast<double>(e) + skipped.value();
+      t = monotonic_now_us();
+      if (e != seen && t - seen_from < quantum_us / 4) break;
+      seen = e;
+      seen_from = read_from;
+      ASSERT_LT(t, give_up) << "no boundary bracketed within a second";
+    }
     const auto quantum = static_cast<double>(quantum_us);
     EXPECT_GE(counted, static_cast<double>(t - t_after) / quantum - 2.0);
     EXPECT_LE(counted, static_cast<double>(t - t_before) / quantum + 2.0);

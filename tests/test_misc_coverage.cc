@@ -47,7 +47,7 @@ TEST(BusModelWeighted, WeightIrrelevantBelowSaturation) {
   EXPECT_NEAR(r.granted[1], 2.0, 0.05);
 }
 
-TEST(Engine, TickObserverSeesEveryTick) {
+TEST(Engine, RunCountsEveryTick) {
   EngineConfig ecfg;
   ecfg.os_noise_interval_us = 0;
   Engine eng(MachineConfig{}, ecfg, std::make_unique<sim::PinnedScheduler>());
@@ -58,16 +58,10 @@ TEST(Engine, TickObserverSeesEveryTick) {
   spec.demand = std::make_shared<SteadyDemand>(0.1);
   eng.add_job(spec);
 
-  int ticks = 0;
-  sim::SimTime last_now = 0;
-  eng.set_tick_observer([&](const Engine& e) {
-    ++ticks;
-    EXPECT_GE(e.now(), last_now);
-    last_now = e.now();
-  });
   eng.run();
-  EXPECT_GE(ticks, 25);
-  EXPECT_LE(ticks, 30);
+  EXPECT_GE(eng.stats().total_ticks, 25u);
+  EXPECT_LE(eng.stats().total_ticks, 30u);
+  EXPECT_EQ(eng.now(), eng.stats().total_ticks * ecfg.tick_us);
 }
 
 TEST(ManagedSampling, GrantModeReadsFewerTransactionsWhenSaturated) {
