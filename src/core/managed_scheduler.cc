@@ -12,30 +12,30 @@ using sim::Machine;
 using sim::SimTime;
 using sim::ThreadState;
 
-void ManagedScheduler::start(Machine& m, trace::ScheduleTrace& trace) {
-  for (const auto& job : m.jobs()) {
-    const int app = connect_app(job, 0);
-    job_to_app_[job.id] = app;
-    app_to_job_[app] = job.id;
-    last_read_[app] = 0.0;
-  }
+void ManagedScheduler::start(Machine& m, trace::ScheduleTrace&) {
+  for (const auto& job : m.jobs()) connect_app(m, job, 0);
   quantum_start_ = 0;
   samples_taken_ = 0;
   // Elected gangs fit the machine, so place_elected queues at most one
   // thread per context.
   pending_.reserve(m.cpus().size());
-  run_election(m, 0, trace);
+  run_election(m, 0);
 }
 
-int ManagedScheduler::connect_app(const sim::Job& job, SimTime now) {
+void ManagedScheduler::connect_app(const Machine& m, const sim::Job& job,
+                                   SimTime now) {
   const int app = manager_.connect(job.spec.name, job.spec.nthreads);
+  // Every job connects exactly once, in job-id order (a job cannot complete
+  // unconnected: only elected jobs run), so the manager's app id is the job
+  // id and indexes last_read_.
+  assert(app == job.id && last_read_.size() == static_cast<std::size_t>(app));
+  last_read_.push_back(read_counters(m, job.id));
   // Plumb the job's declared reservation into the credit ledger. A refused
   // reservation (oversubscription at admission time) leaves the app
   // best-effort; the manager records the kReservationRejected fault.
   if (job.spec.bw_reservation > 0.0) {
     (void)manager_.set_reservation(app, job.spec.bw_reservation, now);
   }
-  return app;
 }
 
 double ManagedScheduler::read_counters(const Machine& m, int job_id) const {
@@ -44,20 +44,18 @@ double ManagedScheduler::read_counters(const Machine& m, int job_id) const {
                               : m.job_bus_transactions(job);
 }
 
-void ManagedScheduler::take_sample(Machine& m, SimTime now,
-                                   trace::ScheduleTrace& trace) {
+void ManagedScheduler::take_sample(Machine& m, SimTime now) {
   const bool tracing = tracer_ && tracer_->enabled();
   for (int app : manager_.running()) {
-    auto jit = app_to_job_.find(app);
-    if (jit == app_to_job_.end()) continue;
-    const double cum = read_counters(m, jit->second);
-    double delta = cum - last_read_[app];
+    double& last = last_read_[static_cast<std::size_t>(app)];
+    const double cum = read_counters(m, app);
+    double delta = cum - last;
     double new_last = cum;
 
-    // Seeded per-read fault injection, mirroring the
-    // faults::FaultyCounterSource classes at the sampling site. Disabled
-    // injection performs no draw (and no branch beyond `enabled()`), so
-    // fault-free runs are bit-identical with the hook compiled in.
+    // Seeded per-read fault injection (docs/ROBUSTNESS.md §1): the counter
+    // fault classes act here, at the sampling site. Disabled injection
+    // performs no draw (and no branch beyond `enabled()`), so fault-free
+    // runs are bit-identical with the hook compiled in.
     if (injector_.enabled()) {
       const faults::CounterReadFault f = injector_.next_counter_read();
       switch (f.kind) {
@@ -78,7 +76,7 @@ void ManagedScheduler::take_sample(Machine& m, SimTime now,
             tracer_->fault(now, {app, obs::FaultKind::kReadFailure, 0.0});
           }
           delta = std::nan("");
-          new_last = last_read_[app];
+          new_last = last;
           break;
         case faults::CounterFault::kStale:
           // Hung updater: the counter repeats its previous value. A silent
@@ -87,7 +85,7 @@ void ManagedScheduler::take_sample(Machine& m, SimTime now,
             tracer_->fault(now, {app, obs::FaultKind::kStaleSample, 0.0});
           }
           delta = 0.0;
-          new_last = last_read_[app];
+          new_last = last;
           break;
         case faults::CounterFault::kNoise:
           if (tracing) {
@@ -106,19 +104,17 @@ void ManagedScheduler::take_sample(Machine& m, SimTime now,
             tracer_->fault(now,
                            {app, obs::FaultKind::kCounterWraparound, wrapped});
           }
-          delta = wrapped - last_read_[app];
+          delta = wrapped - last;
           new_last = wrapped;
           break;
         }
       }
     }
 
-    last_read_[app] = new_last;
+    last = new_last;
     manager_.record_sample(app, delta, now);
     // Non-finite deltas never reach exported traces (raw doubles in JSON);
     // the manager's kInvalidSample fault event already records them.
-    const double traced = std::isfinite(delta) ? delta : 0.0;
-    trace.event({now, trace::EventKind::kSample, jit->second, -1, -1, traced});
     if (tracing && std::isfinite(delta)) {
       tracer_->counter_sample(
           now, {app, delta, manager_.policy_estimate(app)});
@@ -126,8 +122,7 @@ void ManagedScheduler::take_sample(Machine& m, SimTime now,
   }
 }
 
-void ManagedScheduler::run_election(Machine& m, SimTime now,
-                                    trace::ScheduleTrace& trace) {
+void ManagedScheduler::run_election(Machine& m, SimTime now) {
   const ElectionResult& result =
       manager_.schedule_quantum(m.num_cpus(), now);
   ++elections_;
@@ -135,56 +130,37 @@ void ManagedScheduler::run_election(Machine& m, SimTime now,
   samples_taken_ = 0;
   busy_until_ = now + overhead_us();
 
-  trace.event({now, trace::EventKind::kQuantumStart, -1, -1, -1,
-               static_cast<double>(elections_)});
-  for (int app : result.elected) {
-    auto jit = app_to_job_.find(app);
-    if (jit != app_to_job_.end()) {
-      trace.event({now, trace::EventKind::kElection, jit->second, -1, -1,
-                   manager_.policy_estimate(app)});
-    }
-  }
-
   // Reset counter baselines for the newly elected apps so the first sample
   // of the quantum does not include transactions from earlier quanta.
   for (int app : result.elected) {
-    auto jit = app_to_job_.find(app);
-    if (jit != app_to_job_.end()) {
-      last_read_[app] = read_counters(m, jit->second);
-    }
+    last_read_[static_cast<std::size_t>(app)] = read_counters(m, app);
   }
 
   // A fresh gang means fresh placements.
   m.vacate_all();
-  apply_block_states(m, trace, now);
+  apply_block_states(m, now);
 }
 
-void ManagedScheduler::apply_block_states(Machine& m,
-                                          trace::ScheduleTrace& trace,
-                                          SimTime now) {
+void ManagedScheduler::apply_block_states(Machine& m, SimTime now) {
   const auto& running = manager_.running();
   for (const auto& job : m.jobs()) {
-    if (job.completed) continue;
-    auto ait = job_to_app_.find(job.id);
-    if (ait == job_to_app_.end()) continue;
-    const bool elected = std::find(running.begin(), running.end(),
-                                   ait->second) != running.end();
+    if (job.completed || !manager_.connected(job.id)) continue;
+    const bool elected =
+        std::find(running.begin(), running.end(), job.id) != running.end();
     for (int tid : job.thread_ids) {
       auto t = m.thread(tid);
       if (elected && t.state == ThreadState::kManagerBlocked) {
         t.state = ThreadState::kReady;
-        trace.event({now, trace::EventKind::kUnblock, job.id, tid, -1, 0.0});
         if (tracer_ && tracer_->enabled()) {
           tracer_->job_state_change(
-              now, {ait->second, tid, obs::JobState::kManagerBlocked,
+              now, {job.id, tid, obs::JobState::kManagerBlocked,
                     obs::JobState::kReady});
         }
       } else if (!elected && t.state == ThreadState::kReady) {
         t.state = ThreadState::kManagerBlocked;
-        trace.event({now, trace::EventKind::kBlock, job.id, tid, -1, 0.0});
         if (tracer_ && tracer_->enabled()) {
           tracer_->job_state_change(
-              now, {ait->second, tid, obs::JobState::kReady,
+              now, {job.id, tid, obs::JobState::kReady,
                     obs::JobState::kManagerBlocked});
         }
       }
@@ -197,9 +173,7 @@ void ManagedScheduler::place_elected(Machine& m) {
   // fill remaining threads onto remaining CPUs (pending_ is reused scratch).
   pending_.clear();
   for (int app : manager_.running()) {
-    auto jit = app_to_job_.find(app);
-    if (jit == app_to_job_.end()) continue;
-    for (int tid : m.job(jit->second).thread_ids) {
+    for (int tid : m.job(app).thread_ids) {
       const auto t = m.thread(tid);
       if (t.state != ThreadState::kReady) continue;
       if (m.cpu_of(tid) != -1) continue;  // already placed
@@ -237,27 +211,20 @@ void ManagedScheduler::place_elected(Machine& m) {
   }
 }
 
-void ManagedScheduler::handle_completions(Machine& m, SimTime now,
-                                          trace::ScheduleTrace& trace) {
+void ManagedScheduler::handle_completions(Machine& m, SimTime now) {
   bool disconnected = false;
   for (const auto& job : m.jobs()) {
-    if (!job.completed) continue;
-    auto ait = job_to_app_.find(job.id);
-    if (ait == job_to_app_.end()) continue;
+    if (!job.completed || !manager_.connected(job.id)) continue;
     if (tracer_ && tracer_->enabled()) {
-      tracer_->job_state_change(now, {ait->second, -1, obs::JobState::kDone,
+      tracer_->job_state_change(now, {job.id, -1, obs::JobState::kDone,
                                       obs::JobState::kDisconnected});
     }
-    manager_.disconnect(ait->second);
-    app_to_job_.erase(ait->second);
-    last_read_.erase(ait->second);
-    job_to_app_.erase(job.id);
+    manager_.disconnect(job.id);
     disconnected = true;
   }
-  if (disconnected && cfg_.reelect_on_disconnect &&
-      manager_.app_count() > 0) {
-    run_election(m, now, trace);
-  }
+  // The real manager re-elects on the 'disconnect' message rather than
+  // idling the departed gang's processors until the quantum ends.
+  if (disconnected && manager_.app_count() > 0) run_election(m, now);
 }
 
 SimTime ManagedScheduler::quiescent_until(const Machine& m,
@@ -268,18 +235,17 @@ SimTime ManagedScheduler::quiescent_until(const Machine& m,
   // Pending connect (live job unconnected) or disconnect (completed job
   // still connected).
   for (const auto& job : m.jobs()) {
-    if (job.completed == job_to_app_.contains(job.id)) return now;
+    if (job.completed == manager_.connected(job.id)) return now;
   }
   if (manager_.app_count() == 0) return kForever;
 
-  // apply_block_states would flip a thread on the very next tick.
+  // apply_block_states would flip a thread on the very next tick (every
+  // live job is connected past the loop above).
   const auto& running = manager_.running();
   for (const auto& job : m.jobs()) {
     if (job.completed) continue;
-    auto ait = job_to_app_.find(job.id);
-    if (ait == job_to_app_.end()) continue;
-    const bool elected = std::find(running.begin(), running.end(),
-                                   ait->second) != running.end();
+    const bool elected =
+        std::find(running.begin(), running.end(), job.id) != running.end();
     for (int tid : job.thread_ids) {
       const ThreadState st = m.thread(tid).state;
       if (elected && st == ThreadState::kManagerBlocked) return now;
@@ -317,9 +283,7 @@ SimTime ManagedScheduler::quiescent_until(const Machine& m,
     }
     if (idle_cpu) {
       for (int app : running) {
-        auto jit = app_to_job_.find(app);
-        if (jit == app_to_job_.end()) continue;
-        for (int tid : m.job(jit->second).thread_ids) {
+        for (int tid : m.job(app).thread_ids) {
           if (m.thread(tid).state == ThreadState::kReady &&
               m.cpu_of(tid) == -1) {
             return now;
@@ -331,24 +295,20 @@ SimTime ManagedScheduler::quiescent_until(const Machine& m,
   return horizon;
 }
 
-void ManagedScheduler::tick(Machine& m, SimTime now,
-                            trace::ScheduleTrace& trace) {
+void ManagedScheduler::tick(Machine& m, SimTime now, trace::ScheduleTrace&) {
   // Open-system arrivals: late jobs send their 'connection' message and
   // join the applications list; they wait (manager-blocked) until the next
   // election considers them.
   for (const auto& job : m.jobs()) {
-    if (job.completed || job_to_app_.contains(job.id)) continue;
-    const int app = connect_app(job, now);
-    job_to_app_[job.id] = app;
-    app_to_job_[app] = job.id;
-    last_read_[app] = read_counters(m, job.id);
+    if (job.completed || manager_.connected(job.id)) continue;
+    connect_app(m, job, now);
     if (tracer_ && tracer_->enabled()) {
-      tracer_->job_state_change(now, {app, -1, obs::JobState::kConnected,
+      tracer_->job_state_change(now, {job.id, -1, obs::JobState::kConnected,
                                       obs::JobState::kReady});
     }
   }
 
-  handle_completions(m, now, trace);
+  handle_completions(m, now);
   if (manager_.app_count() == 0) return;
 
   const SimTime quantum = cfg_.manager.quantum_us;
@@ -356,21 +316,21 @@ void ManagedScheduler::tick(Machine& m, SimTime now,
 
   // Quantum boundary: take the final sample, then elect.
   if (now >= quantum_start_ + quantum) {
-    take_sample(m, now, trace);
+    take_sample(m, now);
     samples_taken_ = per_quantum;
-    run_election(m, now, trace);
+    run_election(m, now);
   } else if (per_quantum > 0) {
     // Intra-quantum sampling points at k * quantum / samples_per_quantum.
     const SimTime interval = quantum / static_cast<SimTime>(per_quantum);
     while (samples_taken_ + 1 < per_quantum &&
            now >= quantum_start_ +
                       interval * static_cast<SimTime>(samples_taken_ + 1)) {
-      take_sample(m, now, trace);
+      take_sample(m, now);
       ++samples_taken_;
     }
   }
 
-  apply_block_states(m, trace, now);
+  apply_block_states(m, now);
 
   // Manager overhead: the machine does no useful work while the manager is
   // delivering signals and traversing its lists.

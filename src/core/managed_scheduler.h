@@ -16,7 +16,6 @@
 //    traversal + arena polling in the real system).
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/cpu_manager.h"
@@ -34,19 +33,15 @@ struct ManagedSchedulerConfig {
   /// counter polling).
   sim::SimTime overhead_per_app_us = 0;
 
-  /// Re-run the election immediately when a job completes mid-quantum
-  /// (the real manager reacts to the 'disconnect' message).
-  bool reelect_on_disconnect = true;
-
   /// Sample demand-side counters (attempted transactions, the quantity the
   /// Xeon bus-event counters report) rather than the data actually moved.
   /// See sim::ThreadCtx::bus_attempts.
   bool sample_attempts = true;
 
   /// Seeded fault schedule applied to the manager's counter reads (one draw
-  /// per read, simulating the faults::FaultyCounterSource classes at the
-  /// sampling site). Disabled by default; disabled injection performs no
-  /// draw, so fault-free runs are bit-identical to a build without the hook.
+  /// per read, applied at the sampling site). Disabled by default; disabled
+  /// injection performs no draw, so fault-free runs are bit-identical to a
+  /// build without the hook.
   faults::FaultConfig counter_faults{};
 };
 
@@ -55,9 +50,9 @@ class ManagedScheduler final : public sim::Scheduler {
   explicit ManagedScheduler(const ManagedSchedulerConfig& cfg)
       : cfg_(cfg), manager_(cfg.manager), injector_(cfg.counter_faults) {}
 
-  void start(sim::Machine& m, trace::ScheduleTrace& trace) override;
+  void start(sim::Machine& m, trace::ScheduleTrace&) override;
   void tick(sim::Machine& m, sim::SimTime now,
-            trace::ScheduleTrace& trace) override;
+            trace::ScheduleTrace&) override;
 
   /// Quantum batching support (sim::Scheduler contract): between sampling
   /// points, election boundaries and the end of the overhead window, tick()
@@ -102,17 +97,14 @@ class ManagedScheduler final : public sim::Scheduler {
   [[nodiscard]] std::uint64_t elections() const noexcept { return elections_; }
 
  private:
-  int connect_app(const sim::Job& job, sim::SimTime now);
+  void connect_app(const sim::Machine& m, const sim::Job& job,
+                   sim::SimTime now);
   [[nodiscard]] double read_counters(const sim::Machine& m, int job_id) const;
-  void take_sample(sim::Machine& m, sim::SimTime now,
-                   trace::ScheduleTrace& trace);
-  void run_election(sim::Machine& m, sim::SimTime now,
-                    trace::ScheduleTrace& trace);
-  void apply_block_states(sim::Machine& m, trace::ScheduleTrace& trace,
-                          sim::SimTime now);
+  void take_sample(sim::Machine& m, sim::SimTime now);
+  void run_election(sim::Machine& m, sim::SimTime now);
+  void apply_block_states(sim::Machine& m, sim::SimTime now);
   void place_elected(sim::Machine& m);
-  void handle_completions(sim::Machine& m, sim::SimTime now,
-                          trace::ScheduleTrace& trace);
+  void handle_completions(sim::Machine& m, sim::SimTime now);
 
   [[nodiscard]] sim::SimTime overhead_us() const {
     return cfg_.overhead_base_us +
@@ -124,11 +116,8 @@ class ManagedScheduler final : public sim::Scheduler {
   faults::FaultInjector injector_;  ///< counter-read fault schedule
   obs::Tracer* tracer_ = nullptr;   ///< non-owning
 
-  /// job id -> manager app id (identity in practice, but kept explicit).
-  std::unordered_map<int, int> job_to_app_;
-  std::unordered_map<int, int> app_to_job_;
-  /// Last cumulative transaction count read per manager app.
-  std::unordered_map<int, double> last_read_;
+  /// Last cumulative transaction count read per job (= manager app id).
+  std::vector<double> last_read_;
 
   /// place_elected's scratch: elected threads whose last CPU is taken.
   std::vector<int> pending_;

@@ -28,7 +28,7 @@ SimTime ticks_to_expiry(double c, double tick) {
 
 }  // namespace
 
-void LinuxScheduler::start(Machine& m, trace::ScheduleTrace& /*trace*/) {
+void LinuxScheduler::start(Machine& m, trace::ScheduleTrace&) {
   rng_.reseed(cfg_.seed);
   counters_.resize(m.threads().size());
   // Random initial phases: real tasks never start with synchronized slices.
@@ -68,8 +68,7 @@ void LinuxScheduler::maybe_epoch_refill(Machine& m) {
   }
 }
 
-void LinuxScheduler::reschedule_idle(Machine& m, int tid,
-                                     trace::ScheduleTrace& trace) {
+void LinuxScheduler::reschedule_idle(Machine& m, int tid) {
   const ThreadCtx t = m.thread(tid);
 
   // Prefer the task's cache home if idle, then any idle CPU.
@@ -99,13 +98,8 @@ void LinuxScheduler::reschedule_idle(Machine& m, int tid,
   }
   if (victim_cpu >= 0 &&
       goodness(t, victim_cpu) > victim_w + 1.0) {
-    const int prev_cpu = t.last_cpu;
     m.vacate(victim_cpu);
     m.place(victim_cpu, tid);
-    if (prev_cpu != -1 && prev_cpu != victim_cpu) {
-      trace.event({0, trace::EventKind::kMigration, t.app_id, tid,
-                   victim_cpu, 0.0});
-    }
   }
 }
 
@@ -121,8 +115,7 @@ void LinuxScheduler::charge_running(const Machine& m, SimTime span) {
   }
 }
 
-void LinuxScheduler::tick(Machine& m, SimTime now,
-                          trace::ScheduleTrace& trace) {
+void LinuxScheduler::tick(Machine& m, SimTime now, trace::ScheduleTrace&) {
   // New threads (jobs admitted after start) get a fresh slice.
   if (counters_.size() < m.threads().size()) {
     counters_.resize(m.threads().size(),
@@ -149,7 +142,7 @@ void LinuxScheduler::tick(Machine& m, SimTime now,
     const bool blocked_now = t.state == ThreadState::kBarrierWait;
     if (was_blocked_[idx] && !blocked_now &&
         t.state == ThreadState::kReady && m.cpu_of(t.id) == -1) {
-      reschedule_idle(m, t.id, trace);
+      reschedule_idle(m, t.id);
     }
     was_blocked_[idx] = blocked_now;
   }
@@ -182,13 +175,8 @@ void LinuxScheduler::tick(Machine& m, SimTime now,
     }
 
     if (best == cur || best == Cpu::kIdle) continue;
-    const int prev_cpu = m.thread(best).last_cpu;
     if (cur != Cpu::kIdle) m.vacate(cpu);
     m.place(cpu, best);
-    if (prev_cpu != -1 && prev_cpu != cpu) {
-      trace.event({0, trace::EventKind::kMigration, m.thread(best).app_id,
-                   best, cpu, 0.0});
-    }
   }
 }
 

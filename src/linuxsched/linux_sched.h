@@ -47,9 +47,9 @@ class LinuxScheduler final : public sim::Scheduler {
  public:
   explicit LinuxScheduler(LinuxSchedConfig cfg = {}) : cfg_(cfg) {}
 
-  void start(sim::Machine& m, trace::ScheduleTrace& trace) override;
+  void start(sim::Machine& m, trace::ScheduleTrace&) override;
   void tick(sim::Machine& m, sim::SimTime now,
-            trace::ScheduleTrace& trace) override;
+            trace::ScheduleTrace&) override;
 
   /// Quantum batching support (sim::Scheduler contract): `now` while the
   /// next tick() would size its tables for new threads, handle a barrier
@@ -82,7 +82,7 @@ class LinuxScheduler final : public sim::Scheduler {
   /// task with the lowest goodness if the woken task scores higher there.
   /// This is what shuffles thread placements on a real 2.4 kernel and
   /// causes the migrations the paper blames for LU-CB/Water-nsqr slowdowns.
-  void reschedule_idle(sim::Machine& m, int tid, trace::ScheduleTrace& trace);
+  void reschedule_idle(sim::Machine& m, int tid);
 
   /// Charges every running thread for the `span` µs since the previous
   /// tick(): one tick_us_ subtraction per elapsed tick, so a span the engine

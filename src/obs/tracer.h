@@ -32,13 +32,8 @@ class Tracer {
       : enabled_(cfg.enabled), ring_(cfg.capacity) {}
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  void set_enabled(bool on) noexcept { enabled_ = on; }
 
-  void record(const TraceEvent& e) {
-    if (enabled_) ring_.push(e);
-  }
-
-  // Typed convenience recorders (no-ops when disabled).
+  // Typed recorders (no-ops when disabled).
   void quantum_start(std::uint64_t t, const QuantumStartPayload& p) {
     if (enabled_) ring_.push(TraceEvent::make_quantum_start(t, p));
   }

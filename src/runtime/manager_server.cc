@@ -57,6 +57,14 @@ constexpr int kMaxNthreads = 4096;
 /// adversary recycles the oldest window instead of growing manager memory.
 constexpr std::size_t kPeerWindowSlots = 64;
 
+/// accept() failure backoff (EMFILE/ENFILE under fd exhaustion, or any other
+/// hard accept error): the listen socket is parked for the current backoff
+/// instead of hot re-polling a permanently-readable fd. The backoff doubles
+/// per consecutive failure up to the max and resets on the next successful
+/// accept.
+constexpr int kAcceptBackoffInitialMs = 5;
+constexpr int kAcceptBackoffMaxMs = 1000;
+
 /// Largest client->manager payload: reused as the receive buffer so an
 /// unexpected-but-well-formed frame type is classified (bad-message fault)
 /// instead of being conflated with a truncated read.
@@ -428,9 +436,8 @@ void ManagerServer::accept_connection() {
     // parked (loop() masks it) for an exponentially growing interval.
     accept_backoff_ms_ =
         accept_backoff_ms_ == 0
-            ? std::max(1, cfg_.accept_backoff_initial_ms)
-            : std::min(accept_backoff_ms_ * 2,
-                       std::max(1, cfg_.accept_backoff_max_ms));
+            ? kAcceptBackoffInitialMs
+            : std::min(accept_backoff_ms_ * 2, kAcceptBackoffMaxMs);
     accept_retry_at_us_ =
         now + static_cast<std::uint64_t>(accept_backoff_ms_) * 1000ULL;
     count_fault(obs::FaultKind::kAcceptBackoff, -1,

@@ -68,14 +68,6 @@ struct ServerConfig {
   /// evicted in favour of the newcomer. 0 = unlimited (legacy behaviour).
   int max_clients = 0;
 
-  /// accept() failure backoff (EMFILE/ENFILE under fd exhaustion — or any
-  /// other hard accept error): the listen socket is parked for the current
-  /// backoff instead of hot re-polling a permanently-readable fd. The
-  /// backoff doubles per consecutive failure, bounded by the max, and
-  /// resets on the next successful accept.
-  int accept_backoff_initial_ms = 5;
-  int accept_backoff_max_ms = 1000;
-
   /// Per-peer handshake-attempt rate limit: more than this many accepted
   /// connections from one peer process (SO_PEERCRED pid) inside one window
   /// are answered with HelloNack(kRateLimited) before any frame is read.

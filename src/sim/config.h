@@ -46,9 +46,6 @@ struct BusConfig {
   /// Upper bound for the memory-stretch fixed point (safety clamp).
   double max_stretch = 64.0;
 
-  /// Bytes moved per bus transaction (for MB/s conversions in reports).
-  double bytes_per_transaction = 64.0;
-
   /// Arbitration weight of DMA agents (device bus masters behind blocking
   /// I/O). Burst transfers, like BBMA's posted writes, lose less per
   /// transaction at saturation than latency-bound CPU reads.
@@ -120,7 +117,8 @@ struct EngineConfig {
   /// differential tests use this).
   std::uint32_t max_batch_ticks = 4096;
 
-  /// Record a full schedule trace (tests enable this; big benches don't).
+  /// Record run intervals into the engine's trace::ScheduleTrace (tests,
+  /// Gantt charts and Chrome per-CPU tracks enable this; big benches don't).
   bool trace = false;
 
   /// Seed for all stochastic behaviour in the run.

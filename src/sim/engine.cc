@@ -349,8 +349,6 @@ void Engine::run_ticks(SimTime until) {
         if (all_done && !jm.completed) {
           jm.completed = true;
           jm.completion_us = now_ + ecfg_.tick_us;
-          trace_.event({now_ + ecfg_.tick_us, trace::EventKind::kJobComplete,
-                        jm.id, -1, -1, 0.0});
           if (tracing) {
             tracer_->job_state_change(
                 now_ + ecfg_.tick_us,

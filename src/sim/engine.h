@@ -75,7 +75,9 @@ class Engine {
   [[nodiscard]] const Machine& machine() const noexcept { return machine_; }
   [[nodiscard]] const BusModel& bus() const noexcept { return bus_; }
   [[nodiscard]] Scheduler& scheduler() noexcept { return *scheduler_; }
-  [[nodiscard]] trace::ScheduleTrace& trace() noexcept { return trace_; }
+  [[nodiscard]] const trace::ScheduleTrace& trace() const noexcept {
+    return trace_;
+  }
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const EngineConfig& config() const noexcept { return ecfg_; }
 

@@ -2,7 +2,9 @@
 //
 // The engine calls tick() before executing every simulation tick; the
 // scheduler mutates CPU placements (Machine::place / vacate) and thread
-// states (e.g. kManagerBlocked). Implementations:
+// states (e.g. kManagerBlocked). The engine alone records run intervals
+// into the trace::ScheduleTrace that start() and tick() receive; schedulers
+// report their decisions as obs::Tracer events. Implementations:
 //   * linuxsched::LinuxScheduler — the bandwidth-oblivious baseline,
 //   * core::ManagedScheduler    — the paper's user-level CPU manager running
 //                                 a bandwidth-aware policy,

@@ -24,11 +24,10 @@ std::size_t count_active(const Machine& m) {
 
 }  // namespace
 
-void EquipartitionScheduler::start(Machine& m, trace::ScheduleTrace& trace) {
+void EquipartitionScheduler::start(Machine& m, trace::ScheduleTrace&) {
   order_.clear();
   for (const auto& j : m.jobs()) order_.push_back(j.id);
   reallocate(m, 0);
-  (void)trace;
 }
 
 void EquipartitionScheduler::reallocate(Machine& m, SimTime now) {
@@ -157,7 +156,7 @@ SimTime EquipartitionScheduler::quiescent_until(const Machine& m,
 }
 
 void EquipartitionScheduler::tick(Machine& m, SimTime now,
-                                  trace::ScheduleTrace& trace) {
+                                  trace::ScheduleTrace&) {
   // Late arrivals join the rotation.
   for (const auto& j : m.jobs()) {
     if (std::find(order_.begin(), order_.end(), j.id) == order_.end()) {
@@ -171,7 +170,6 @@ void EquipartitionScheduler::tick(Machine& m, SimTime now,
     reallocate(m, now);
   }
   place_partitions(m, now);
-  (void)trace;
 }
 
 }  // namespace bbsched::spacesched

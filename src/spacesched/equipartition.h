@@ -44,9 +44,9 @@ class EquipartitionScheduler final : public sim::Scheduler {
  public:
   explicit EquipartitionScheduler(EquipartitionConfig cfg = {}) : cfg_(cfg) {}
 
-  void start(sim::Machine& m, trace::ScheduleTrace& trace) override;
+  void start(sim::Machine& m, trace::ScheduleTrace&) override;
   void tick(sim::Machine& m, sim::SimTime now,
-            trace::ScheduleTrace& trace) override;
+            trace::ScheduleTrace&) override;
 
   [[nodiscard]] const char* name() const override { return "equipartition"; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <ostream>
 
 namespace bbsched::trace {
 
@@ -44,14 +43,6 @@ std::vector<RunInterval> ScheduleTrace::intervals_in(std::uint64_t t0,
   return out;
 }
 
-std::size_t ScheduleTrace::count(EventKind kind, int app_id) const {
-  std::size_t n = 0;
-  for (const auto& e : events_) {
-    if (e.kind == kind && (app_id < 0 || e.app_id == app_id)) ++n;
-  }
-  return n;
-}
-
 bool ScheduleTrace::no_oversubscription() const {
   // Group intervals per cpu, sort by start, and check for overlap.
   std::map<int, std::vector<RunInterval>> per_cpu;
@@ -67,35 +58,6 @@ bool ScheduleTrace::no_oversubscription() const {
     }
   }
   return true;
-}
-
-void ScheduleTrace::dump_intervals_csv(std::ostream& os) const {
-  os << "start_us,end_us,app,thread,cpu\n";
-  for (const auto& iv : intervals_) {
-    os << iv.start_us << ',' << iv.end_us << ',' << iv.app_id << ','
-       << iv.thread_id << ',' << iv.cpu << '\n';
-  }
-}
-
-void ScheduleTrace::dump_events_csv(std::ostream& os) const {
-  os << "time_us,kind,app,thread,cpu,value\n";
-  for (const auto& e : events_) {
-    os << e.time_us << ',' << to_string(e.kind) << ',' << e.app_id << ','
-       << e.thread_id << ',' << e.cpu << ',' << e.value << '\n';
-  }
-}
-
-std::string to_string(EventKind kind) {
-  switch (kind) {
-    case EventKind::kQuantumStart: return "quantum_start";
-    case EventKind::kElection: return "election";
-    case EventKind::kBlock: return "block";
-    case EventKind::kUnblock: return "unblock";
-    case EventKind::kMigration: return "migration";
-    case EventKind::kJobComplete: return "job_complete";
-    case EventKind::kSample: return "sample";
-  }
-  return "unknown";
 }
 
 }  // namespace bbsched::trace

@@ -1,37 +1,15 @@
 // Schedule tracing: a structured record of which thread ran on which CPU
-// during which interval, plus scheduler-level events (elections, blocks,
-// migrations). Tests use the trace to assert scheduling invariants (gang
-// co-scheduling, no CPU oversubscription, head-of-list starvation freedom),
-// and benches can dump it as CSV for offline inspection.
+// during which interval. Tests use the intervals to assert scheduling
+// invariants (gang co-scheduling, no CPU oversubscription, head-of-list
+// starvation freedom); trace/gantt renders them and obs::write_chrome_trace
+// turns them into per-CPU tracks. Scheduler decisions (samples, elections,
+// state changes) are obs::Tracer events (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 namespace bbsched::trace {
-
-/// Kinds of discrete scheduler events recorded alongside run intervals.
-enum class EventKind {
-  kQuantumStart,   ///< a scheduling quantum began (payload: quantum index)
-  kElection,       ///< an app was elected to run (payload: app id)
-  kBlock,          ///< an app was sent a block intent
-  kUnblock,        ///< an app was sent an unblock intent
-  kMigration,      ///< a thread moved to a different CPU than it last used
-  kJobComplete,    ///< a job finished all its work
-  kSample,         ///< a bandwidth sample was taken (payload: app id)
-};
-
-/// One discrete event at a point in simulated time (microseconds).
-struct Event {
-  std::uint64_t time_us = 0;
-  EventKind kind = EventKind::kQuantumStart;
-  int app_id = -1;     ///< -1 when not applicable
-  int thread_id = -1;  ///< -1 when not applicable
-  int cpu = -1;        ///< -1 when not applicable
-  double value = 0.0;  ///< event-specific payload (rate, quantum index, ...)
-};
 
 /// A maximal interval during which one thread occupied one CPU.
 struct RunInterval {
@@ -42,27 +20,20 @@ struct RunInterval {
   int cpu = -1;
 };
 
-/// Append-only trace. Recording can be disabled wholesale (the default for
-/// large benches) so tracing never taxes the hot path unless requested.
+/// Append-only interval log. Recording can be disabled wholesale (the
+/// default for large benches) so tracing never taxes the hot path unless
+/// requested.
 class ScheduleTrace {
  public:
   explicit ScheduleTrace(bool enabled = false) : enabled_(enabled) {}
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  void set_enabled(bool on) noexcept { enabled_ = on; }
-
-  void event(const Event& e) {
-    if (enabled_) events_.push_back(e);
-  }
 
   /// Records thread occupancy for one tick; consecutive ticks of the same
   /// (thread, cpu) pair are merged into a single interval.
   void occupy(std::uint64_t start_us, std::uint64_t end_us, int app_id,
               int thread_id, int cpu);
 
-  [[nodiscard]] const std::vector<Event>& events() const noexcept {
-    return events_;
-  }
   [[nodiscard]] const std::vector<RunInterval>& intervals() const noexcept {
     return intervals_;
   }
@@ -71,29 +42,13 @@ class ScheduleTrace {
   [[nodiscard]] std::vector<RunInterval> intervals_in(
       std::uint64_t t0, std::uint64_t t1) const;
 
-  /// Counts events of a given kind (optionally restricted to one app).
-  [[nodiscard]] std::size_t count(EventKind kind, int app_id = -1) const;
-
   /// Verifies that no CPU is ever occupied by two threads simultaneously.
   /// Returns true when the invariant holds.
   [[nodiscard]] bool no_oversubscription() const;
 
-  /// CSV dumps for offline analysis / plotting.
-  void dump_intervals_csv(std::ostream& os) const;
-  void dump_events_csv(std::ostream& os) const;
-
-  void clear() noexcept {
-    events_.clear();
-    intervals_.clear();
-  }
-
  private:
   bool enabled_;
-  std::vector<Event> events_;
   std::vector<RunInterval> intervals_;
 };
-
-/// Human-readable name of an event kind (for CSV / logging).
-[[nodiscard]] std::string to_string(EventKind kind);
 
 }  // namespace bbsched::trace

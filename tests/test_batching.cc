@@ -1,20 +1,23 @@
 // Differential tests for quantum batching (DESIGN.md §11): a run with
 // batching enabled must be bit-identical — thread accounting, engine stats,
-// schedule-trace event and interval streams — to the same run forced to step
-// per tick (max_batch_ticks = 1). The workloads are chosen to cross every
-// event class mid-run: open-system arrivals, spin-grace expiry, I/O
-// issue/wake edges, barrier wake-ups and completions, which end a batch, and
-// the demand-only events quiet ticks absorb: demand that drifts (cache
-// warm-up, SMT sibling eviction, demand-model edges), OS-noise steals and
-// releases, and spin-classification flips. Those are compared with the
-// tracer's per-tick bus events and the bus metrics too, including ticks on
-// which every runner is stolen and the bus has no agent, and SMT siblings
-// whose penalty must ignore a stolen context. Equipartition batches between
-// its fold-slice advances. Under the Linux 2.4 baseline the scheduler's own
-// state must match too: a batch defers its timeslice charge to the next
-// tick(), so the counters and the epoch-refill count are compared as well.
+// run intervals, and every event the managed scheduler records on its
+// tracer — to the same run forced to step per tick (max_batch_ticks = 1).
+// The workloads are chosen to cross every event class mid-run: open-system
+// arrivals, spin-grace expiry, I/O issue/wake edges, barrier wake-ups and
+// completions, which end a batch, and the demand-only events quiet ticks
+// absorb: demand that drifts (cache warm-up, SMT sibling eviction,
+// demand-model edges), OS-noise steals and releases, and
+// spin-classification flips. Those are compared with the engine's events
+// (per-tick bus resolutions, state changes) and the bus metrics too,
+// including ticks on which every runner is stolen and the bus has no agent,
+// and SMT siblings whose penalty must ignore a stolen context.
+// Equipartition batches between its fold-slice advances. Under the Linux
+// 2.4 baseline the scheduler's own state must match too: a batch defers its
+// timeslice charge to the next tick(), so the counters and the epoch-refill
+// count are compared as well.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,12 +57,15 @@ struct RunSnapshot {
   std::vector<double> thread_doubles;  ///< every double field, thread-major
   std::vector<int> thread_ints;
   std::vector<SimTime> completions;
-  std::vector<trace::Event> events;
+  /// Every tracer event (see event_words): the managed scheduler's, plus
+  /// the engine's under RunSpec::observe.
+  std::vector<std::vector<std::uint64_t>> events;
   std::vector<trace::RunInterval> intervals;
   std::vector<double> counters;  ///< LinuxScheduler timeslice counters
   std::uint64_t epochs = 0;      ///< LinuxScheduler epoch refills
-  /// RunSpec::observe only: the tracer's kBusResolution events and the
-  /// engine's metrics (counters, then each bus histogram's sum and buckets).
+  /// RunSpec::observe only: the engine's kBusResolution events (also in
+  /// `events`) and metrics (counters, then each bus histogram's sum and
+  /// buckets).
   std::vector<std::pair<std::uint64_t, obs::BusResolutionPayload>> bus_events;
   std::vector<double> metrics;
 };
@@ -71,8 +77,89 @@ struct RunSpec {
   /// (when, spec) open-system arrivals.
   std::vector<std::pair<SimTime, JobSpec>> arrivals;
   SimTime until = 0;
-  bool observe = false;  ///< attach an enabled tracer and a metrics registry
+  bool observe = false;  ///< also trace the engine; attach a metrics registry
 };
+
+/// One recorded event as words: time, type and every payload field (doubles
+/// by bit pattern), so two event streams compare exactly.
+std::vector<std::uint64_t> event_words(const obs::TraceEvent& e) {
+  const auto d = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto i = [](auto x) { return static_cast<std::uint64_t>(x); };
+  std::vector<std::uint64_t> w{e.time_us, i(e.type)};
+  switch (e.type) {
+    case obs::EventType::kQuantumStart: {
+      const auto& p = e.quantum_start;
+      w.insert(w.end(), {p.index, i(p.nprocs), i(p.candidates)});
+      break;
+    }
+    case obs::EventType::kElectionDecision: {
+      const auto& p = e.election;
+      w.insert(w.end(), {p.quantum, i(p.app_id), i(p.nthreads),
+                         d(p.bbw_per_thread), d(p.abbw_per_proc), d(p.score),
+                         i(p.alloc_order), i(p.elected), i(p.head_default)});
+      break;
+    }
+    case obs::EventType::kBusResolution: {
+      const auto& p = e.bus;
+      w.insert(w.end(), {d(p.demand_tps), d(p.granted_tps), d(p.capacity_tps),
+                         d(p.utilization), d(p.stretch), i(p.agents),
+                         i(p.saturated)});
+      break;
+    }
+    case obs::EventType::kJobStateChange: {
+      const auto& p = e.job;
+      w.insert(w.end(), {i(p.app_id), i(p.thread_id), i(p.from), i(p.to)});
+      break;
+    }
+    case obs::EventType::kCounterSample: {
+      const auto& p = e.sample;
+      w.insert(w.end(), {i(p.app_id), d(p.delta_transactions),
+                         d(p.estimate_tps)});
+      break;
+    }
+    case obs::EventType::kFault: {
+      const auto& p = e.fault;
+      w.insert(w.end(), {i(p.app_id), i(p.kind), d(p.value)});
+      break;
+    }
+    case obs::EventType::kDegradationChange: {
+      const auto& p = e.degradation;
+      w.insert(w.end(), {i(p.app_id), i(p.from), i(p.to)});
+      break;
+    }
+    case obs::EventType::kRecovery: {
+      const auto& p = e.recovery;
+      w.insert(w.end(), {i(p.generation), p.quantum_index,
+                         i(p.restored_feeds), i(p.degraded)});
+      break;
+    }
+    case obs::EventType::kReattach: {
+      const auto& p = e.reattach;
+      w.insert(w.end(), {i(p.app_id), i(p.generation), i(p.adopted_state)});
+      break;
+    }
+    case obs::EventType::kSupervisorRestart: {
+      const auto& p = e.supervisor;
+      w.insert(w.end(), {i(p.generation), i(p.restarts), p.backoff_us,
+                         i(p.gave_up)});
+      break;
+    }
+    case obs::EventType::kCreditReplenish: {
+      const auto& p = e.credit;
+      w.insert(w.end(), {i(p.app_id), p.period, d(p.granted_tx),
+                         d(p.spent_tx), d(p.leftover_tx)});
+      break;
+    }
+    case obs::EventType::kReservationViolation: {
+      const auto& p = e.violation;
+      w.insert(w.end(), {i(p.app_id), p.period, d(p.reserved_tps),
+                         d(p.delivered_tps), i(p.quanta_elected),
+                         i(p.quanta_in_period)});
+      break;
+    }
+  }
+  return w;
+}
 
 RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
                 std::uint32_t max_batch_ticks) {
@@ -80,9 +167,12 @@ RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
   ecfg.trace = true;
   ecfg.max_batch_ticks = max_batch_ticks;
   Engine eng(s.machine, ecfg, std::move(sched));
-  obs::Tracer tracer({.enabled = s.observe,
-                      .capacity = s.observe ? std::size_t{1} << 17 : 1});
+  obs::Tracer tracer({.enabled = true});
   obs::MetricsRegistry metrics;
+  if (auto* managed =
+          dynamic_cast<core::ManagedScheduler*>(&eng.scheduler())) {
+    managed->set_tracer(&tracer);
+  }
   if (s.observe) {
     eng.set_tracer(&tracer);
     eng.set_metrics(&metrics);
@@ -93,12 +183,6 @@ RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
 
   RunSnapshot out;
   if (s.observe) {
-    EXPECT_EQ(tracer.dropped(), 0u) << "trace ring too small for the run";
-    tracer.events().for_each([&](const obs::TraceEvent& e) {
-      if (e.type == obs::EventType::kBusResolution) {
-        out.bus_events.emplace_back(e.time_us, e.bus);
-      }
-    });
     for (const char* name : {"sim.ticks", "sim.bus.saturated_ticks",
                              "sim.bus.granted_transactions"}) {
       out.metrics.push_back(metrics.find_counter(name)->value());
@@ -145,7 +229,13 @@ RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
   for (const auto& j : eng.machine().jobs()) {
     out.completions.push_back(j.completed ? j.completion_us : 0);
   }
-  out.events = eng.trace().events();
+  EXPECT_EQ(tracer.dropped(), 0u) << "trace ring too small for the run";
+  tracer.events().for_each([&](const obs::TraceEvent& e) {
+    out.events.push_back(event_words(e));
+    if (e.type == obs::EventType::kBusResolution) {
+      out.bus_events.emplace_back(e.time_us, e.bus);
+    }
+  });
   out.intervals = eng.trace().intervals();
   return out;
 }
@@ -166,11 +256,7 @@ void expect_identical(const RunSnapshot& a, const RunSnapshot& b) {
   EXPECT_EQ(a.completions, b.completions);
   ASSERT_EQ(a.events.size(), b.events.size());
   for (std::size_t i = 0; i < a.events.size(); ++i) {
-    EXPECT_EQ(a.events[i].time_us, b.events[i].time_us) << "event #" << i;
-    EXPECT_EQ(a.events[i].kind, b.events[i].kind) << "event #" << i;
-    EXPECT_EQ(a.events[i].app_id, b.events[i].app_id) << "event #" << i;
-    EXPECT_EQ(a.events[i].thread_id, b.events[i].thread_id);
-    EXPECT_EQ(a.events[i].value, b.events[i].value) << "event #" << i;
+    EXPECT_EQ(a.events[i], b.events[i]) << "event #" << i;
   }
   ASSERT_EQ(a.intervals.size(), b.intervals.size());
   for (std::size_t i = 0; i < a.intervals.size(); ++i) {
@@ -181,19 +267,6 @@ void expect_identical(const RunSnapshot& a, const RunSnapshot& b) {
   }
   EXPECT_EQ(a.counters, b.counters);  // bitwise
   EXPECT_EQ(a.epochs, b.epochs);
-  ASSERT_EQ(a.bus_events.size(), b.bus_events.size());
-  for (std::size_t i = 0; i < a.bus_events.size(); ++i) {
-    const auto& [ta, pa] = a.bus_events[i];
-    const auto& [tb, pb] = b.bus_events[i];
-    EXPECT_EQ(ta, tb) << "bus event #" << i;
-    EXPECT_EQ(pa.demand_tps, pb.demand_tps) << "bus event #" << i;
-    EXPECT_EQ(pa.granted_tps, pb.granted_tps) << "bus event #" << i;
-    EXPECT_EQ(pa.capacity_tps, pb.capacity_tps) << "bus event #" << i;
-    EXPECT_EQ(pa.utilization, pb.utilization) << "bus event #" << i;
-    EXPECT_EQ(pa.stretch, pb.stretch) << "bus event #" << i;
-    EXPECT_EQ(pa.agents, pb.agents) << "bus event #" << i;
-    EXPECT_EQ(pa.saturated, pb.saturated) << "bus event #" << i;
-  }
   EXPECT_EQ(a.metrics, b.metrics);  // bitwise
 }
 

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "obs/tracer.h"
 #include "sim/engine.h"
 #include "sim/scheduler.h"
 
@@ -253,12 +254,20 @@ TEST(Engine, RunStopsAtMaxTime) {
 }
 
 TEST(Engine, CompletionEventRecorded) {
-  EngineConfig ecfg = quiet_engine();
-  ecfg.trace = true;
-  Engine eng(MachineConfig{}, ecfg, std::make_unique<PinnedScheduler>());
+  Engine eng(MachineConfig{}, quiet_engine(),
+             std::make_unique<PinnedScheduler>());
+  obs::Tracer tracer({.enabled = true});
+  eng.set_tracer(&tracer);
   eng.add_job(simple_job("j", 2, 30'000.0, 0.1));
   eng.run();
-  EXPECT_EQ(eng.trace().count(trace::EventKind::kJobComplete), 1u);
+  int done = 0;
+  tracer.events().for_each([&](const obs::TraceEvent& e) {
+    if (e.type == obs::EventType::kJobStateChange &&
+        e.job.to == obs::JobState::kDone) {
+      ++done;
+    }
+  });
+  EXPECT_EQ(done, 1);
 }
 
 TEST(Engine, TraceShowsNoOversubscription) {

@@ -1,14 +1,12 @@
-// Tests for the seedable fault-injection subsystem (src/faults): replay
-// determinism of the injector's draw stream, approximate respect of the
-// configured probabilities, and the cumulative-counter semantics of the
-// FaultyCounterSource decorator (docs/ROBUSTNESS.md).
+// Tests for the seedable counter-fault injector (src/faults): replay
+// determinism of the draw stream and approximate respect of the configured
+// probabilities (docs/ROBUSTNESS.md). The effect of each fault class at the
+// simulator's sampling site is tested in test_managed_scheduler.cc.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "faults/fault_injector.h"
-#include "faults/faulty_counter_source.h"
 
 namespace bbsched::faults {
 namespace {
@@ -105,93 +103,6 @@ TEST(FaultKindNames, AllNamed) {
   EXPECT_STREQ(to_string(CounterFault::kStale), "stale");
   EXPECT_STREQ(to_string(CounterFault::kNoise), "noise");
   EXPECT_STREQ(to_string(CounterFault::kWrap), "wrap");
-}
-
-// ---- FaultyCounterSource ----
-
-/// Scripted inner source: returns a fixed, monotonically growing value.
-class RampSource final : public perfctr::CounterSource {
- public:
-  [[nodiscard]] double read_transactions(int handle) const override {
-    reads_ += 1;
-    return static_cast<double>(reads_) * 100.0 +
-           static_cast<double>(handle);
-  }
-
- private:
-  mutable int reads_ = 0;
-};
-
-TEST(FaultyCounterSource, PassThroughWhenDisabled) {
-  RampSource inner;
-  FaultyCounterSource src(inner, FaultConfig{});
-  EXPECT_DOUBLE_EQ(src.read_transactions(0), 100.0);
-  EXPECT_DOUBLE_EQ(src.read_transactions(0), 200.0);
-}
-
-TEST(FaultyCounterSource, DropAndReadFailReturnNaN) {
-  RampSource inner;
-  FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.drop_prob = 1.0;
-  FaultyCounterSource src(inner, cfg);
-  EXPECT_TRUE(std::isnan(src.read_transactions(0)));
-}
-
-TEST(FaultyCounterSource, StaleRepeatsLastReading) {
-  RampSource inner;
-  FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.stale_prob = 0.5;
-  cfg.seed = 3;
-  FaultyCounterSource src(inner, cfg);
-  double last = 0.0;
-  bool saw_stale = false;
-  for (int i = 0; i < 200; ++i) {
-    const double v = src.read_transactions(0);
-    if (v == last && i > 0) {
-      saw_stale = true;
-    } else {
-      ASSERT_GT(v, last);  // truthful reads stay monotone
-    }
-    last = v;
-  }
-  EXPECT_TRUE(saw_stale);
-}
-
-TEST(FaultyCounterSource, WrapCollapsesBelowSpan) {
-  RampSource inner;
-  FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.wrap_prob = 1.0;
-  cfg.wrap_span = 64.0;
-  FaultyCounterSource src(inner, cfg);
-  for (int i = 0; i < 50; ++i) {
-    const double v = src.read_transactions(0);
-    ASSERT_GE(v, 0.0);
-    ASSERT_LT(v, 64.0);
-  }
-}
-
-TEST(FaultyCounterSource, NoiseScalesTheIncrement) {
-  RampSource inner;
-  FaultConfig cfg;
-  cfg.enabled = true;
-  cfg.noise_prob = 1.0;
-  cfg.noise_amplitude = 0.25;
-  FaultyCounterSource src(inner, cfg);
-  double last = 0.0;
-  for (int i = 0; i < 100; ++i) {
-    const double v = src.read_transactions(0);
-    // Truth grows by 100 per read. Noise scales (truth - last_returned) by
-    // 1 ± 0.25, and since the error re-enters the next increment it settles
-    // at |e| ≤ 100 × 0.25/(1-0.25) ≈ 33, bounding inc to [0.75, 1.25] ×
-    // [100-33, 100+33].
-    const double inc = v - last;
-    ASSERT_GE(inc, 49.9);
-    ASSERT_LE(inc, 166.8);
-    last = v;
-  }
 }
 
 }  // namespace

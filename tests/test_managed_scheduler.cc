@@ -1,14 +1,19 @@
 // Integration tests for the managed (gang, bandwidth-aware) scheduler on
-// the simulator: gang invariants, quantum cadence, sampling, blocking
-// semantics, overhead accounting and disconnect handling.
+// the simulator: gang invariants, quantum cadence, sampling and the counter
+// faults injected there, blocking semantics, overhead accounting and
+// disconnect handling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "core/managed_scheduler.h"
+#include "obs/metrics.h"
+#include "obs/tracer.h"
 #include "sim/engine.h"
 
 namespace bbsched::core {
@@ -44,6 +49,31 @@ ManagedSchedulerConfig mcfg(PolicyKind kind = PolicyKind::kLatestQuantum) {
   ManagedSchedulerConfig c;
   c.manager.policy = kind;
   return c;
+}
+
+/// One two-thread app alone for 1 s (5 quanta, 2 samples each) under
+/// `faults`, with the scheduler's tracer and metrics attached.
+void observed_run(const faults::FaultConfig& faults, obs::Tracer& tracer,
+                  obs::MetricsRegistry& metrics) {
+  ManagedSchedulerConfig c = mcfg();
+  c.counter_faults = faults;
+  auto sched = std::make_unique<ManagedScheduler>(c);
+  sched->set_tracer(&tracer);
+  sched->set_metrics(&metrics);
+  Engine eng(MachineConfig{}, quiet_engine(), std::move(sched));
+  eng.add_job(job("a", 2, 2.0e6, 1.0));
+  eng.run_until(sim::ms(1000));
+}
+
+/// The delta of every CounterSample event app 0 logged, in order.
+std::vector<double> sample_deltas(const obs::Tracer& tracer) {
+  std::vector<double> out;
+  tracer.events().for_each([&](const obs::TraceEvent& e) {
+    if (e.type == obs::EventType::kCounterSample && e.sample.app_id == 0) {
+      out.push_back(e.sample.delta_transactions);
+    }
+  });
+  return out;
 }
 
 TEST(ManagedScheduler, ConnectsEveryJobAtStart) {
@@ -95,15 +125,84 @@ TEST(ManagedScheduler, QuantumCadenceIs200ms) {
 }
 
 TEST(ManagedScheduler, SamplesTwicePerQuantum) {
-  EngineConfig ecfg = quiet_engine(true);
-  Engine eng(MachineConfig{}, ecfg,
-             std::make_unique<ManagedScheduler>(mcfg()));
-  eng.add_job(job("a", 2, 2.0e6, 1.0));
-  eng.run_until(sim::ms(1000));
+  obs::Tracer tracer({.enabled = true});
+  obs::MetricsRegistry metrics;
+  observed_run({}, tracer, metrics);
   // 5 quanta x 2 samples each; the app is always running (alone).
-  const auto samples = eng.trace().count(trace::EventKind::kSample, 0);
+  const auto samples = sample_deltas(tracer).size();
   EXPECT_GE(samples, 8u);
   EXPECT_LE(samples, 12u);
+}
+
+TEST(ManagedScheduler, CounterFaultClassesActAtTheSamplingSite) {
+  // One row per fault class at probability 1: every read logs the class's
+  // fault event, and the row's effect shows in the CounterSample deltas
+  // (app 0's, in order), the logged fault values or the manager's metrics.
+  using faults::FaultConfig;
+  using Values = std::vector<double>;
+  obs::Tracer clean_tracer({.enabled = true});
+  obs::MetricsRegistry clean_metrics;
+  observed_run({}, clean_tracer, clean_metrics);
+  const Values clean = sample_deltas(clean_tracer);
+  ASSERT_FALSE(clean.empty());
+  const double span = FaultConfig{}.wrap_span;
+  const auto counter = [](const obs::MetricsRegistry& m, const char* name) {
+    return m.find_counter(name)->value();
+  };
+
+  struct Row {
+    const char* name;
+    double FaultConfig::*prob;
+    obs::FaultKind logged;
+    std::function<void(const Values& deltas, const Values& values,
+                       const obs::MetricsRegistry& metrics)>
+        expect;
+  };
+  const Row rows[] = {
+      {"drop", &FaultConfig::drop_prob, obs::FaultKind::kSampleDropped,
+       [](const Values& deltas, const Values&, const obs::MetricsRegistry&) {
+         EXPECT_TRUE(deltas.empty()) << "a dropped read posts nothing";
+       }},
+      {"read-fail", &FaultConfig::read_fail_prob,
+       obs::FaultKind::kReadFailure,
+       [&](const Values&, const Values&, const obs::MetricsRegistry& m) {
+         EXPECT_GT(counter(m, "manager.faults.invalid_samples"), 0.0);
+       }},
+      {"stale", &FaultConfig::stale_prob, obs::FaultKind::kStaleSample,
+       [](const Values& deltas, const Values&, const obs::MetricsRegistry&) {
+         ASSERT_FALSE(deltas.empty());
+         for (const double d : deltas) EXPECT_EQ(d, 0.0);
+       }},
+      {"noise", &FaultConfig::noise_prob, obs::FaultKind::kNoisySample,
+       [&](const Values& deltas, const Values& factors,
+           const obs::MetricsRegistry&) {
+         ASSERT_FALSE(deltas.empty());
+         EXPECT_EQ(deltas.front(), clean.front() * factors.front());
+       }},
+      {"wrap", &FaultConfig::wrap_prob, obs::FaultKind::kCounterWraparound,
+       [&](const Values&, const Values& wrapped,
+           const obs::MetricsRegistry& m) {
+         for (const double v : wrapped) EXPECT_LT(v, span);
+         EXPECT_GT(counter(m, "manager.faults.negative_deltas"), 0.0);
+       }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    FaultConfig faults;
+    faults.enabled = true;
+    faults.*row.prob = 1.0;
+    obs::Tracer tracer({.enabled = true});
+    obs::MetricsRegistry metrics;
+    observed_run(faults, tracer, metrics);
+    Values values;
+    tracer.events().for_each([&](const obs::TraceEvent& e) {
+      if (e.type == obs::EventType::kFault && e.fault.kind == row.logged) {
+        values.push_back(e.fault.value);
+      }
+    });
+    ASSERT_FALSE(values.empty());
+    row.expect(sample_deltas(tracer), values, metrics);
+  }
 }
 
 TEST(ManagedScheduler, NonElectedAppsAreManagerBlocked) {

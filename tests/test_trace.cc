@@ -1,8 +1,6 @@
-// Tests for the schedule trace: interval merging, event counting, the
-// oversubscription checker and CSV export.
+// Tests for the schedule trace: interval merging, window queries and the
+// oversubscription checker.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "trace/schedule_trace.h"
 
@@ -12,9 +10,7 @@ namespace {
 TEST(ScheduleTrace, DisabledRecordsNothing) {
   ScheduleTrace t(false);
   t.occupy(0, 1000, 0, 0, 0);
-  t.event({0, EventKind::kElection, 1, -1, -1, 0.0});
   EXPECT_TRUE(t.intervals().empty());
-  EXPECT_TRUE(t.events().empty());
 }
 
 TEST(ScheduleTrace, ConsecutiveTicksMerge) {
@@ -62,17 +58,6 @@ TEST(ScheduleTrace, IntervalsInWindow) {
   EXPECT_TRUE(t.intervals_in(2000, 3000).empty());
 }
 
-TEST(ScheduleTrace, CountFiltersByKindAndApp) {
-  ScheduleTrace t(true);
-  t.event({0, EventKind::kElection, 1, -1, -1, 0.0});
-  t.event({1, EventKind::kElection, 2, -1, -1, 0.0});
-  t.event({2, EventKind::kBlock, 1, 0, -1, 0.0});
-  EXPECT_EQ(t.count(EventKind::kElection), 2u);
-  EXPECT_EQ(t.count(EventKind::kElection, 1), 1u);
-  EXPECT_EQ(t.count(EventKind::kBlock), 1u);
-  EXPECT_EQ(t.count(EventKind::kMigration), 0u);
-}
-
 TEST(ScheduleTrace, OversubscriptionDetected) {
   ScheduleTrace good(true);
   good.occupy(0, 1000, 0, 0, 0);
@@ -83,36 +68,6 @@ TEST(ScheduleTrace, OversubscriptionDetected) {
   bad.occupy(0, 1000, 0, 0, 0);
   bad.occupy(500, 1500, 0, 1, 0);  // overlap on CPU 0
   EXPECT_FALSE(bad.no_oversubscription());
-}
-
-TEST(ScheduleTrace, CsvExports) {
-  ScheduleTrace t(true);
-  t.occupy(0, 1000, 3, 7, 2);
-  t.event({42, EventKind::kUnblock, 3, 7, -1, 1.5});
-  std::ostringstream ivs, evs;
-  t.dump_intervals_csv(ivs);
-  t.dump_events_csv(evs);
-  EXPECT_NE(ivs.str().find("0,1000,3,7,2"), std::string::npos);
-  EXPECT_NE(evs.str().find("42,unblock,3,7,-1,1.5"), std::string::npos);
-}
-
-TEST(ScheduleTrace, EventKindNames) {
-  EXPECT_EQ(to_string(EventKind::kQuantumStart), "quantum_start");
-  EXPECT_EQ(to_string(EventKind::kElection), "election");
-  EXPECT_EQ(to_string(EventKind::kBlock), "block");
-  EXPECT_EQ(to_string(EventKind::kUnblock), "unblock");
-  EXPECT_EQ(to_string(EventKind::kMigration), "migration");
-  EXPECT_EQ(to_string(EventKind::kJobComplete), "job_complete");
-  EXPECT_EQ(to_string(EventKind::kSample), "sample");
-}
-
-TEST(ScheduleTrace, ClearResets) {
-  ScheduleTrace t(true);
-  t.occupy(0, 1000, 0, 0, 0);
-  t.event({0, EventKind::kBlock, 0, 0, -1, 0.0});
-  t.clear();
-  EXPECT_TRUE(t.intervals().empty());
-  EXPECT_TRUE(t.events().empty());
 }
 
 }  // namespace
