@@ -3,7 +3,9 @@
 // engine tick throughput, and the statistics primitives the policies use.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/election.h"
@@ -49,6 +51,69 @@ void BM_BusResolveSaturated(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BusResolveSaturated)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+
+void BM_BusResolveSaturatedVaried(benchmark::State& state) {
+  // BM_BusResolveSaturated repeats one vector, so the branch predictor
+  // learns its whole search path. This one cycles through 1024 saturated
+  // per-CPU vectors of Fig. 2, generated once from a fixed seed: four of the
+  // eight threads of a set (two 2-thread instances of a paper application
+  // beside four BBMA, four nBBMA, or two of each), each at a random point of
+  // its demand curve and drifted by a random cache warmth in [0.5, 1], as
+  // the engine derives demand.
+  const sim::BusConfig bus;
+  const sim::BusModel model(bus);
+  std::vector<workload::Workload> sets;
+  for (const auto& app : workload::paper_applications()) {
+    sets.push_back(workload::fig2_saturated(app, bus));
+    sets.push_back(workload::fig2_idle_bus(app, bus));
+    sets.push_back(workload::fig2_mixed(app, bus));
+  }
+  std::uint64_t rng = 42;
+  auto next = [&rng] {  // splitmix64
+    std::uint64_t z = (rng += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  auto unit = [&next] {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  };
+  struct Mix {
+    std::vector<double> demands;
+    std::vector<double> weights;
+  };
+  std::vector<Mix> mixes;
+  sim::BusWorkspace ws;
+  while (mixes.size() < 1024) {
+    const auto& jobs = sets[next() % sets.size()].jobs;
+    std::vector<std::pair<const sim::JobSpec*, int>> threads;
+    for (const auto& job : jobs) {
+      for (int t = 0; t < job.nthreads; ++t) threads.emplace_back(&job, t);
+    }
+    Mix mix;
+    for (std::size_t cpu = 0; cpu < 4; ++cpu) {
+      const std::size_t pick = cpu + next() % (threads.size() - cpu);
+      std::swap(threads[cpu], threads[pick]);
+      const auto& [job, tidx] = threads[cpu];
+      const double span = job->infinite() ? 1e7 : job->work_us;
+      const double warmth = 0.5 + 0.5 * unit();
+      mix.demands.push_back(job->demand->rate(tidx, span * unit()) *
+                            (1.0 + job->cache.cold_demand_boost *
+                                       (1.0 - warmth)));
+      mix.weights.push_back(job->bus_priority);
+    }
+    if (model.resolve(mix.demands, mix.weights, ws).saturated) {
+      mixes.push_back(std::move(mix));
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Mix& mix = mixes[i];
+    if (++i == mixes.size()) i = 0;
+    benchmark::DoNotOptimize(model.resolve(mix.demands, mix.weights, ws));
+  }
+}
+BENCHMARK(BM_BusResolveSaturatedVaried);
 
 void BM_Election(benchmark::State& state) {
   std::vector<core::Candidate> candidates;

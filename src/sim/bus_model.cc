@@ -12,8 +12,6 @@ namespace bbsched::sim {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 /// v in [0, 1]; false for NaN.
 bool in_unit_interval(double v) { return v >= 0.0 && v <= 1.0; }
 
@@ -108,8 +106,8 @@ const BusResolution& BusModel::resolve(std::span<const double> demands,
   out.offered_rho = total_demand / out.effective_capacity;
   const double cap = out.effective_capacity;
 
-  // Aggregate granted rate under stretch X. Its exact operation order is
-  // what the certificate bound below counts: five roundings per term.
+  // Aggregate granted rate under stretch X. Every operation in it rounds
+  // monotonically on the inputs the search accepts (header comment).
   int evals = 0;
   auto granted_sum = [&](double x) {
     ++evals;
@@ -133,14 +131,10 @@ const BusResolution& BusModel::resolve(std::span<const double> demands,
     double lo = x_light;
     double hi = cfg_.max_stretch;
 
-    // Certified bracket (a, b) around the root (header comment): every
-    // x <= a provably has granted_sum(x) > cap and every x >= b provably
-    // has granted_sum(x) <= cap, so the bisection below evaluates only
-    // inside (a, b) and takes the bits of the plain one. The defaults
-    // certify nothing. Newton on g(x) = sum d_i / (1 + c_i (x - 1)),
-    // c_i = alpha_i / w_i, only places the two candidates.
-    double a = -kInf;
-    double b = kInf;
+    // Monotone search (header comment): where granted_sum provably flips
+    // once and the walk below provably ends on adjacent doubles, its answer
+    // is 0.5 * (pred(x_c) + x_c) whatever midpoints it visits, so search the
+    // bit patterns for x_c from a Newton estimate instead of walking there.
     bool in_range =
         lo >= 1.0 && lo < hi && hi <= DBL_MAX && cap >= 0x1p-900;
     double dc = 0.0;
@@ -149,17 +143,18 @@ const BusResolution& BusModel::resolve(std::span<const double> demands,
                  in_unit_interval(alphas[i]) && in_unit_interval(inv_w[i]);
       dc += demands[i] * alphas[i] * inv_w[i];
     }
-    if (in_range) {
+    // From hi <= 256 lo the walk reaches adjacent doubles in at most 62
+    // steps, and lo + hi cannot overflow.
+    const bool walk_ends_adjacent = hi <= 0x1p8 * lo && hi <= 0.5 * DBL_MAX;
+    double xn = lo;  // no estimate: the plain walk
+    if (in_range && walk_ends_adjacent) {
       // The Jensen point lies left of the root (g is convex), and so does
       // lo; Newton on a convex decreasing g climbs monotonically from there.
-      double xn = std::max(
-          lo, 1.0 + (total_demand / cap - 1.0) * total_demand / dc);
-      double g = 0.0;
-      double slope = 0.0;  // -g'(xn)
+      xn = std::max(lo, 1.0 + (total_demand / cap - 1.0) * total_demand / dc);
       for (int step = 0; step < 8; ++step) {
         const double t = xn - 1.0;
-        g = 0.0;
-        slope = 0.0;
+        double g = 0.0;
+        double slope = 0.0;  // -g'(xn)
         for (std::size_t i = 0; i < n; ++i) {
           const double c = alphas[i] * inv_w[i];
           const double q = 1.0 / (1.0 + c * t);
@@ -171,26 +166,49 @@ const BusResolution& BusModel::resolve(std::span<const double> demands,
         xn += dx;
         if (!(std::abs(dx) > 0x1p-26 * xn)) break;  // converged, or NaN
       }
-      // gamma_{n+4}: the relative error bound of granted_sum.
-      const double k = static_cast<double>(n + 4) * 0x1p-53;
-      const double gamma = k / (1.0 - k);
-      // Candidates 8 gamma * g / |g'| either side of the estimate: twice the
-      // 4-gamma certificate margin, so a converged estimate passes both.
-      const double delta = 8.0 * gamma * g / slope;
-      const double xa = xn - delta;
-      const double xb = xn + delta;
-      if (lo < xa && xa < hi && granted_sum(xa) > cap * (1.0 + 4.0 * gamma)) {
-        a = xa;
-      }
-      if (lo < xb && xb < hi && granted_sum(xb) < cap * (1.0 - 4.0 * gamma)) {
-        b = xb;
-      }
     }
-    auto above_capacity = [&](double v) {
-      return v <= a || (v < b && granted_sum(v) > cap);
-    };
 
-    if (above_capacity(hi)) {
+    if (lo < xn && xn < hi) {
+      // Bit patterns a < b with granted_sum(a) > cap >= granted_sum(b),
+      // except that hi is evaluated only if the gallop reaches it. Gallop
+      // from the estimate, then bisect down to adjacent patterns.
+      auto above = [&](std::uint64_t p) {
+        return granted_sum(std::bit_cast<double>(p)) > cap;
+      };
+      const std::uint64_t hi_bits = std::bit_cast<std::uint64_t>(hi);
+      std::uint64_t a = std::bit_cast<std::uint64_t>(lo);
+      std::uint64_t b = hi_bits;
+      const std::uint64_t start = std::bit_cast<std::uint64_t>(xn);
+      const bool up = above(start);  // x_c lies above the estimate
+      if (up) {
+        a = start;
+      } else {
+        b = start;
+      }
+      for (std::uint64_t step = 1; step < b - a; step *= 2) {
+        const std::uint64_t p = up ? a + step : b - step;
+        const bool p_above = above(p);
+        if (p_above) {
+          a = p;
+        } else {
+          b = p;
+        }
+        if (p_above != up) break;
+      }
+      if (b == hi_bits && above(b)) {
+        x = hi;  // even max_stretch is above capacity, as below
+      } else {
+        while (b - a > 1) {
+          const std::uint64_t mid = a + (b - a) / 2;
+          if (above(mid)) {
+            a = mid;
+          } else {
+            b = mid;
+          }
+        }
+        x = 0.5 * (std::bit_cast<double>(a) + std::bit_cast<double>(b));
+      }
+    } else if (granted_sum(hi) > cap) {
       // Pathological: even max stretch cannot push demand below capacity
       // (can only happen with thousands of near-zero-alpha threads). Fall
       // through with X = hi; a final proportional clamp below enforces the
@@ -203,7 +221,7 @@ const BusResolution& BusModel::resolve(std::span<const double> demands,
         // longer shrink: every later iteration would leave 0.5 * (lo + hi)
         // equal to this `mid`, so stopping here yields the same `x` bits.
         if (mid == lo || mid == hi) break;
-        if (above_capacity(mid)) {
+        if (granted_sum(mid) > cap) {
           lo = mid;
         } else {
           hi = mid;

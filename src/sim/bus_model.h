@@ -23,9 +23,9 @@
 //
 // Sum(granted_i(X)) is strictly decreasing in X (for Sum(d_i) > 0), so the
 // saturation equation Sum(granted_i(X)) = C_eff has a unique root which we
-// find by bisection (see "Certified bracket" below for how the bisection
-// avoids most of its evaluations). Below saturation X is the mild queueing
-// inflation X_light(rho). The same X for all threads models a fair
+// find by bisection (see "Monotone search" below for how most resolves reach
+// the bisection's answer without walking it). Below saturation X is the mild
+// queueing inflation X_light(rho). The same X for all threads models a fair
 // (FIFO-arbitrated) bus where every transaction experiences the same
 // queueing delay; the per-thread impact differs through alpha_i. This is
 // the asymmetry the paper measures.
@@ -43,35 +43,47 @@
 // lets one application + two BBMA reach the paper's 2-3x slowdowns while
 // two identical application instances stay in the 41-61% band.
 //
-// Certified bracket. The bisection's lo/hi/mid sequence is the output's
-// definition, so it is kept; what changes is which midpoints are
-// evaluated. Write g(X) = Sum d_i / (1 + c_i (X - 1)), c_i = alpha_i / w_i,
-// in exact arithmetic on the stored doubles, and g_fp for the computed sum.
+// Monotone search. The bisection from [lo, hi] = [X_light, max_stretch]
+// defines the output bits: mid = 0.5 * (lo + hi), lo = mid while the computed
+// granted sum g_fp(mid) exceeds C, else hi = mid, for at most 64 steps, and
+// X = 0.5 * (lo + hi). Most resolves reach the same X without the walk:
 //
-//  * g is non-increasing for X >= 1, since d_i >= 0 and c_i >= 0.
-//  * Each computed term carries five roundings (X - 1, * alpha, * 1/w,
-//    1 +, d /) and the running sum n - 1 more, all on non-negative values,
-//    so |g_fp - g| <= gamma * g with gamma = gamma_{n+4} = (n+4)u/(1-(n+4)u),
-//    u = 2^-53.
-//  * If g_fp(a) > C (1 + 4 gamma), then for every X <= a:
-//    g_fp(X) >= (1 - gamma) g(X) >= (1 - gamma) g(a)
-//            >= g_fp(a) (1 - gamma) / (1 + gamma) > C,
-//    so the bisection would set lo = X; symmetrically g_fp(b) < C (1 - 4 gamma)
-//    proves g_fp(X) < C, hence hi = X, for every X >= b. These midpoints are
-//    skipped, and stretch, slowdown and granted keep their bits.
-//  * 2 gamma of margin would do in exact arithmetic; the other 2 gamma
-//    absorbs the rounding of the thresholds C (1 +- 4 gamma) themselves
-//    (about 3u), which gamma >= 5u covers. Underflow adds at most
-//    n * 2^-1075 per sum, far inside that slack for C >= 2^-900.
+//  * g_fp never increases in X on the inputs the search accepts (demands in
+//    [0, DBL_MAX], alpha_i and 1/w_i in [0, 1], X in [1, DBL_MAX]). Each term
+//    is d / (1 + alpha * (X - 1) * (1/w)); X - 1 >= 0, so the two products
+//    and the add are monotone non-decreasing in X and cannot overflow, and
+//    d / c with d >= 0 and c >= 1 is non-increasing in c. Round-to-nearest
+//    is monotone, so every rounded operation keeps its operand's order, and
+//    so does the running sum of non-negative terms (at worst it rounds to
+//    +inf, never to NaN). Hence "g_fp(X) > C" holds below one double x_c in
+//    (lo, hi] and fails from x_c on: the walk's lo stays below x_c and its
+//    hi at or above it, whichever midpoints it visits.
+//  * Once lo and hi are adjacent doubles, mid rounds onto one of them and
+//    the walk stands still, so it ends on X = 0.5 * (pred(x_c) + x_c) if it
+//    reaches adjacency within 64 steps. With rho = (hi - lo) / ulp(lo) (an
+//    integer, since ulp(lo) <= ulp(hi)), a step leaves at most
+//    rho / 2 + max(1, 2^-53 rho): the midpoint rounds by at most ulp(lo)
+//    when it lies within a binade of lo, and by 2^-53 of the width when it
+//    lies further up. From rho < 255 * 2^53, i.e. max_stretch <= 256 X_light,
+//    8 steps bring rho below 2^53, 53 more to at most 2, and one more to 1:
+//    62 steps. The defaults (1.15 and 64) take at most 58.
+//  * For positive doubles the bit pattern orders like the value, so the
+//    search bisects integers. It probes a Newton estimate of the root,
+//    gallops outward (1, 2, 4, ... patterns) until one probe is above
+//    capacity and one is not, bisects the patterns down to the adjacent
+//    pair (pred(x_c), x_c) and returns 0.5 * (pred(x_c) + x_c): the walk's
+//    bits. If no probe below max_stretch is at capacity it evaluates
+//    max_stretch and, like the walk, keeps X = max_stretch when that is
+//    still above.
 //
-// Newton steps on the convex g, from the Jensen point
-// 1 + (D/C - 1) D / Sum d_i c_i (a lower bound on the root), only place the
-// candidates a and b; each is trusted only after its own check, and a side
-// whose check fails stays uncertified. A non-finite Newton step or an input
-// outside the bound's preconditions (a demand that is negative or not
-// finite, an alpha or an inverse weight outside [0, 1], i.e. a weight below
-// 1, a bisection range [lo, hi] that is empty or not inside [1, DBL_MAX],
-// C < 2^-900) leaves both sides uncertified: the plain bisection.
+// The search runs only where that argument holds: a demand that is negative
+// or not finite, an alpha or inverse weight outside [0, 1] (a weight below
+// 1), a range [lo, hi] that is empty or not inside [1, DBL_MAX / 2] (so
+// lo + hi cannot overflow), max_stretch > 256 X_light, C < 2^-900, or a
+// Newton estimate that is not finite or not inside (lo, hi) keeps the plain
+// walk. Newton steps on the convex g, from the Jensen point
+// 1 + (D/C - 1) D / Sum d_i c_i (c_i = alpha_i / w_i, a lower bound on the
+// root), only place the first probe.
 #pragma once
 
 #include <span>

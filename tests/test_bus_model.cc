@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -146,6 +147,34 @@ std::uint64_t bits(double x) {
   return u;
 }
 
+/// xorshift64 stream for the randomized cases below.
+struct Rng {
+  std::uint64_t state;
+  std::uint64_t next() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  }
+  double uniform(double lo, double hi) {
+    return lo + (hi - lo) * static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
+  /// Log-uniform in [1, 1000], the arbitration weights' test range.
+  double weight() { return std::exp(uniform(0.0, std::log(1000.0))); }
+};
+
+/// The granted sum exactly as resolve() computes it: the quantity whose
+/// monotonicity the search in bus_model.cc relies on.
+double oracle_granted_sum(const std::vector<double>& demands,
+                          const std::vector<double>& alphas,
+                          const std::vector<double>& inv_w, double x) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    sum += demands[i] / (1.0 + alphas[i] * (x - 1.0) * inv_w[i]);
+  }
+  return sum;
+}
+
 /// Reference copy of BusModel::resolve with the bisection fixed at 64
 /// iterations, as it ran before the early exit.
 BusResolution resolve_fixed_64(const BusModel& m,
@@ -170,11 +199,7 @@ BusResolution resolve_fixed_64(const BusModel& m,
   if (total_demand <= 0.0) return out;
   out.offered_rho = total_demand / out.effective_capacity;
   auto granted_sum = [&](double x) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sum += demands[i] / (1.0 + alphas[i] * (x - 1.0) * inv_w[i]);
-    }
-    return sum;
+    return oracle_granted_sum(demands, alphas, inv_w, x);
   };
   const double rho = std::min(out.offered_rho, 1.0);
   const double x_light = 1.0 + cfg.queueing_kappa * rho * rho;
@@ -229,8 +254,9 @@ void expect_same_bits(const BusResolution& got, const BusResolution& want,
   }
 }
 
-// resolve() skips every midpoint its certified bracket decides (header
-// comment of bus_model.h); the reference evaluates them all.
+// resolve() searches bit patterns for the walk's answer where the walk is
+// provably path-independent (header comment of bus_model.h); the reference
+// walks all 64 midpoints.
 TEST(BusModelResolve, BisectionEarlyExitMatchesFixedIterations) {
   // alpha_exponent 0.72 (the default), 1.0 (linear fast path) and 2.0,
   // plus a stretch cap low enough that heavy vectors end at x = hi.
@@ -319,6 +345,8 @@ TEST(BusModelResolve, BisectionEarlyExitMatchesFixedIterations) {
   std::nth_element(evals4.begin(), evals4.begin() + evals4.size() / 2,
                    evals4.end());
   EXPECT_LE(evals4[evals4.size() / 2], 20);
+  // The monotone search: X_light, Newton steps and two or three probes.
+  EXPECT_LE(evals4[evals4.size() / 2], 8);
 }
 
 // The workspace keeps each slot's alpha while the slot's demand repeats.
@@ -380,7 +408,7 @@ TEST(BusModelResolve, CertifiedBracketOnFig2MixedVector) {
 TEST(BusModelResolve, OutOfRangeInputsTakeThePlainBisection) {
   BusWorkspace ws;
   // A negative exponent makes alpha > 1 for demands below the peak; the
-  // error bound no longer applies, so every midpoint is evaluated.
+  // search's preconditions no longer hold, so every midpoint is evaluated.
   BusConfig steep;
   steep.alpha_exponent = -0.5;
   const BusModel m(steep);
@@ -401,6 +429,133 @@ TEST(BusModelResolve, OutOfRangeInputsTakeThePlainBisection) {
   const std::vector<double> idle{0.0, 0.0};
   (void)plain.resolve(idle, {}, ws);
   EXPECT_EQ(ws.granted_sum_evals(), 0);
+}
+
+// Beyond the range guard (max_stretch > 256 X_light) 64 steps cannot reach
+// adjacent doubles, so the walk's answer depends on the midpoints it visits:
+// resolve() must visit them all.
+TEST(BusModelResolve, StretchCapBeyondTheGuardTakesThePlainWalk) {
+  BusConfig wide;
+  wide.max_stretch = 1e12;
+  const BusModel m(wide);
+  BusWorkspace ws;
+  Rng rng{0x853c49e6748fea9bULL};
+  int saturated = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<double> demands(1 + rng.next() % 32);
+    for (auto& d : demands) d = rng.uniform(0.0, 24.0);
+    std::vector<double> weights(demands.size());
+    for (auto& w : weights) w = rng.weight();
+    const BusResolution want = resolve_fixed_64(m, demands, weights);
+    expect_same_bits(m.resolve(demands, weights, ws), want, trial);
+    if (!want.saturated) continue;
+    ++saturated;
+    // X_light, max_stretch and all 64 midpoints: no early exit either.
+    EXPECT_EQ(ws.granted_sum_evals(), 66) << "trial " << trial;
+  }
+  EXPECT_GT(saturated, 200);
+}
+
+// A stretch cap a few doubles below the root: the Newton estimate may land
+// below the cap, so the search reaches max_stretch, finds it still above
+// capacity and keeps X = max_stretch, as the walk does.
+TEST(BusModelResolve, StretchCapJustBelowTheRootKeepsTheCap) {
+  const BusModel free_model(default_bus());
+  BusWorkspace ws;
+  Rng rng{0x5851f42d4c957f2dULL};
+  int at_cap = 0;
+  int searched = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<double> demands(4);
+    for (auto& d : demands) d = rng.uniform(4.0, 24.0);
+    std::vector<double> weights(4);
+    for (auto& w : weights) w = rng.uniform(1.0, 4.0);
+    const BusResolution root = resolve_fixed_64(free_model, demands, weights);
+    if (!root.saturated) continue;
+    double cap = root.stretch;
+    for (int k = 0; k < 4; ++k) {
+      cap = std::nextafter(cap, 0.0);
+      BusConfig cfg;
+      cfg.max_stretch = cap;
+      const BusModel m(cfg);
+      const BusResolution want = resolve_fixed_64(m, demands, weights);
+      expect_same_bits(m.resolve(demands, weights, ws), want, trial);
+      if (want.stretch == cap) ++at_cap;
+      if (ws.granted_sum_evals() < 20) ++searched;
+    }
+  }
+  EXPECT_GT(at_cap, 100);
+  EXPECT_GT(searched, 10);
+}
+
+// The search's premise (bus_model.h, "Monotone search"): the computed
+// granted sum never increases with X. Walks 2,000 consecutive doubles
+// around each vector's stretch.
+TEST(BusModelResolve, GrantedSumNeverIncreasesAcrossConsecutiveDoubles) {
+  const BusModel m(default_bus());
+  Rng rng{0xda942042e4dd58b5ULL};
+  long decreases = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng.next() % 32;
+    std::vector<double> demands(n);
+    std::vector<double> weights(n);
+    std::vector<double> alphas(n);
+    std::vector<double> inv_w(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      demands[i] = rng.uniform(0.0, 24.0);
+      weights[i] = rng.weight();
+      alphas[i] = m.alpha(demands[i]);
+      inv_w[i] = 1.0 / weights[i];
+    }
+    double x = resolve_fixed_64(m, demands, weights).stretch;
+    for (int k = 0; k < 1000; ++k) x = std::nextafter(x, 0.0);
+    double prev = oracle_granted_sum(demands, alphas, inv_w, x);
+    for (int k = 0; k < 2000; ++k) {
+      x = std::nextafter(x, HUGE_VAL);
+      const double g = oracle_granted_sum(demands, alphas, inv_w, x);
+      ASSERT_LE(g, prev) << "trial " << trial << " x " << x;
+      if (g < prev) ++decreases;
+      prev = g;
+    }
+  }
+  EXPECT_GT(decreases, 10'000) << "the walk saw a flat sum";
+}
+
+/// Worst case, over every predicate that flips once, of the steps the walk
+/// from [lo, hi] takes to reach adjacent doubles: one step plus the deeper
+/// half, or bit_width(interior doubles) where the doubles are evenly spaced
+/// (each step halves their count, rounded down).
+int walk_depth(double lo, double hi) {
+  const std::uint64_t interior = bits(hi) - bits(lo) - 1;
+  if (interior == 0) return 0;
+  if (hi <= std::ldexp(1.0, std::ilogb(lo) + 1)) {
+    return std::bit_width(interior);
+  }
+  const double mid = 0.5 * (lo + hi);
+  return 1 + std::max(walk_depth(lo, mid), walk_depth(mid, hi));
+}
+
+// The range guard's step bound (bus_model.h): from max_stretch <= 256
+// X_light the walk ends on adjacent doubles within 62 of its 64 steps, from
+// the defaults within 58; at max_stretch = 1e12 it cannot.
+TEST(BusModelResolve, WalkEndsOnAdjacentDoublesInsideTheRangeGuard) {
+  int defaults = 0;
+  for (int i = 0; i <= 200; ++i) {
+    const double rho = i / 200.0;
+    const double x_light = 1.0 + default_bus().queueing_kappa * rho * rho;
+    defaults = std::max(defaults, walk_depth(x_light, 64.0));
+  }
+  EXPECT_LE(defaults, 58);
+  // Scaling by a power of two keeps every step, so X_light in [1, 2) covers
+  // the guard.
+  Rng rng{0x2545f4914f6cdd1dULL};
+  int guard = walk_depth(1.0, 256.0);
+  for (int i = 0; i < 1000; ++i) {
+    const double lo = rng.uniform(1.0, 2.0);
+    guard = std::max(guard, walk_depth(lo, 0x1p8 * lo));
+  }
+  EXPECT_LE(guard, 62);
+  EXPECT_GT(walk_depth(1.15, 1e12), 64);
 }
 
 // ---- calibration against the paper's §3 numbers ----

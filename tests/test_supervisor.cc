@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -139,6 +140,13 @@ TEST(Supervisor, BreakerTripsPermanentlyUnderRestartStorm) {
   // Tripped is forever: stop() stays safe and idempotent afterwards.
   sup.stop();
   EXPECT_TRUE(sup.gave_up());
+
+  // Every child died by SIGKILL, so none unlinked its socket, and no new
+  // child will reclaim the path: the test removes it.
+  const std::string& path = cfg.server.socket_path;
+  ::unlink(path.c_str());
+  struct stat st {};
+  EXPECT_NE(::stat(path.c_str(), &st), 0) << path << " left behind";
 }
 
 TEST(Supervisor, CleanStopIsNotARestart) {

@@ -7,7 +7,9 @@
 # Each configuration gets its own build directory (build-check-<name>), so
 # repeat runs are incremental. The plain configuration runs the whole suite;
 # sanitizer configurations run the concurrency/robustness labels that the
-# instrumentation is for (chaos, soak, syschaos) plus the lint gate. The
+# instrumentation is for (chaos, soak, syschaos) plus the lint gate; the
+# address and undefined ones add the sim label (the simulator's bit-identity
+# guards: bus model, batching, engine). The
 # thread configuration adds the locks label (the mutex-taking thread pool,
 # client and manager-server tests) and skips the soak: the recovery soak
 # forks a supervised manager from a multi-threaded process, which TSan
@@ -79,7 +81,7 @@ for cfg in "${configs[@]}"; do
   case "$cfg" in
     plain)  run_leg "$cfg" ctest ctest_leg "$dir" || true ;;
     thread) run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|fuzz|lint|locks|syschaos' || true ;;
-    *)      run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|soak|fuzz|lint|syschaos' || true ;;
+    *)      run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|soak|fuzz|lint|syschaos|sim' || true ;;
   esac
 done
 
