@@ -143,21 +143,22 @@ void ManagedScheduler::run_election(Machine& m, SimTime now) {
 
 void ManagedScheduler::apply_block_states(Machine& m, SimTime now) {
   const auto& running = manager_.running();
+  sim::SoAStore& s = m.store();
   for (const auto& job : m.jobs()) {
     if (job.completed || !manager_.connected(job.id)) continue;
     const bool elected =
         std::find(running.begin(), running.end(), job.id) != running.end();
     for (int tid : job.thread_ids) {
-      auto t = m.thread(tid);
-      if (elected && t.state == ThreadState::kManagerBlocked) {
-        t.state = ThreadState::kReady;
+      ThreadState& state = s.state[static_cast<std::size_t>(tid)];
+      if (elected && state == ThreadState::kManagerBlocked) {
+        state = ThreadState::kReady;
         if (tracer_ && tracer_->enabled()) {
           tracer_->job_state_change(
               now, {job.id, tid, obs::JobState::kManagerBlocked,
                     obs::JobState::kReady});
         }
-      } else if (!elected && t.state == ThreadState::kReady) {
-        t.state = ThreadState::kManagerBlocked;
+      } else if (!elected && state == ThreadState::kReady) {
+        state = ThreadState::kManagerBlocked;
         if (tracer_ && tracer_->enabled()) {
           tracer_->job_state_change(
               now, {job.id, tid, obs::JobState::kReady,
@@ -172,14 +173,16 @@ void ManagedScheduler::place_elected(Machine& m) {
   // Two passes: first honour affinity (thread's previous CPU if free), then
   // fill remaining threads onto remaining CPUs (pending_ is reused scratch).
   pending_.clear();
+  const sim::SoAStore& s = m.store();
   for (int app : manager_.running()) {
     for (int tid : m.job(app).thread_ids) {
-      const auto t = m.thread(tid);
-      if (t.state != ThreadState::kReady) continue;
+      const auto i = static_cast<std::size_t>(tid);
+      if (s.state[i] != ThreadState::kReady) continue;
       if (m.cpu_of(tid) != -1) continue;  // already placed
-      if (t.last_cpu != -1 &&
-          m.cpus()[static_cast<std::size_t>(t.last_cpu)].thread == Cpu::kIdle) {
-        m.place(t.last_cpu, tid);
+      const int home = s.last_cpu[i];
+      if (home != -1 &&
+          m.cpus()[static_cast<std::size_t>(home)].thread == Cpu::kIdle) {
+        m.place(home, tid);
       } else {
         pending_.push_back(tid);
       }
@@ -242,12 +245,13 @@ SimTime ManagedScheduler::quiescent_until(const Machine& m,
   // apply_block_states would flip a thread on the very next tick (every
   // live job is connected past the loop above).
   const auto& running = manager_.running();
+  const sim::SoAStore& s = m.store();
   for (const auto& job : m.jobs()) {
     if (job.completed) continue;
     const bool elected =
         std::find(running.begin(), running.end(), job.id) != running.end();
     for (int tid : job.thread_ids) {
-      const ThreadState st = m.thread(tid).state;
+      const ThreadState st = s.state[static_cast<std::size_t>(tid)];
       if (elected && st == ThreadState::kManagerBlocked) return now;
       if (!elected && st == ThreadState::kReady) return now;
     }
@@ -284,7 +288,7 @@ SimTime ManagedScheduler::quiescent_until(const Machine& m,
     if (idle_cpu) {
       for (int app : running) {
         for (int tid : m.job(app).thread_ids) {
-          if (m.thread(tid).state == ThreadState::kReady &&
+          if (s.state[static_cast<std::size_t>(tid)] == ThreadState::kReady &&
               m.cpu_of(tid) == -1) {
             return now;
           }

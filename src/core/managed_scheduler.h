@@ -35,7 +35,7 @@ struct ManagedSchedulerConfig {
 
   /// Sample demand-side counters (attempted transactions, the quantity the
   /// Xeon bus-event counters report) rather than the data actually moved.
-  /// See sim::ThreadCtx::bus_attempts.
+  /// See sim::SoAStore::bus_attempts.
   bool sample_attempts = true;
 
   /// Seeded fault schedule applied to the manager's counter reads (one draw

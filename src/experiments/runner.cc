@@ -121,7 +121,7 @@ RunResult collect_result(sim::Engine& engine,
           : 0.0;
   out.engine_stats = engine.stats();
 
-  for (const auto& t : machine.threads()) out.migrations += t.migrations;
+  for (const std::uint64_t n : machine.store().migrations) out.migrations += n;
 
   if (auto* managed = dynamic_cast<core::ManagedScheduler*>(
           &engine.scheduler())) {

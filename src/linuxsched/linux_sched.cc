@@ -9,7 +9,7 @@ namespace bbsched::linuxsched {
 using sim::Cpu;
 using sim::Machine;
 using sim::SimTime;
-using sim::ThreadCtx;
+using sim::SoAStore;
 using sim::ThreadState;
 
 namespace {
@@ -30,7 +30,7 @@ SimTime ticks_to_expiry(double c, double tick) {
 
 void LinuxScheduler::start(Machine& m, trace::ScheduleTrace&) {
   rng_.reseed(cfg_.seed);
-  counters_.resize(m.threads().size());
+  counters_.resize(m.store().size());
   // Random initial phases: real tasks never start with synchronized slices.
   const auto slice = static_cast<double>(cfg_.timeslice_us);
   for (auto& c : counters_) {
@@ -38,30 +38,32 @@ void LinuxScheduler::start(Machine& m, trace::ScheduleTrace&) {
   }
 }
 
-double LinuxScheduler::goodness(const ThreadCtx& t, int cpu) const {
-  const double counter = counters_[static_cast<std::size_t>(t.id)];
+double LinuxScheduler::goodness(const SoAStore& s, int tid, int cpu) const {
+  const auto i = static_cast<std::size_t>(tid);
+  const double counter = counters_[i];
   if (counter <= 0.0) return 0.0;  // exhausted => no bonus, lowest priority
   double weight = counter;
-  if (t.last_cpu == cpu) weight += cfg_.affinity_bonus_us;
+  if (s.last_cpu[i] == cpu) weight += cfg_.affinity_bonus_us;
   return weight;
 }
 
 void LinuxScheduler::maybe_epoch_refill(Machine& m) {
   // Epoch ends when every runnable task has exhausted its counter. Blocked
   // tasks keep (and halve) their remainder, exactly like kernel 2.4.
+  const SoAStore& s = m.store();
   bool any_runnable = false;
-  for (const auto& t : m.threads()) {
-    if (t.state == ThreadState::kReady) {
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s.state[i] == ThreadState::kReady) {
       any_runnable = true;
-      if (counters_[static_cast<std::size_t>(t.id)] > 0.0) return;
+      if (counters_[i] > 0.0) return;
     }
   }
   if (!any_runnable) return;
   ++epochs_;
   const auto slice = static_cast<double>(cfg_.timeslice_us);
-  for (const auto& t : m.threads()) {
-    if (t.state == ThreadState::kDone) continue;
-    auto& c = counters_[static_cast<std::size_t>(t.id)];
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s.state[i] == ThreadState::kDone) continue;
+    auto& c = counters_[i];
     const double jitter =
         1.0 + cfg_.refill_jitter * (2.0 * rng_.uniform() - 1.0);
     c = std::max(c, 0.0) / 2.0 + slice * jitter;
@@ -69,12 +71,13 @@ void LinuxScheduler::maybe_epoch_refill(Machine& m) {
 }
 
 void LinuxScheduler::reschedule_idle(Machine& m, int tid) {
-  const ThreadCtx t = m.thread(tid);
+  const SoAStore& s = m.store();
 
   // Prefer the task's cache home if idle, then any idle CPU.
-  if (t.last_cpu != -1 &&
-      m.cpus()[static_cast<std::size_t>(t.last_cpu)].thread == Cpu::kIdle) {
-    m.place(t.last_cpu, tid);
+  const int home = s.last_cpu[static_cast<std::size_t>(tid)];
+  if (home != -1 &&
+      m.cpus()[static_cast<std::size_t>(home)].thread == Cpu::kIdle) {
+    m.place(home, tid);
     return;
   }
   for (std::size_t c = 0; c < m.cpus().size(); ++c) {
@@ -90,14 +93,13 @@ void LinuxScheduler::reschedule_idle(Machine& m, int tid) {
   double victim_w = 1e300;
   for (std::size_t c = 0; c < m.cpus().size(); ++c) {
     const int cur = m.cpus()[c].thread;
-    const double w = goodness(m.thread(cur), static_cast<int>(c));
+    const double w = goodness(s, cur, static_cast<int>(c));
     if (w < victim_w) {
       victim_w = w;
       victim_cpu = static_cast<int>(c);
     }
   }
-  if (victim_cpu >= 0 &&
-      goodness(t, victim_cpu) > victim_w + 1.0) {
+  if (victim_cpu >= 0 && goodness(s, tid, victim_cpu) > victim_w + 1.0) {
     m.vacate(victim_cpu);
     m.place(victim_cpu, tid);
   }
@@ -116,12 +118,12 @@ void LinuxScheduler::charge_running(const Machine& m, SimTime span) {
 }
 
 void LinuxScheduler::tick(Machine& m, SimTime now, trace::ScheduleTrace&) {
+  const SoAStore& s = m.store();
   // New threads (jobs admitted after start) get a fresh slice.
-  if (counters_.size() < m.threads().size()) {
-    counters_.resize(m.threads().size(),
-                     static_cast<double>(cfg_.timeslice_us));
+  if (counters_.size() < s.size()) {
+    counters_.resize(s.size(), static_cast<double>(cfg_.timeslice_us));
   }
-  was_blocked_.resize(m.threads().size(), false);
+  was_blocked_.resize(s.size(), false);
 
   // Charge the tasks that ran since the previous invocation. The engine
   // calls us before every tick it executes in full; the ticks of a batch
@@ -137,14 +139,14 @@ void LinuxScheduler::tick(Machine& m, SimTime now, trace::ScheduleTrace&) {
 
   // Wakeups: threads that were barrier-blocked last tick and are runnable
   // now go through reschedule_idle() (idle-CPU placement / preemption).
-  for (const auto& t : m.threads()) {
-    const auto idx = static_cast<std::size_t>(t.id);
-    const bool blocked_now = t.state == ThreadState::kBarrierWait;
-    if (was_blocked_[idx] && !blocked_now &&
-        t.state == ThreadState::kReady && m.cpu_of(t.id) == -1) {
-      reschedule_idle(m, t.id);
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const int tid = static_cast<int>(i);
+    const bool blocked_now = s.state[i] == ThreadState::kBarrierWait;
+    if (was_blocked_[i] && !blocked_now &&
+        s.state[i] == ThreadState::kReady && m.cpu_of(tid) == -1) {
+      reschedule_idle(m, tid);
     }
-    was_blocked_[idx] = blocked_now;
+    was_blocked_[i] = blocked_now;
   }
 
   // schedule() per CPU: keep the current task while it has timeslice left;
@@ -154,7 +156,7 @@ void LinuxScheduler::tick(Machine& m, SimTime now, trace::ScheduleTrace&) {
     const int cur = m.cpus()[c].thread;
 
     if (cur != Cpu::kIdle) {
-      assert(m.thread(cur).state == ThreadState::kReady);
+      assert(s.state[static_cast<std::size_t>(cur)] == ThreadState::kReady);
       if (counters_[static_cast<std::size_t>(cur)] > 0.0) {
         continue;  // timeslice not expired: keep running
       }
@@ -162,15 +164,16 @@ void LinuxScheduler::tick(Machine& m, SimTime now, trace::ScheduleTrace&) {
 
     // Candidates: the current task plus every runnable, unplaced thread.
     int best = cur;
-    double best_w = cur == Cpu::kIdle ? -1.0 : goodness(m.thread(cur), cpu);
-    for (const auto& t : m.threads()) {
-      if (t.state != ThreadState::kReady) continue;
-      if (t.id == cur) continue;
-      if (m.cpu_of(t.id) != -1) continue;  // running elsewhere
-      const double w = goodness(t, cpu);
+    double best_w = cur == Cpu::kIdle ? -1.0 : goodness(s, cur, cpu);
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const int tid = static_cast<int>(i);
+      if (s.state[i] != ThreadState::kReady) continue;
+      if (tid == cur) continue;
+      if (m.cpu_of(tid) != -1) continue;  // running elsewhere
+      const double w = goodness(s, tid, cpu);
       if (w > best_w) {
         best_w = w;
-        best = t.id;
+        best = tid;
       }
     }
 
@@ -184,7 +187,7 @@ SimTime LinuxScheduler::quiescent_until(const Machine& m, SimTime now) const {
   // Mirror tick() top to bottom; any step that would act pins the result to
   // `now`. Until the first two tick() calls have shown the tick length, the
   // deferred charge could not be replayed, so never batch before then.
-  const sim::SoAStore& s = m.store();
+  const SoAStore& s = m.store();
   const std::size_t n = s.size();
   if (tick_us_ == 0 || counters_.size() < n || was_blocked_.size() < n) {
     return now;

@@ -71,9 +71,10 @@ class LinuxScheduler final : public sim::Scheduler {
   [[nodiscard]] std::uint64_t epochs() const noexcept { return epochs_; }
 
  private:
-  /// goodness(p, cpu): 0 when the counter is exhausted; otherwise counter
-  /// plus the affinity bonus when `cpu` is the task's cache home.
-  [[nodiscard]] double goodness(const sim::ThreadCtx& t, int cpu) const;
+  /// goodness(p, cpu) of thread `tid`: 0 when its counter is exhausted;
+  /// otherwise counter plus the affinity bonus when `cpu` is its cache home.
+  [[nodiscard]] double goodness(const sim::SoAStore& s, int tid,
+                                int cpu) const;
 
   void maybe_epoch_refill(sim::Machine& m);
 

@@ -135,8 +135,7 @@ enum class ThreadState {
 };
 
 // Per-thread simulation state lives in sim::SoAStore (soa_store.h) as
-// structure-of-arrays; ThreadCtx — the per-thread view schedulers and tests
-// use — is defined there as a proxy of references into the arrays.
+// structure-of-arrays indexed by global thread id.
 
 /// Mutable per-job simulation state.
 struct Job {

@@ -1,6 +1,6 @@
 #include "sim/machine.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace bbsched::sim {
 
@@ -39,14 +39,6 @@ void Machine::place(int cpu, int tid) {
     store_.warmth[i] = 0.0;
     store_.last_cpu[i] = cpu;
   }
-}
-
-double Machine::job_min_progress(const Job& j) const {
-  double lo = std::numeric_limits<double>::infinity();
-  for (int tid : j.thread_ids) {
-    lo = std::min(lo, store_.progress_us[static_cast<std::size_t>(tid)]);
-  }
-  return lo;
 }
 
 bool Machine::has_finite_jobs() const {

@@ -42,16 +42,8 @@ class Machine {
     return jobs_.at(static_cast<std::size_t>(id));
   }
 
-  /// Iterable proxy views over all threads (SoA-backed; see soa_store.h).
-  [[nodiscard]] ThreadRange threads() noexcept { return ThreadRange(&store_); }
-  [[nodiscard]] ConstThreadRange threads() const noexcept {
-    return ConstThreadRange(&store_);
-  }
-  [[nodiscard]] ThreadCtx thread(int id) { return store_.ctx(id); }
-  [[nodiscard]] ConstThreadCtx thread(int id) const { return store_.ctx(id); }
-
-  /// The underlying parallel arrays; the engine's hot loops index these
-  /// directly instead of going through the proxies.
+  /// Per-thread state as parallel arrays indexed by thread id (see
+  /// soa_store.h).
   [[nodiscard]] SoAStore& store() noexcept { return store_; }
   [[nodiscard]] const SoAStore& store() const noexcept { return store_; }
 
@@ -80,9 +72,6 @@ class Machine {
   void vacate_all() {
     for (auto& c : cpus_) c.thread = Cpu::kIdle;
   }
-
-  /// Minimum progress among a job's threads (barrier front position).
-  [[nodiscard]] double job_min_progress(const Job& j) const;
 
   /// True when every thread of every finite job has completed.
   [[nodiscard]] bool all_finite_jobs_done() const;

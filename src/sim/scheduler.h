@@ -67,11 +67,13 @@ class PinnedScheduler final : public Scheduler {
  public:
   void tick(Machine& m, SimTime /*now*/,
             trace::ScheduleTrace& /*trace*/) override {
-    for (const auto& t : m.threads()) {
-      if (t.state != ThreadState::kReady) continue;
-      const int cpu = t.id % m.num_cpus();
+    const SoAStore& s = m.store();
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      if (s.state[i] != ThreadState::kReady) continue;
+      const int tid = static_cast<int>(i);
+      const int cpu = tid % m.num_cpus();
       if (m.cpus()[static_cast<std::size_t>(cpu)].thread == Cpu::kIdle) {
-        m.place(cpu, t.id);
+        m.place(cpu, tid);
       }
     }
   }
@@ -81,10 +83,12 @@ class PinnedScheduler final : public Scheduler {
   /// state or placement, which ends any batch).
   [[nodiscard]] SimTime quiescent_until(const Machine& m,
                                         SimTime now) const override {
-    for (const auto& t : m.threads()) {
-      if (t.state != ThreadState::kReady) continue;
-      const int cpu = t.id % m.num_cpus();
-      if (m.cpus()[static_cast<std::size_t>(cpu)].thread == t.id) continue;
+    const SoAStore& s = m.store();
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      if (s.state[i] != ThreadState::kReady) continue;
+      const int tid = static_cast<int>(i);
+      const int cpu = tid % m.num_cpus();
+      if (m.cpus()[static_cast<std::size_t>(cpu)].thread == tid) continue;
       if (m.cpus()[static_cast<std::size_t>(cpu)].thread == Cpu::kIdle) {
         return now;  // tick() would place this thread
       }

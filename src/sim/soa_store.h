@@ -2,7 +2,7 @@
 //
 // The engine's per-tick loops (gather, advance, cache disturbance, unplaced
 // accounting, barrier fronts) each touch one or two fields of every thread.
-// With the former array-of-structs ThreadCtx those loops strode ~150-byte
+// With an array-of-structs thread record those loops strode ~150-byte
 // records and dragged whole cache lines for a single double; SoAStore keeps
 // each field in its own contiguous array so the hot loops stream packed
 // doubles instead (see DESIGN.md §11).
@@ -12,13 +12,11 @@
 // loop reads flat arrays instead of chasing Job -> JobSpec -> CacheProfile
 // pointers every tick.
 //
-// ThreadCtx survives as a lightweight proxy of references into the arrays:
-// schedulers and tests keep writing `m.thread(id).progress_us`, while the
-// engine's hot loops index the arrays directly.
+// The store is the one access path to per-thread state: the engine,
+// the schedulers and the tests all index `machine.store().<field>[tid]`.
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -26,73 +24,6 @@
 #include "sim/job.h"
 
 namespace bbsched::sim {
-
-/// Proxy view of one thread's state inside a SoAStore. Cheap to construct
-/// and copy; field names match the former struct so call sites are
-/// unchanged. Bind as `const auto& t` (lifetime extension) or `auto t`.
-struct ThreadCtx {
-  const int id;      ///< global thread id (index into the store)
-  const int app_id;  ///< owning job id
-  const int tidx;    ///< index within the job
-
-  ThreadState& state;
-
-  double& progress_us;  ///< virtual work completed
-  int& last_cpu;        ///< CPU it last ran on (-1: never ran)
-  double& warmth;       ///< cache state on last_cpu, in [0, 1]
-
-  /// Consecutive time spent spinning at the current barrier (for
-  /// spin-then-block).
-  double& consecutive_spin_us;
-
-  /// I/O bookkeeping: absolute wake time of the in-flight I/O, and the
-  /// progress point at which the next I/O will be issued.
-  SimTime& io_wake_us;
-  double& next_io_at_progress;
-
-  // ---- accounting (monotonically increasing) ----
-  double& bus_transactions;  ///< granted (data-moving) transactions
-  /// Attempted transactions: demand-side count including arbitration
-  /// retries — what the Xeon's bus counters (IOQ allocations) see and hence
-  /// what the CPU manager samples; can exceed the data actually moved.
-  double& bus_attempts;
-  double& run_us;           ///< time occupying a CPU and progressing
-  double& spin_us;          ///< time occupying a CPU but barrier-spinning
-  double& stolen_us;        ///< time lost to OS noise while placed
-  double& ready_wait_us;    ///< time runnable but not placed
-  double& barrier_wait_us;  ///< time blocked at barriers
-  double& io_wait_us;       ///< time blocked on I/O
-  double& mgr_blocked_us;   ///< time blocked by the CPU manager
-  std::uint64_t& migrations;  ///< times placed on a different CPU
-};
-
-/// Read-only proxy, returned by the const accessors.
-struct ConstThreadCtx {
-  const int id;
-  const int app_id;
-  const int tidx;
-
-  const ThreadState& state;
-
-  const double& progress_us;
-  const int& last_cpu;
-  const double& warmth;
-  const double& consecutive_spin_us;
-
-  const SimTime& io_wake_us;
-  const double& next_io_at_progress;
-
-  const double& bus_transactions;
-  const double& bus_attempts;
-  const double& run_us;
-  const double& spin_us;
-  const double& stolen_us;
-  const double& ready_wait_us;
-  const double& barrier_wait_us;
-  const double& io_wait_us;
-  const double& mgr_blocked_us;
-  const std::uint64_t& migrations;
-};
 
 /// The parallel arrays. All vectors share one length (size()); index =
 /// global thread id. Mutable simulation state and flattened JobSpec
@@ -104,24 +35,31 @@ struct SoAStore {
 
   // ---- mutable simulation state ----
   std::vector<ThreadState> state;
-  std::vector<double> progress_us;
-  std::vector<int> last_cpu;
-  std::vector<double> warmth;
+  std::vector<double> progress_us;  ///< virtual work completed
+  std::vector<int> last_cpu;        ///< CPU it last ran on (-1: never ran)
+  std::vector<double> warmth;       ///< cache state on last_cpu, in [0, 1]
+  /// Consecutive time spent spinning at the current barrier (for
+  /// spin-then-block).
   std::vector<double> consecutive_spin_us;
+  /// I/O bookkeeping: absolute wake time of the in-flight I/O, and the
+  /// progress point at which the next I/O will be issued.
   std::vector<SimTime> io_wake_us;
   std::vector<double> next_io_at_progress;
 
-  // ---- accounting accumulators ----
-  std::vector<double> bus_transactions;
+  // ---- accounting accumulators (monotonically increasing) ----
+  std::vector<double> bus_transactions;  ///< granted (data-moving)
+  /// Attempted transactions: demand-side count including arbitration
+  /// retries — what the Xeon's bus counters (IOQ allocations) see and hence
+  /// what the CPU manager samples; can exceed the data actually moved.
   std::vector<double> bus_attempts;
-  std::vector<double> run_us;
-  std::vector<double> spin_us;
-  std::vector<double> stolen_us;
-  std::vector<double> ready_wait_us;
-  std::vector<double> barrier_wait_us;
-  std::vector<double> io_wait_us;
-  std::vector<double> mgr_blocked_us;
-  std::vector<std::uint64_t> migrations;
+  std::vector<double> run_us;   ///< time occupying a CPU and progressing
+  std::vector<double> spin_us;  ///< time occupying a CPU but barrier-spinning
+  std::vector<double> stolen_us;        ///< time lost to OS noise while placed
+  std::vector<double> ready_wait_us;    ///< time runnable but not placed
+  std::vector<double> barrier_wait_us;  ///< time blocked at barriers
+  std::vector<double> io_wait_us;       ///< time blocked on I/O
+  std::vector<double> mgr_blocked_us;   ///< time blocked by the CPU manager
+  std::vector<std::uint64_t> migrations;  ///< times placed on another CPU
 
   // ---- flattened JobSpec constants (set at admission, then immutable) ----
   std::vector<const DemandModel*> demand;  ///< owned by the Job's spec
@@ -177,95 +115,6 @@ struct SoAStore {
     coupled.push_back(spec.barrier_interval_us > 0.0 ? 1 : 0);
     return id;
   }
-
-  // Proxy construction runs inside the per-tick loops.
-  [[nodiscard]] ThreadCtx ctx(int id) {
-    const auto i = static_cast<std::size_t>(id);
-    assert(i < size());
-    return ThreadCtx{id,
-                     app_id[i],
-                     tidx[i],
-                     state[i],
-                     progress_us[i],
-                     last_cpu[i],
-                     warmth[i],
-                     consecutive_spin_us[i],
-                     io_wake_us[i],
-                     next_io_at_progress[i],
-                     bus_transactions[i],
-                     bus_attempts[i],
-                     run_us[i],
-                     spin_us[i],
-                     stolen_us[i],
-                     ready_wait_us[i],
-                     barrier_wait_us[i],
-                     io_wait_us[i],
-                     mgr_blocked_us[i],
-                     migrations[i]};
-  }
-
-  // Proxy construction runs inside the per-tick loops.
-  [[nodiscard]] ConstThreadCtx ctx(int id) const {
-    const auto i = static_cast<std::size_t>(id);
-    assert(i < size());
-    return ConstThreadCtx{id,
-                          app_id[i],
-                          tidx[i],
-                          state[i],
-                          progress_us[i],
-                          last_cpu[i],
-                          warmth[i],
-                          consecutive_spin_us[i],
-                          io_wake_us[i],
-                          next_io_at_progress[i],
-                          bus_transactions[i],
-                          bus_attempts[i],
-                          run_us[i],
-                          spin_us[i],
-                          stolen_us[i],
-                          ready_wait_us[i],
-                          barrier_wait_us[i],
-                          io_wait_us[i],
-                          mgr_blocked_us[i],
-                          migrations[i]};
-  }
 };
-
-/// Iterable view over a SoAStore yielding ThreadCtx proxies, so existing
-/// `for (const auto& t : machine.threads())` loops keep working.
-template <typename StoreT, typename CtxT>
-class ThreadRangeT {
- public:
-  explicit ThreadRangeT(StoreT* store) : store_(store) {}
-
-  class iterator {
-   public:
-    iterator(StoreT* store, int i) : store_(store), i_(i) {}
-    CtxT operator*() const { return store_->ctx(i_); }
-    iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator!=(const iterator& o) const { return i_ != o.i_; }
-    bool operator==(const iterator& o) const { return i_ == o.i_; }
-
-   private:
-    StoreT* store_;
-    int i_;
-  };
-
-  [[nodiscard]] iterator begin() const { return iterator(store_, 0); }
-  [[nodiscard]] iterator end() const {
-    return iterator(store_, static_cast<int>(store_->size()));
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return store_->size(); }
-  [[nodiscard]] bool empty() const noexcept { return store_->size() == 0; }
-
- private:
-  StoreT* store_;
-};
-
-using ThreadRange = ThreadRangeT<SoAStore, ThreadCtx>;
-using ConstThreadRange = ThreadRangeT<const SoAStore, ConstThreadCtx>;
 
 }  // namespace bbsched::sim

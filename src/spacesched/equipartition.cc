@@ -99,6 +99,7 @@ void EquipartitionScheduler::place_partitions(Machine& m, SimTime now) {
       now - last_fold_advance_ >= cfg_.fold_slice_us && cfg_.fold_slice_us > 0;
   if (advance) last_fold_advance_ = now;
 
+  const sim::SoAStore& s = m.store();
   for (const auto& job : m.jobs()) {
     const auto idx = static_cast<std::size_t>(job.id);
     if (idx >= partitions_.size() || partitions_[idx].empty()) continue;
@@ -117,8 +118,8 @@ void EquipartitionScheduler::place_partitions(Machine& m, SimTime now) {
       const int cur = m.cpus()[static_cast<std::size_t>(cpu)].thread;
       if (cur == want) continue;
       if (cur != Cpu::kIdle) m.vacate(cpu);
-      const auto& t = m.thread(want);
-      if (t.state == ThreadState::kReady && m.cpu_of(want) == -1) {
+      if (s.state[static_cast<std::size_t>(want)] == ThreadState::kReady &&
+          m.cpu_of(want) == -1) {
         m.place(cpu, want);
       }
     }
@@ -131,6 +132,7 @@ SimTime EquipartitionScheduler::quiescent_until(const Machine& m,
       count_active(m) != active_jobs_at_alloc_) {
     return now;  // tick() would join a job or reallocate
   }
+  const sim::SoAStore& s = m.store();
   for (const auto& job : m.jobs()) {
     const auto idx = static_cast<std::size_t>(job.id);
     if (idx >= partitions_.size() || partitions_[idx].empty()) continue;
@@ -142,8 +144,8 @@ SimTime EquipartitionScheduler::quiescent_until(const Machine& m,
       const int cur = m.cpus()[static_cast<std::size_t>(cpu)].thread;
       if (cur == want) continue;
       if (cur != Cpu::kIdle) return now;  // tick() would vacate it
-      const auto t = m.thread(want);
-      if (t.state == ThreadState::kReady && m.cpu_of(want) == -1) {
+      if (s.state[static_cast<std::size_t>(want)] == ThreadState::kReady &&
+          m.cpu_of(want) == -1) {
         return now;  // tick() would place the wanted thread
       }
     }

@@ -200,8 +200,8 @@ RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
     // A batched run charges the timeslices of the ticks it skipped at the
     // scheduler's next tick(); one more full step settles both runs.
     eng.step();
-    for (const auto& t : eng.machine().threads()) {
-      out.counters.push_back(lx->counter(t.id));
+    for (std::size_t i = 0; i < eng.machine().store().size(); ++i) {
+      out.counters.push_back(lx->counter(static_cast<int>(i)));
     }
     out.epochs = lx->epochs();
   }
@@ -214,17 +214,19 @@ RunSnapshot run(const RunSpec& s, std::unique_ptr<sim::Scheduler> sched,
   out.util_n = st.bus_utilization.count();
   out.util_mean = st.bus_utilization.mean();
   out.stretch_mean = st.stretch.mean();
-  for (const auto& t : eng.machine().threads()) {
+  const auto& ts = eng.machine().store();
+  for (std::size_t i = 0; i < ts.size(); ++i) {
     out.thread_doubles.insert(
         out.thread_doubles.end(),
-        {t.progress_us, t.warmth, t.consecutive_spin_us,
-         t.next_io_at_progress, t.bus_transactions, t.bus_attempts, t.run_us,
-         t.spin_us, t.stolen_us, t.ready_wait_us, t.barrier_wait_us,
-         t.io_wait_us, t.mgr_blocked_us});
+        {ts.progress_us[i], ts.warmth[i], ts.consecutive_spin_us[i],
+         ts.next_io_at_progress[i], ts.bus_transactions[i],
+         ts.bus_attempts[i], ts.run_us[i], ts.spin_us[i], ts.stolen_us[i],
+         ts.ready_wait_us[i], ts.barrier_wait_us[i], ts.io_wait_us[i],
+         ts.mgr_blocked_us[i]});
     out.thread_ints.insert(out.thread_ints.end(),
-                           {static_cast<int>(t.state), t.last_cpu,
-                            static_cast<int>(t.migrations),
-                            static_cast<int>(t.io_wake_us & 0x7fffffff)});
+                           {static_cast<int>(ts.state[i]), ts.last_cpu[i],
+                            static_cast<int>(ts.migrations[i]),
+                            static_cast<int>(ts.io_wake_us[i] & 0x7fffffff)});
   }
   for (const auto& j : eng.machine().jobs()) {
     out.completions.push_back(j.completed ? j.completion_us : 0);

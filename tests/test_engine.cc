@@ -104,8 +104,9 @@ TEST(Engine, BarrierCoupledSiblingsStayWithinOneInterval) {
   for (int step = 0; step < 100; ++step) {
     eng.step();
     const auto& j = eng.machine().job(job);
-    const double p0 = eng.machine().thread(j.thread_ids[0]).progress_us;
-    const double p1 = eng.machine().thread(j.thread_ids[1]).progress_us;
+    const auto& progress = eng.machine().store().progress_us;
+    const double p0 = progress[static_cast<std::size_t>(j.thread_ids[0])];
+    const double p1 = progress[static_cast<std::size_t>(j.thread_ids[1])];
     EXPECT_LE(std::abs(p0 - p1), 2'000.0 + 1e-6) << "step " << step;
   }
 }
@@ -118,7 +119,7 @@ TEST(Engine, DescheduledSiblingStallsPartnerAtBarrier) {
    public:
     void tick(Machine& m, SimTime, trace::ScheduleTrace&) override {
       if (m.cpus()[0].thread == Cpu::kIdle &&
-          m.thread(0).state == ThreadState::kReady) {
+          m.store().state[0] == ThreadState::kReady) {
         m.place(0, 0);
       }
     }
@@ -131,12 +132,13 @@ TEST(Engine, DescheduledSiblingStallsPartnerAtBarrier) {
   const int job = eng.add_job(simple_job("par", 2, 100'000.0, 1.0, 2'000.0));
   for (int i = 0; i < 100; ++i) eng.step();  // 100 ms
 
-  const auto& j = eng.machine().job(job);
-  const auto& t0 = eng.machine().thread(j.thread_ids[0]);
-  EXPECT_LE(t0.progress_us, 2'000.0 + 1e-6);
-  EXPECT_GT(t0.spin_us, 0.0);
+  const auto& s = eng.machine().store();
+  const auto t0 = static_cast<std::size_t>(
+      eng.machine().job(job).thread_ids[0]);
+  EXPECT_LE(s.progress_us[t0], 2'000.0 + 1e-6);
+  EXPECT_GT(s.spin_us[t0], 0.0);
   // After the spin grace the thread yielded the processor.
-  EXPECT_EQ(t0.state, ThreadState::kBarrierWait);
+  EXPECT_EQ(s.state[t0], ThreadState::kBarrierWait);
   EXPECT_EQ(eng.machine().cpus()[0].thread, Cpu::kIdle);
 }
 
@@ -145,8 +147,9 @@ TEST(Engine, UncoupledJobNeverSpins) {
              std::make_unique<PinnedScheduler>());
   const int job = eng.add_job(simple_job("free", 2, 100'000.0, 1.0, 0.0));
   eng.run();
+  const auto& spin_us = eng.machine().store().spin_us;
   for (int tid : eng.machine().job(job).thread_ids) {
-    EXPECT_DOUBLE_EQ(eng.machine().thread(tid).spin_us, 0.0);
+    EXPECT_DOUBLE_EQ(spin_us[static_cast<std::size_t>(tid)], 0.0);
   }
 }
 
@@ -155,9 +158,9 @@ TEST(Engine, WarmthGrowsWhileRunning) {
              std::make_unique<PinnedScheduler>());
   eng.add_job(simple_job("j", 1, 500'000.0, 1.0));
   for (int i = 0; i < 10; ++i) eng.step();
-  const double w10 = eng.machine().thread(0).warmth;
+  const double w10 = eng.machine().store().warmth[0];
   for (int i = 0; i < 30; ++i) eng.step();
-  const double w40 = eng.machine().thread(0).warmth;
+  const double w40 = eng.machine().store().warmth[0];
   EXPECT_GT(w10, 0.0);
   EXPECT_GT(w40, w10);
   EXPECT_LE(w40, 1.0);
@@ -178,9 +181,9 @@ TEST(Engine, MigrationResetsWarmth) {
   Engine eng(MachineConfig{}, quiet_engine(), std::make_unique<Flipper>());
   eng.add_job(simple_job("mover", 1, 400'000.0, 1.0));
   for (int i = 0; i < 60; ++i) eng.step();  // past the first flip
-  const auto& t = eng.machine().thread(0);
-  EXPECT_GE(t.migrations, 1u);
-  EXPECT_LT(t.warmth, 0.5);  // reset at the 50 ms flip, partially rebuilt
+  const auto& s = eng.machine().store();
+  EXPECT_GE(s.migrations[0], 1u);
+  EXPECT_LT(s.warmth[0], 0.5);  // reset at the 50 ms flip, partially rebuilt
 }
 
 TEST(Engine, ColdThreadIssuesExtraDemand) {
@@ -193,7 +196,7 @@ TEST(Engine, ColdThreadIssuesExtraDemand) {
   spec.cache.cold_demand_boost = 1.0;
   eng.add_job(spec);
   for (int i = 0; i < 5; ++i) eng.step();
-  const double early = eng.machine().thread(0).bus_attempts / 5'000.0;
+  const double early = eng.machine().store().bus_attempts[0] / 5'000.0;
   EXPECT_GT(early, 2.5);  // boosted well above the base 2.0
 }
 
@@ -218,10 +221,10 @@ TEST(Engine, OsNoiseStealsTime) {
   Engine eng(MachineConfig{}, ecfg, std::make_unique<PinnedScheduler>());
   const int job = eng.add_job(simple_job("j", 1, 500'000.0, 0.1));
   eng.run();
-  const auto& t = eng.machine().thread(0);
-  EXPECT_GT(t.stolen_us, 0.0);
+  const double stolen = eng.machine().store().stolen_us[0];
+  EXPECT_GT(stolen, 0.0);
   EXPECT_GT(static_cast<double>(eng.machine().job(job).turnaround_us()),
-            500'000.0 + t.stolen_us * 0.5);
+            500'000.0 + stolen * 0.5);
 }
 
 TEST(Engine, NoiseDisabledMeansNoStolenTime) {
@@ -229,7 +232,7 @@ TEST(Engine, NoiseDisabledMeansNoStolenTime) {
              std::make_unique<PinnedScheduler>());
   eng.add_job(simple_job("j", 1, 100'000.0, 0.1));
   eng.run();
-  EXPECT_DOUBLE_EQ(eng.machine().thread(0).stolen_us, 0.0);
+  EXPECT_DOUBLE_EQ(eng.machine().store().stolen_us[0], 0.0);
 }
 
 TEST(Engine, InfiniteJobNeverCompletes) {
@@ -288,11 +291,12 @@ TEST(Engine, WallTimeConservation) {
   eng.run();
   const auto& m = eng.machine();
   const auto& j = m.job(job);
+  const auto& s = m.store();
   for (int tid : j.thread_ids) {
-    const auto& t = m.thread(tid);
-    const double total = t.run_us + t.spin_us + t.stolen_us +
-                         t.ready_wait_us + t.barrier_wait_us +
-                         t.mgr_blocked_us;
+    const auto i = static_cast<std::size_t>(tid);
+    const double total = s.run_us[i] + s.spin_us[i] + s.stolen_us[i] +
+                         s.ready_wait_us[i] + s.barrier_wait_us[i] +
+                         s.mgr_blocked_us[i];
     // Thread existed from 0 until job completion (threads of a coupled job
     // finish within one barrier interval of each other).
     EXPECT_NEAR(total, static_cast<double>(j.completion_us),

@@ -50,7 +50,7 @@ TEST(IoJobs, BlockingStretchesTurnaround) {
   const double t = static_cast<double>(eng.machine().job(j).turnaround_us());
   EXPECT_GT(t, 85'000.0);
   EXPECT_LT(t, 105'000.0);
-  EXPECT_NEAR(eng.machine().thread(0).io_wait_us, 40'000.0, 12'000.0);
+  EXPECT_NEAR(eng.machine().store().io_wait_us[0], 40'000.0, 12'000.0);
 }
 
 TEST(IoJobs, CpuFreedDuringIoWait) {
@@ -67,8 +67,7 @@ TEST(IoJobs, CpuFreedDuringIoWait) {
   // The pure-CPU job finishes despite sharing one processor, because the
   // I/O job vacates while blocked.
   EXPECT_TRUE(eng.machine().job(1).completed);
-  const auto& cpu_thread = eng.machine().thread(1);
-  EXPECT_GT(cpu_thread.run_us, 50'000.0);
+  EXPECT_GT(eng.machine().store().run_us[1], 50'000.0);
 }
 
 TEST(IoJobs, DmaTrafficCountedOnBus) {
@@ -112,13 +111,13 @@ TEST(IoJobs, WaitAccountingPartitionsTime) {
   const int j =
       eng.add_job(io_job("io", 30'000.0, 6'000.0, 4'000.0, 1.0));
   eng.run();
-  const auto& t = eng.machine().thread(0);
+  const auto& s = eng.machine().store();
   const auto& job = eng.machine().job(j);
-  const double total = t.run_us + t.spin_us + t.stolen_us +
-                       t.ready_wait_us + t.barrier_wait_us + t.io_wait_us +
-                       t.mgr_blocked_us;
+  const double total = s.run_us[0] + s.spin_us[0] + s.stolen_us[0] +
+                       s.ready_wait_us[0] + s.barrier_wait_us[0] +
+                       s.io_wait_us[0] + s.mgr_blocked_us[0];
   EXPECT_NEAR(total, static_cast<double>(job.completion_us), 2'000.0);
-  EXPECT_GT(t.io_wait_us, 0.0);
+  EXPECT_GT(s.io_wait_us[0], 0.0);
 }
 
 TEST(IoJobs, ServerJobFactory) {
@@ -137,7 +136,7 @@ TEST(IoJobs, InfinitePeriodMeansNoIo) {
   const int j = eng.add_job(
       io_job("never", 50'000.0, JobSpec::kInfiniteWork, 5'000.0, 3.0));
   eng.run();
-  EXPECT_DOUBLE_EQ(eng.machine().thread(0).io_wait_us, 0.0);
+  EXPECT_DOUBLE_EQ(eng.machine().store().io_wait_us[0], 0.0);
   EXPECT_NEAR(static_cast<double>(eng.machine().job(j).turnaround_us()),
               50'000.0, 2'000.0);
 }

@@ -74,8 +74,8 @@ TEST(LinuxSched, CountersDecrementOnlyWhileRunning) {
   for (int i = 0; i < 10; ++i) eng.step();
   // Exactly 4 threads ran for 10 ms; their counters are lower.
   int drained = 0;
-  for (const auto& t : eng.machine().threads()) {
-    if (sched.counter(t.id) < 100'000.0 - 1.0) ++drained;
+  for (std::size_t i = 0; i < eng.machine().store().size(); ++i) {
+    if (sched.counter(static_cast<int>(i)) < 100'000.0 - 1.0) ++drained;
   }
   EXPECT_EQ(drained, 4);
 }
@@ -120,8 +120,9 @@ TEST(LinuxSched, AffinityKeepsThreadsHome) {
   eng.add_job(cpu_job("a", 2, 300'000.0));
   eng.add_job(cpu_job("b", 2, 300'000.0));
   eng.run();
-  for (const auto& t : eng.machine().threads()) {
-    EXPECT_EQ(t.migrations, 0u) << "thread " << t.id;
+  const auto& migrations = eng.machine().store().migrations;
+  for (std::size_t i = 0; i < migrations.size(); ++i) {
+    EXPECT_EQ(migrations[i], 0u) << "thread " << i;
   }
 }
 
@@ -136,8 +137,8 @@ TEST(LinuxSched, GoodnessZeroWhenExpired) {
   eng.add_job(cpu_job("a", 1, 5.0e6));
   eng.add_job(cpu_job("b", 1, 5.0e6));
   eng.run_until(sim::ms(300));
-  EXPECT_GT(eng.machine().thread(0).progress_us, 0.0);
-  EXPECT_GT(eng.machine().thread(1).progress_us, 0.0);
+  EXPECT_GT(eng.machine().store().progress_us[0], 0.0);
+  EXPECT_GT(eng.machine().store().progress_us[1], 0.0);
 }
 
 TEST(LinuxSched, JitteredSlicesDesynchronize) {
@@ -150,7 +151,7 @@ TEST(LinuxSched, JitteredSlicesDesynchronize) {
   eng.step();
   // Initial counters differ across threads (random phases).
   bool any_diff = false;
-  for (std::size_t i = 1; i < eng.machine().threads().size(); ++i) {
+  for (std::size_t i = 1; i < eng.machine().store().size(); ++i) {
     if (std::abs(sched.counter(static_cast<int>(i)) - sched.counter(0)) >
         1.0) {
       any_diff = true;
@@ -185,9 +186,10 @@ TEST(LinuxSched, ObliviousToBandwidth) {
   eng.add_job(cpu_job("quiet", 4, 500'000.0));
   eng.run_until(sim::sec(2));
   double hog_run = 0.0, quiet_run = 0.0;
-  for (const auto& t : eng.machine().threads()) {
-    if (t.app_id == 0) hog_run += t.run_us + t.spin_us;
-    else quiet_run += t.run_us + t.spin_us;
+  const auto& s = eng.machine().store();
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s.app_id[i] == 0) hog_run += s.run_us[i] + s.spin_us[i];
+    else quiet_run += s.run_us[i] + s.spin_us[i];
   }
   // Shares within ~25% of each other while both are present. The quiet job
   // finishes early, so compare over its lifetime only.

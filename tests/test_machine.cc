@@ -23,13 +23,13 @@ TEST(Machine, AddJobCreatesThreads) {
   const int b = m.add_job(spec2("b", 3));
   EXPECT_EQ(a, 0);
   EXPECT_EQ(b, 1);
-  EXPECT_EQ(m.threads().size(), 5u);
+  EXPECT_EQ(m.store().size(), 5u);
   EXPECT_EQ(m.job(a).thread_ids.size(), 2u);
   EXPECT_EQ(m.job(b).thread_ids.size(), 3u);
   // Threads know their owner and index.
-  EXPECT_EQ(m.thread(2).app_id, b);
-  EXPECT_EQ(m.thread(2).tidx, 0);
-  EXPECT_EQ(m.thread(4).tidx, 2);
+  EXPECT_EQ(m.store().app_id[2], b);
+  EXPECT_EQ(m.store().tidx[2], 0);
+  EXPECT_EQ(m.store().tidx[4], 2);
 }
 
 TEST(Machine, PlaceAndVacate) {
@@ -47,31 +47,31 @@ TEST(Machine, FirstPlacementIsNotAMigration) {
   Machine m(MachineConfig{});
   m.add_job(spec2("a"));
   m.place(2, 0);
-  EXPECT_EQ(m.thread(0).migrations, 0u);
-  EXPECT_EQ(m.thread(0).last_cpu, 2);
+  EXPECT_EQ(m.store().migrations[0], 0u);
+  EXPECT_EQ(m.store().last_cpu[0], 2);
 }
 
 TEST(Machine, MigrationCountsAndResetsWarmth) {
   Machine m(MachineConfig{});
   m.add_job(spec2("a"));
   m.place(0, 0);
-  m.thread(0).warmth = 0.9;
+  m.store().warmth[0] = 0.9;
   m.vacate(0);
   m.place(3, 0);  // different CPU
-  EXPECT_EQ(m.thread(0).migrations, 1u);
-  EXPECT_DOUBLE_EQ(m.thread(0).warmth, 0.0);
-  EXPECT_EQ(m.thread(0).last_cpu, 3);
+  EXPECT_EQ(m.store().migrations[0], 1u);
+  EXPECT_DOUBLE_EQ(m.store().warmth[0], 0.0);
+  EXPECT_EQ(m.store().last_cpu[0], 3);
 }
 
 TEST(Machine, RepeatPlacementOnSameCpuKeepsWarmth) {
   Machine m(MachineConfig{});
   m.add_job(spec2("a"));
   m.place(0, 0);
-  m.thread(0).warmth = 0.7;
+  m.store().warmth[0] = 0.7;
   m.vacate(0);
   m.place(0, 0);
-  EXPECT_EQ(m.thread(0).migrations, 0u);
-  EXPECT_DOUBLE_EQ(m.thread(0).warmth, 0.7);
+  EXPECT_EQ(m.store().migrations[0], 0u);
+  EXPECT_DOUBLE_EQ(m.store().warmth[0], 0.7);
 }
 
 TEST(Machine, VacateAllClearsEveryCpu) {
@@ -80,15 +80,6 @@ TEST(Machine, VacateAllClearsEveryCpu) {
   for (int c = 0; c < 4; ++c) m.place(c, c);
   m.vacate_all();
   for (const auto& cpu : m.cpus()) EXPECT_EQ(cpu.thread, Cpu::kIdle);
-}
-
-TEST(Machine, JobMinProgressTracksSlowestThread) {
-  Machine m(MachineConfig{});
-  const int a = m.add_job(spec2("a", 3));
-  m.thread(0).progress_us = 10.0;
-  m.thread(1).progress_us = 4.0;
-  m.thread(2).progress_us = 7.0;
-  EXPECT_DOUBLE_EQ(m.job_min_progress(m.job(a)), 4.0);
 }
 
 TEST(Machine, AllFiniteJobsDone) {
@@ -105,10 +96,10 @@ TEST(Machine, AllFiniteJobsDone) {
 TEST(Machine, TransactionAggregation) {
   Machine m(MachineConfig{});
   const int a = m.add_job(spec2("a", 2));
-  m.thread(0).bus_transactions = 100.0;
-  m.thread(1).bus_transactions = 50.0;
-  m.thread(0).bus_attempts = 130.0;
-  m.thread(1).bus_attempts = 60.0;
+  m.store().bus_transactions[0] = 100.0;
+  m.store().bus_transactions[1] = 50.0;
+  m.store().bus_attempts[0] = 130.0;
+  m.store().bus_attempts[1] = 60.0;
   EXPECT_DOUBLE_EQ(m.job_bus_transactions(m.job(a)), 150.0);
   EXPECT_DOUBLE_EQ(m.job_bus_attempts(m.job(a)), 190.0);
 }

@@ -213,9 +213,9 @@ TEST(ManagedScheduler, NonElectedAppsAreManagerBlocked) {
   eng.step();
   const auto& m = eng.machine();
   int blocked = 0, placed = 0;
-  for (const auto& t : m.threads()) {
-    if (t.state == sim::ThreadState::kManagerBlocked) ++blocked;
-    if (m.cpu_of(t.id) != -1) ++placed;
+  for (std::size_t i = 0; i < m.store().size(); ++i) {
+    if (m.store().state[i] == sim::ThreadState::kManagerBlocked) ++blocked;
+    if (m.cpu_of(static_cast<int>(i)) != -1) ++placed;
   }
   EXPECT_EQ(blocked, 4);
   EXPECT_EQ(placed, 4);
@@ -228,8 +228,8 @@ TEST(ManagedScheduler, BlockedAppAccumulatesMgrBlockedTime) {
   eng.add_job(job("b", 4, 500'000.0, 1.0));
   eng.run();
   double blocked_total = 0.0;
-  for (const auto& t : eng.machine().threads()) {
-    blocked_total += t.mgr_blocked_us;
+  for (const double us : eng.machine().store().mgr_blocked_us) {
+    blocked_total += us;
   }
   EXPECT_GT(blocked_total, 100'000.0);
 }
@@ -245,7 +245,9 @@ TEST(ManagedScheduler, HeadOfListGuaranteesEveryAppRuns) {
   eng.run_until(sim::sec(4));
   for (const auto& j : eng.machine().jobs()) {
     double run = 0.0;
-    for (int tid : j.thread_ids) run += eng.machine().thread(tid).run_us;
+    for (int tid : j.thread_ids) {
+      run += eng.machine().store().run_us[static_cast<std::size_t>(tid)];
+    }
     EXPECT_GT(run, 100'000.0) << "job " << j.spec.name << " starved";
   }
 }
@@ -261,7 +263,9 @@ TEST(ManagedScheduler, AffinityPreservedAcrossQuanta) {
   // rotating gang pairs still force some moves, but far fewer than one
   // migration per placement (~15 elections x 4 placements here).
   std::uint64_t migrations = 0;
-  for (const auto& t : eng.machine().threads()) migrations += t.migrations;
+  for (const std::uint64_t n : eng.machine().store().migrations) {
+    migrations += n;
+  }
   EXPECT_LE(migrations, 20u);
 }
 

@@ -90,7 +90,8 @@ TEST(OpenSystem, LateArrivalWaitsForNextElection) {
   eng.run_until(ms(300));
   const auto& late_threads = eng.machine().jobs()[1].thread_ids;
   for (int tid : late_threads) {
-    EXPECT_NE(eng.machine().thread(tid).state, ThreadState::kDone);
+    EXPECT_NE(eng.machine().store().state[static_cast<std::size_t>(tid)],
+              ThreadState::kDone);
     EXPECT_EQ(eng.machine().cpu_of(tid), -1);
   }
   eng.run();

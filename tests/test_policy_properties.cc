@@ -106,6 +106,7 @@ TEST_P(GangInvariantSweep, SiblingsAlwaysCoScheduled) {
   eng.run();
 
   ASSERT_TRUE(eng.trace().no_oversubscription());
+  const auto& state = eng.machine().store().state;
   for (std::uint64_t t_ms = 20; t_ms < 1500; t_ms += 73) {
     const auto ivs = eng.trace().intervals_in(t_ms * 1000, t_ms * 1000 + 1);
     std::map<int, int> per_app;
@@ -118,7 +119,7 @@ TEST_P(GangInvariantSweep, SiblingsAlwaysCoScheduled) {
       // either also running or in a transient wait, never kManagerBlocked.
       if (count == 1) {
         for (int tid : job.thread_ids) {
-          EXPECT_NE(eng.machine().thread(tid).state,
+          EXPECT_NE(state[static_cast<std::size_t>(tid)],
                     sim::ThreadState::kManagerBlocked)
               << "split gang at t=" << t_ms << "ms app=" << app_id;
         }

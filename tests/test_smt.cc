@@ -53,10 +53,11 @@ TEST(Smt, SiblingContextsSlowEachOther) {
      public:
       FixedPlacement(int a, int b) : a_(a), b_(b) {}
       void tick(Machine& m, SimTime, trace::ScheduleTrace&) override {
-        if (m.cpu_of(0) == -1 && m.thread(0).state == ThreadState::kReady) {
+        const auto& state = m.store().state;
+        if (m.cpu_of(0) == -1 && state[0] == ThreadState::kReady) {
           m.place(a_, 0);
         }
-        if (m.cpu_of(1) == -1 && m.thread(1).state == ThreadState::kReady) {
+        if (m.cpu_of(1) == -1 && state[1] == ThreadState::kReady) {
           m.place(b_, 1);
         }
       }
@@ -111,10 +112,11 @@ TEST(Smt, SpinningSiblingDoesNotPenalize) {
       // Thread 0 (compute job) on context 0; thread 2 = the coupled job's
       // first thread on context 1 (sibling). The coupled job's second
       // thread (3) never runs, so thread 2 spins almost immediately.
-      if (m.cpu_of(0) == -1 && m.thread(0).state == ThreadState::kReady) {
+      const auto& state = m.store().state;
+      if (m.cpu_of(0) == -1 && state[0] == ThreadState::kReady) {
         m.place(0, 0);
       }
-      if (m.cpu_of(2) == -1 && m.thread(2).state == ThreadState::kReady) {
+      if (m.cpu_of(2) == -1 && state[2] == ThreadState::kReady) {
         m.place(1, 2);
       }
     }
@@ -146,7 +148,7 @@ TEST(Smt, SharedCacheDisturbanceAcrossContexts) {
   eng.add_job(stream);
   for (int i = 0; i < 100; ++i) eng.step();
   // The resident thread cannot hold full warmth next to the streamer.
-  EXPECT_LT(eng.machine().thread(0).warmth, 0.6);
+  EXPECT_LT(eng.machine().store().warmth[0], 0.6);
 }
 
 TEST(Smt, ManagedPlacementSpreadsAcrossCores) {

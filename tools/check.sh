@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full local gate: build + lint + test across the sanitizer matrix.
+# Full local gate: build + lint + test across the sanitizer matrix, then
+# a stress leg.
 #
-#   tools/check.sh            # plain, thread, address, undefined
+#   tools/check.sh            # plain, thread, address, undefined, stress
 #   tools/check.sh plain tsan # subset: plain + thread
 #
 # Each configuration gets its own build directory (build-check-<name>), so
@@ -9,13 +10,19 @@
 # sanitizer configurations run the concurrency/robustness labels that the
 # instrumentation is for (chaos, soak, syschaos) plus the lint gate; the
 # address and undefined ones add the sim label (the simulator's bit-identity
-# guards: bus model, batching, engine). The
+# guards and the machine/scheduler tests that index its per-thread arrays;
+# the undefined build aborts on the first report). The
 # thread configuration adds the locks label (the mutex-taking thread pool,
 # client and manager-server tests) and skips the soak: the recovery soak
 # forks a supervised manager from a multi-threaded process, which TSan
 # refuses to run ("starting new threads after multi-threaded fork is not
 # supported"). The syschaos label stays fork-free by construction
 # (tests/CMakeLists.txt), so TSan runs it in full.
+#
+# The stress configuration reuses the plain build: it repeats every
+# syschaos, soak and locks test until it fails (at most 20 times) beside a
+# `ctest -L repro` load loop, and keeps the console output, with the full
+# output of every failing test, in build-check-plain/stress/<UTC time>.log.
 #
 # Legs continue past failures so one run reports every broken
 # configuration; the summary table at the end shows per-leg results and
@@ -27,7 +34,7 @@ jobs=$(nproc 2>/dev/null || echo 4)
 
 configs=("$@")
 if [ ${#configs[@]} -eq 0 ]; then
-  configs=(plain thread address undefined)
+  configs=(plain thread address undefined stress)
 fi
 
 legs=()      # "<config>/<step>" per leg, in run order
@@ -59,15 +66,36 @@ ctest_leg() {  # ctest_leg <builddir> [label-regex]
   fi
 }
 
+stress_stop=""  # the repro load loop runs until this file exists
+trap '[ -n "$stress_stop" ] && touch "$stress_stop"' EXIT
+
+stress_leg() {  # stress_leg <builddir>
+  local dir="$1" log rc
+  mkdir -p "$dir/stress"
+  log="$dir/stress/$(date -u +%Y%m%dT%H%M%SZ).log"
+  stress_stop="$dir/stress/stop"
+  rm -f "$stress_stop"
+  (cd "$dir" && until [ -e stress/stop ]; do ctest -L repro >/dev/null 2>&1; done) &
+  (cd "$dir" && ctest --output-on-failure -j "$jobs" \
+     -L 'syschaos|soak|locks' --repeat until-fail:20) >"$log" 2>&1
+  rc=$?
+  touch "$stress_stop"
+  wait
+  tail -n 3 "$log"; echo "stress log: $log"
+  return "$rc"
+}
+
 for cfg in "${configs[@]}"; do
   case "$cfg" in
     plain)               sanitize="" ;;
     thread|tsan)         cfg=thread;    sanitize=thread ;;
     address|asan)        cfg=address;   sanitize=address ;;
     undefined|ubsan)     cfg=undefined; sanitize=undefined ;;
+    stress)              sanitize="" ;;
     *) echo "check.sh: unknown configuration '$cfg'" >&2; exit 2 ;;
   esac
   dir="build-check-$cfg"
+  [ "$cfg" = stress ] && dir=build-check-plain
 
   run_leg "$cfg" configure \
     cmake -S . -B "$dir" -DBBSCHED_SANITIZE="$sanitize" \
@@ -80,6 +108,7 @@ for cfg in "${configs[@]}"; do
 
   case "$cfg" in
     plain)  run_leg "$cfg" ctest ctest_leg "$dir" || true ;;
+    stress) run_leg "$cfg" repeat stress_leg "$dir" || true ;;
     thread) run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|fuzz|lint|locks|syschaos' || true ;;
     *)      run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|soak|fuzz|lint|syschaos|sim' || true ;;
   esac
