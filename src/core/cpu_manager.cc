@@ -304,8 +304,9 @@ double CpuManager::policy_estimate(int app_id) const {
 
 // Runs inside schedule_quantum on every quantum boundary.
 void CpuManager::apply_staleness_policy(std::uint64_t now_us,
-                                        bool full_quantum) {
-  const double quantum = static_cast<double>(cfg_.quantum_us);
+                                        std::uint64_t ran_us) {
+  const double quantum =
+      static_cast<double>(ran_us > 0 ? ran_us : cfg_.quantum_us);
   const StalenessConfig& st = cfg_.staleness;
   const bool tracing = tracer_ != nullptr && tracer_->enabled();
   int live_feeds = 0;
@@ -314,8 +315,8 @@ void CpuManager::apply_staleness_policy(std::uint64_t now_us,
   // elapsed: a mid-quantum re-election (job disconnect) may legitimately
   // arrive before the first sampling point, and must fold exactly like the
   // pre-hardening manager did (bit-identical fault-free behaviour).
-  full_quantum =
-      full_quantum || now_us >= last_election_us_ + cfg_.quantum_us;
+  const bool full_quantum =
+      ran_us > 0 || now_us >= last_election_us_ + cfg_.quantum_us;
 
   for (int id : running_) {
     auto it = apps_.find(id);
@@ -398,10 +399,10 @@ void CpuManager::apply_staleness_policy(std::uint64_t now_us,
 // The per-quantum election path, run once per scheduling quantum.
 const ElectionResult& CpuManager::schedule_quantum(int nprocs,
                                                    std::uint64_t now_us,
-                                                   bool full_quantum) {
+                                                   std::uint64_t ran_us) {
   // (1) Update statistics of the jobs that ran during the ending quantum,
   // advancing the staleness ladder of any feed that went silent.
-  apply_staleness_policy(now_us, full_quantum);
+  apply_staleness_policy(now_us, ran_us);
 
   // (2) Move previously running jobs to the end of the list, preserving
   // their relative order (splice: no node churn on the steady-state path).

@@ -182,12 +182,12 @@ class CpuManager {
   /// timestamps the observability events of this election (simulated time
   /// in the simulator, monotonic wall time in the native runtime). A feed
   /// that posted no sample counts as silent only if a whole quantum ended:
-  /// by default when `now_us` lies a quantum past the previous election;
-  /// `full_quantum` asserts it for a caller that paces elections on a
-  /// deadline grid, where a wake-up can follow a later one by less.
+  /// by default when `now_us` lies a quantum past the previous election. A
+  /// caller that paces elections on a grid passes `ran_us` > 0, how long the
+  /// gang ran: the quantum ended whole, and its samples fold over `ran_us`.
   const ElectionResult& schedule_quantum(int nprocs,
                                          std::uint64_t now_us = 0,
-                                         bool full_quantum = false);
+                                         std::uint64_t ran_us = 0);
 
   /// BBW/thread estimate the active policy would use right now.
   [[nodiscard]] double policy_estimate(int app_id) const;
@@ -281,7 +281,7 @@ class CpuManager {
   /// End-of-quantum staleness bookkeeping for the apps that ran: folds live
   /// feeds, advances miss streaks of silent ones along the hold → decay →
   /// quarantine ladder, and flips the manager-wide degraded mode.
-  void apply_staleness_policy(std::uint64_t now_us, bool full_quantum);
+  void apply_staleness_policy(std::uint64_t now_us, std::uint64_t ran_us);
   void count_fault(obs::FaultKind kind, int app_id, double value,
                    std::uint64_t now_us);
 

@@ -4,8 +4,10 @@
 // The application's runtime accumulates the bus-transaction counts of all
 // its threads and writes the total into the arena at every update period
 // (the manager asks for updates twice per scheduling quantum); the manager
-// reads it at its sampling points. All fields are lock-free atomics — the
-// two processes never block each other.
+// reads it at its sampling points. The manager writes the application's
+// run state before each block/unblock signal, and the signalled threads
+// obey it (signal_gate.h). All fields are lock-free atomics — the two
+// processes never block each other.
 #pragma once
 
 #include <atomic>
@@ -23,7 +25,15 @@ namespace bbsched::runtime {
 struct Arena {
   static constexpr std::uint32_t kMagic = 0x62627377;  // "bbsw"
 
+  static constexpr std::uint32_t kRun = 0;
+  static constexpr std::uint32_t kBlocked = 1;
+
   std::uint32_t magic = kMagic;
+
+  /// The manager's intent for the application: kRun or kBlocked. Written
+  /// by the manager before it signals the leader, never read back by it;
+  /// each signal only tells the threads to re-read it.
+  std::atomic<std::uint32_t> run_state{kRun};
 
   /// Cumulative bus transactions of all application threads (written by the
   /// application, read by the manager).
@@ -43,8 +53,9 @@ struct Arena {
   std::atomic<std::uint32_t> threads_registered{0};
 };
 
-static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
-              "arena requires lock-free 64-bit atomics");
+static_assert(std::atomic<std::uint64_t>::is_always_lock_free &&
+                  std::atomic<std::uint32_t>::is_always_lock_free,
+              "arena requires lock-free 32- and 64-bit atomics");
 
 /// Creates the anonymous backing file for one arena, sized and sealed to
 /// sizeof(Arena). Returns the fd, or -1 with errno set (ENOMEM/ENOSPC

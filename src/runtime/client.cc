@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstring>
 
-#include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/syscall.h>
 #include <sys/un.h>
@@ -19,7 +18,10 @@
 
 namespace bbsched::runtime {
 
-Client::~Client() { disconnect(); }
+Client::~Client() {
+  disconnect();
+  for (Arena* arena : mapped_) arena_unmap(arena);
+}
 
 bool Client::connect(const std::string& socket_path, const std::string& name,
                      int nthreads, const ConnectRetry& retry) {
@@ -160,6 +162,7 @@ bool Client::connect(const std::string& socket_path, const std::string& name,
   generation_.store(gen, std::memory_order_relaxed);
   update_period_us_.store(ack.update_period_us, std::memory_order_relaxed);
   nthreads_ = nthreads;
+  mapped_.push_back(arena);
   arena_.store(arena, std::memory_order_release);
   sock_.store(sock, std::memory_order_release);
   unmanaged_.store(false, std::memory_order_relaxed);
@@ -173,7 +176,7 @@ bool Client::connect(const std::string& socket_path, const std::string& name,
 }
 
 int Client::register_worker() {
-  SignalGate::instance().register_current_thread();
+  SignalGate::instance().register_current_thread(&arena_);
   const int slot = perfctr::global_counters().register_thread();
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -251,15 +254,16 @@ bool Client::try_reattach() {
 
   ReadyMsg msg{};
   if (!send_msg(sock, MsgType::kReady, gen, &msg, sizeof(msg))) {
-    ::munmap(arena, sizeof(Arena));
+    arena_unmap(arena);
     ::close(sock);
     return false;
   }
 
-  Arena* old_arena = arena_.exchange(arena, std::memory_order_acq_rel);
+  // The old arena stays mapped: a signal handler may still be reading it.
+  mapped_.push_back(arena);
+  arena_.store(arena, std::memory_order_release);
   const int old_sock = sock_.exchange(sock, std::memory_order_acq_rel);
   if (old_sock >= 0) ::close(old_sock);
-  if (old_arena != nullptr) ::munmap(old_arena, sizeof(Arena));
   update_period_us_.store(ack.update_period_us, std::memory_order_relaxed);
   generation_.store(gen, std::memory_order_relaxed);
 
@@ -334,8 +338,8 @@ void Client::disconnect() {
   }
   const int sock = sock_.exchange(-1, std::memory_order_acq_rel);
   if (sock >= 0) ::close(sock);
-  Arena* arena = arena_.exchange(nullptr, std::memory_order_acq_rel);
-  if (arena != nullptr) ::munmap(arena, sizeof(Arena));
+  // The workers now read "run"; the arena stays mapped until destruction.
+  arena_.store(nullptr, std::memory_order_release);
 }
 
 }  // namespace bbsched::runtime

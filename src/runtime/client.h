@@ -69,8 +69,10 @@ class Client {
   bool connect(const std::string& socket_path, const std::string& name,
                int nthreads, const ConnectRetry& retry);
 
-  /// Registers the calling thread as a worker (signal gate + counter slot).
-  /// Returns the thread's counter slot. Call once per worker thread.
+  /// Registers the calling thread as a worker (signal gate + counter slot):
+  /// it then obeys the run state the manager writes into this client's
+  /// arena. Returns the thread's counter slot. Call once per worker thread,
+  /// and unregister it before the Client is destroyed.
   int register_worker();
 
   /// Removes the calling thread from signal forwarding. Call from the
@@ -166,6 +168,11 @@ class Client {
   // through the accessors above.
   std::atomic<int> sock_{-1};
   std::atomic<Arena*> arena_{nullptr};
+  /// Every arena this client mapped. Only the destructor unmaps them: a
+  /// worker's signal handler may still be reading one that a reattach or
+  /// disconnect() swapped out. Written by connect() and the updater, never
+  /// both at once.
+  std::vector<Arena*> mapped_;
   std::atomic<std::uint64_t> update_period_us_{0};
   int nthreads_ = 0;
 

@@ -275,7 +275,7 @@ bool ManagerServer::start() {
 
   stopping_ = false;
   started_ = true;
-  quantum_start_us_ = monotonic_now_us();
+  quantum_start_us_ = last_election_us_ = monotonic_now_us();
   samples_taken_ = 0;
   thread_ = std::thread([this] { loop(); });
   return true;
@@ -322,8 +322,12 @@ void ManagerServer::stop() {
 bool ManagerServer::set_blocked(AppConn& app, bool blocked) {
   if (app.blocked == blocked) return true;
   app.blocked = blocked;
-  // One signal to the leader thread; the application runtime forwards it to
-  // the siblings (signal_gate.h).
+  // The arena holds the intent; one signal tells the leader thread to read
+  // it, and the application runtime forwards it to the siblings
+  // (signal_gate.h). The word is never read back: a client that overwrites
+  // it can only disobey, as it could by masking the signals.
+  app.arena->run_state.store(blocked ? Arena::kBlocked : Arena::kRun,
+                             std::memory_order_release);
   const int rc = tgkill_portable(app.pid, app.leader_tid,
                                  blocked ? kBlockSignal : kUnblockSignal);
   if (rc < 0 && errno == ESRCH) {
@@ -779,18 +783,19 @@ void ManagerServer::sample_running(std::uint64_t now_us) {
 void ManagerServer::quantum_boundary(std::uint64_t now_us) {
   std::lock_guard<std::mutex> lk(mu_);
   const std::uint64_t election_t0 = monotonic_now_us();
-  // Every boundary closes a whole grid quantum, even when this wake-up
-  // came less than a quantum after a later previous one.
-  const core::ElectionResult& result =
-      manager_.schedule_quantum(cfg_.nprocs, now_us, /*full_quantum=*/true);
+  // Every boundary closes a whole grid quantum; a late wake-up stretches it
+  // and shortens the next, so the samples fold over the time each ran.
+  const core::ElectionResult& result = manager_.schedule_quantum(
+      cfg_.nprocs, now_us, now_us - last_election_us_);
+  last_election_us_ = now_us;
   if (m_election_us_ != nullptr) {
     m_election_us_->observe(
         static_cast<double>(monotonic_now_us() - election_t0));
   }
   ++elections_;
   // The next quantum starts on the grid, not at this (late) wake-up. The
-  // deadlines a stalled manager slept through, and a next one too close to
-  // run a gang on, are counted, not replayed as back-to-back elections.
+  // deadlines a stalled manager slept through are counted, not replayed as
+  // back-to-back elections.
   const std::uint64_t deadline = quantum_start_us_ + cfg_.manager.quantum_us;
   const GridStep step = advance_quantum_grid(
       quantum_start_us_, cfg_.manager.quantum_us, now_us);

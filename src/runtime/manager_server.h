@@ -243,6 +243,7 @@ class ManagerServer {
   /// Grid start of the current quantum: its sample points and boundary are
   /// absolute deadlines measured from here (advance_quantum_grid).
   std::uint64_t quantum_start_us_ = 0;
+  std::uint64_t last_election_us_ = 0;  ///< start() before the first one
   int samples_taken_ = 0;  ///< sample points of this quantum already passed
   bool stopping_ = false;
   /// poll set: listen fd, wake pipe, then one entry per apps_ slot. Sized
@@ -303,21 +304,17 @@ struct GridStep {
 /// Advances the quantum grid past the boundary of the quantum that began at
 /// `start_us`, reached at `now_us`. The next deadline stays on the grid of
 /// `start_us + k * period_us`, not a period after the wake-up, so lateness
-/// never accumulates. It is the first grid point at least 7/8 of a period
-/// after `now_us`: a wake-up up to 1/8 period late keeps the next deadline,
-/// a later one also skips it, and one k periods late skips k. Skipped
-/// deadlines are counted, never replayed. The next quantum therefore lasts
-/// between 7/8 and 15/8 of a period (DESIGN.md §5 gives the reason for the
-/// floor). An early call counts as on time. `period_us` > 0.
+/// never accumulates. It is the first grid point after `now_us`: a wake-up
+/// less than a period late keeps the next deadline, and one k periods late
+/// skips k. Skipped deadlines are counted, never replayed. The next quantum
+/// therefore lasts more than 0 and at most one period. An early call counts
+/// as on time. `period_us` > 0.
 [[nodiscard]] constexpr GridStep advance_quantum_grid(
     std::uint64_t start_us, std::uint64_t period_us,
     std::uint64_t now_us) noexcept {
   const std::uint64_t deadline = start_us + period_us;
-  const std::uint64_t slack = period_us / 8;
   const std::uint64_t skipped =
-      now_us > deadline + slack
-          ? (now_us - deadline - slack + period_us - 1) / period_us
-          : 0;
+      now_us > deadline ? (now_us - deadline) / period_us : 0;
   return {deadline + skipped * period_us, skipped};
 }
 

@@ -3,7 +3,7 @@
 // travels back to the application as SCM_RIGHTS ancillary data, so no
 // filesystem-visible shm names are needed and cleanup is automatic.
 //
-// Protocol v2 frames every message:
+// Every message is framed:
 //
 //   [MsgHeader: magic | version | type | payload_len | generation] [payload]
 //
@@ -28,7 +28,10 @@
 namespace bbsched::runtime {
 
 inline constexpr std::uint32_t kProtocolMagic = 0x62627332;  // "bbs2"
-inline constexpr std::uint16_t kProtocolVersion = 2;
+/// Covers the frames and the Arena layout: version 3 added
+/// Arena::run_state, so an older peer is refused at the handshake instead
+/// of misreading the arena.
+inline constexpr std::uint16_t kProtocolVersion = 3;
 inline constexpr std::size_t kMaxAppName = 48;
 
 enum class MsgType : std::uint16_t {

@@ -1,22 +1,16 @@
 #include "runtime/signal_gate.h"
 
 #include <cassert>
-#include <cstring>
-#include <sys/syscall.h>
-#include <unistd.h>
+#include <cerrno>
 
 namespace bbsched::runtime {
 
 namespace {
 /// Slot of the calling thread; -1 until registered.
 thread_local int t_slot = -1;
-
-pid_t gettid_portable() {
-  return static_cast<pid_t>(::syscall(SYS_gettid));
-}
 }  // namespace
 
-// bbsched:signal called from both handlers
+// bbsched:signal called from the handler
 SignalGate& SignalGate::instance() {
   static SignalGate gate;
   return gate;
@@ -27,7 +21,7 @@ void SignalGate::install() {
   if (!installed_.compare_exchange_strong(expected, true)) return;
 
   struct sigaction sa{};
-  sa.sa_handler = &SignalGate::handle_block;
+  sa.sa_handler = &SignalGate::handle;
   sigemptyset(&sa.sa_mask);
   // Keep the unblock signal deliverable while the block handler runs so the
   // suspension loop can be woken.
@@ -35,26 +29,21 @@ void SignalGate::install() {
   const int rc1 = sigaction(kBlockSignal, &sa, nullptr);
   assert(rc1 == 0);
   (void)rc1;
-
-  sa.sa_handler = &SignalGate::handle_unblock;
   const int rc2 = sigaction(kUnblockSignal, &sa, nullptr);
   assert(rc2 == 0);
   (void)rc2;
 }
 
-int SignalGate::register_current_thread() {
+int SignalGate::register_current_thread(const std::atomic<Arena*>* arena) {
   install();
+  unregister_current_thread();  // a thread obeys one word
   const int slot = nthreads_.fetch_add(1, std::memory_order_acq_rel);
   assert(slot < kMaxThreads && "signal gate slot table exhausted");
   handles_[slot] = pthread_self();
-  blocks_[slot].store(0, std::memory_order_relaxed);
-  unblocks_[slot].store(0, std::memory_order_relaxed);
+  arenas_[slot].store(arena, std::memory_order_relaxed);
   suspended_[slot].store(false, std::memory_order_relaxed);
   active_[slot].store(true, std::memory_order_release);
   t_slot = slot;
-  if (slot == 0) {
-    leader_tid_.store(gettid_portable(), std::memory_order_release);
-  }
   return slot;
 }
 
@@ -65,48 +54,56 @@ void SignalGate::unregister_current_thread() {
   }
 }
 
-// bbsched:signal reads only a thread_local
-int SignalGate::slot_of_self() const { return t_slot; }
+// bbsched:signal installed for SIGUSR1 (block) and SIGUSR2 (unblock)
+void SignalGate::handle(int signo) {
+  const int saved_errno = errno;
+  // An unregistered thread (e.g. the arena updater) ignores both signals.
+  if (t_slot >= 0) instance().on_signal(t_slot, signo);
+  errno = saved_errno;
+}
 
-// bbsched:signal leader's handler fans intents out to the other threads
-void SignalGate::forward(int signo) {
-  // Called from the leader's handler: fan the intent out to every other
-  // registered thread. pthread_kill is async-signal-safe.
+// bbsched:signal reads the word the thread obeys
+bool SignalGate::blocked(const std::atomic<Arena*>* arena) const {
+  if (arena == nullptr) {
+    return own_state_.load(std::memory_order_relaxed) == Arena::kBlocked;
+  }
+  const Arena* current = arena->load(std::memory_order_acquire);
+  return current != nullptr &&
+         current->run_state.load(std::memory_order_acquire) == Arena::kBlocked;
+}
+
+// bbsched:signal passes `signo` from an arena's first thread to the rest
+void SignalGate::forward(int slot, const std::atomic<Arena*>* arena,
+                         int signo) {
   const int n = nthreads_.load(std::memory_order_acquire);
-  for (int s = 1; s < n; ++s) {
-    if (active_[s].load(std::memory_order_acquire)) {
-      pthread_kill(handles_[s], signo);
+  for (int s = 0; s < n; ++s) {
+    if (s == slot || !active_[s].load(std::memory_order_acquire) ||
+        arenas_[s].load(std::memory_order_relaxed) != arena) {
+      continue;
     }
+    if (s < slot) return;  // an earlier thread forwards, not this one
+    pthread_kill(handles_[s], signo);
   }
 }
 
-// bbsched:signal installed as the SIGUSR1 (block) handler
-void SignalGate::handle_block(int /*signo*/) {
-  const int saved_errno = errno;
-  instance().on_block();
-  errno = saved_errno;
-}
+// bbsched:signal the forwarding and the suspension loop, in handler context
+void SignalGate::on_signal(int slot, int signo) {
+  const std::atomic<Arena*>* const arena =
+      arenas_[slot].load(std::memory_order_relaxed);
+  if (arena == nullptr) {
+    own_state_.store(signo == kBlockSignal ? Arena::kBlocked : Arena::kRun,
+                     std::memory_order_relaxed);
+  }
 
-// bbsched:signal installed as the SIGUSR2 (unblock) handler
-void SignalGate::handle_unblock(int /*signo*/) {
-  const int saved_errno = errno;
-  instance().on_unblock();
-  errno = saved_errno;
-}
+  if (signo == kUnblockSignal) forward(slot, arena, signo);
+  if (signo != kBlockSignal) return;
 
-// bbsched:signal the suspension loop, runs entirely in handler context
-void SignalGate::on_block() {
-  const int slot = slot_of_self();
-  if (slot < 0) return;  // unregistered thread (e.g. the arena updater)
-  if (released_.load(std::memory_order_relaxed)) return;  // free-run mode
-  if (slot == 0) forward(kBlockSignal);
-
-  blocks_[slot].fetch_add(1, std::memory_order_relaxed);
-
-  // The paper's counting rule: suspend only while blocks exceed unblocks,
-  // tolerating inverted delivery of consecutive block/unblock intents. A
-  // release (manager died) also ends the suspension: the releasing thread
-  // wakes us with an unblock signal and the flag breaks the loop.
+  // Suspend while the word says blocked. A release (manager died) also ends
+  // the suspension: the releasing thread wakes us with an unblock signal
+  // and the flag breaks the loop. The block goes to the others on every
+  // pass: blocks sent to this thread while it is in its handler stay
+  // masked, so a sibling that ran on a "run" this thread woke too late to
+  // see is told only here.
   //
   // The unblock signal stays masked from the loop check until sigsuspend
   // unmasks it atomically: an unblock landing in between stays pending and
@@ -119,21 +116,12 @@ void SignalGate::on_block() {
   pthread_sigmask(SIG_BLOCK, &unblock_set, &wait_mask);
   sigdelset(&wait_mask, kUnblockSignal);
 
-  while (!released_.load(std::memory_order_relaxed) &&
-         blocks_[slot].load(std::memory_order_relaxed) >
-             unblocks_[slot].load(std::memory_order_relaxed)) {
+  while (!released_.load(std::memory_order_relaxed) && blocked(arena)) {
+    forward(slot, arena, kBlockSignal);
     suspended_[slot].store(true, std::memory_order_relaxed);
     sigsuspend(&wait_mask);  // returns after the unblock handler ran
   }
   suspended_[slot].store(false, std::memory_order_relaxed);
-}
-
-// bbsched:signal runs in handler context
-void SignalGate::on_unblock() {
-  const int slot = slot_of_self();
-  if (slot < 0) return;
-  if (slot == 0) forward(kUnblockSignal);
-  unblocks_[slot].fetch_add(1, std::memory_order_relaxed);
 }
 
 void SignalGate::signal_slot(int slot, int signo) {
@@ -146,7 +134,7 @@ void SignalGate::release_all() {
   released_.store(true, std::memory_order_release);
   // Wake every registered thread: a suspended one re-checks the loop
   // condition (the flag now breaks it); a running one takes a harmless
-  // unblock (extra unblocks never suspend anyone under the counting rule).
+  // unblock.
   const int n = nthreads_.load(std::memory_order_acquire);
   for (int s = 0; s < n; ++s) {
     if (active_[s].load(std::memory_order_acquire)) {
@@ -155,28 +143,16 @@ void SignalGate::release_all() {
   }
 }
 
-void SignalGate::rearm() {
-  // Square the counts so history from the dead manager cannot re-suspend
-  // (or permanently unblock) anyone under the new one.
-  const int n = nthreads_.load(std::memory_order_acquire);
-  for (int s = 0; s < n; ++s) {
-    unblocks_[s].store(blocks_[s].load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-  }
-  released_.store(false, std::memory_order_release);
-}
-
 void SignalGate::reset_for_tests() {
   const int n = nthreads_.load(std::memory_order_acquire);
   for (int s = 0; s < n; ++s) {
     assert(!suspended_[s].load(std::memory_order_relaxed) &&
            "cannot reset the gate while a thread is suspended");
     active_[s].store(false, std::memory_order_relaxed);
-    blocks_[s].store(0, std::memory_order_relaxed);
-    unblocks_[s].store(0, std::memory_order_relaxed);
+    arenas_[s].store(nullptr, std::memory_order_relaxed);
   }
   nthreads_.store(0, std::memory_order_release);
-  leader_tid_.store(0, std::memory_order_release);
+  own_state_.store(Arena::kRun, std::memory_order_relaxed);
   released_.store(false, std::memory_order_release);
   t_slot = -1;
 }

@@ -158,6 +158,25 @@ TEST(CpuManager, LatestVsWindowEstimatesDiffer) {
   EXPECT_DOUBLE_EQ(window.policy_estimate(0), 20.0);
 }
 
+TEST(CpuManager, GridPacedElectionFoldsOverTheTimeTheGangRan) {
+  // A late wake-up leaves the next grid quantum short, here 100 µs of a
+  // 200 ms one. Its samples fold over the 100 µs the gang ran, so the
+  // estimate is the gang's rate, not 1/2000 of it.
+  const ManagerConfig c = cfg();
+  CpuManager mgr(c);
+  const int id = mgr.connect("a", 2);
+  std::uint64_t now = 1'000'000;
+  mgr.schedule_quantum(4, now, c.quantum_us);
+  now += c.quantum_us;
+  mgr.record_sample(id, 3.0 * 2 * static_cast<double>(c.quantum_us), now);
+  mgr.schedule_quantum(4, now, c.quantum_us);
+  EXPECT_DOUBLE_EQ(mgr.policy_estimate(id), 3.0);
+  now += 100;
+  mgr.record_sample(id, 5.0 * 2 * 100, now);
+  mgr.schedule_quantum(4, now, /*ran_us=*/100);
+  EXPECT_DOUBLE_EQ(mgr.policy_estimate(id), 5.0);
+}
+
 TEST(CpuManager, SampleForUnknownAppIsIgnored) {
   CpuManager mgr(cfg());
   mgr.record_sample(123, 1e6);  // no crash, no effect

@@ -81,11 +81,6 @@ bool wait_for_elections(const ManagerServer& server, std::uint64_t target) {
 }
 
 TEST(ManagerAllocGate, SteadyQuantaAllocateNothing) {
-  // A never-signalled slot 0: only slot 0 forwards block/unblock intents to
-  // the other registered threads, so each client's signals then reach its
-  // own worker only.
-  SignalGate::instance().register_current_thread();
-
   const std::string base = "/tmp/bbsched-alloc-" + std::to_string(::getpid());
   obs::Tracer tracer(
       obs::TracerConfig{.enabled = true, .capacity = std::size_t{1} << 16});

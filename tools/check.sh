@@ -11,7 +11,8 @@
 # instrumentation is for (chaos, soak, syschaos) plus the lint gate; the
 # address and undefined ones add the sim label (the simulator's bit-identity
 # guards and the machine/scheduler tests that index its per-thread arrays;
-# the undefined build aborts on the first report). The
+# the undefined build aborts on the first report) and the gate label (the
+# signal gate, which TSan cannot run: it defers asynchronous signals). The
 # thread configuration adds the locks label (the mutex-taking thread pool,
 # client and manager-server tests) and skips the soak: the recovery soak
 # forks a supervised manager from a multi-threaded process, which TSan
@@ -20,9 +21,10 @@
 # (tests/CMakeLists.txt), so TSan runs it in full.
 #
 # The stress configuration reuses the plain build: it repeats every
-# syschaos, soak and locks test until it fails (at most 20 times) beside a
-# `ctest -L repro` load loop, and keeps the console output, with the full
-# output of every failing test, in build-check-plain/stress/<UTC time>.log.
+# syschaos, soak, locks and gate test until it fails (at most 20 times)
+# beside a `ctest -L repro` load loop, and keeps the console output, with
+# the full output of every failing test, in
+# build-check-plain/stress/<UTC time>.log.
 #
 # Legs continue past failures so one run reports every broken
 # configuration; the summary table at the end shows per-leg results and
@@ -77,7 +79,7 @@ stress_leg() {  # stress_leg <builddir>
   rm -f "$stress_stop"
   (cd "$dir" && until [ -e stress/stop ]; do ctest -L repro >/dev/null 2>&1; done) &
   (cd "$dir" && ctest --output-on-failure -j "$jobs" \
-     -L 'syschaos|soak|locks' --repeat until-fail:20) >"$log" 2>&1
+     -L 'syschaos|soak|locks|gate' --repeat until-fail:20) >"$log" 2>&1
   rc=$?
   touch "$stress_stop"
   wait
@@ -110,7 +112,7 @@ for cfg in "${configs[@]}"; do
     plain)  run_leg "$cfg" ctest ctest_leg "$dir" || true ;;
     stress) run_leg "$cfg" repeat stress_leg "$dir" || true ;;
     thread) run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|fuzz|lint|locks|syschaos' || true ;;
-    *)      run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|soak|fuzz|lint|syschaos|sim' || true ;;
+    *)      run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|soak|fuzz|lint|syschaos|sim|gate' || true ;;
   esac
 done
 
