@@ -1,16 +1,23 @@
 // google-benchmark microbenchmarks for the hot paths of the simulator and
 // the scheduling policies: bus fixed-point resolution, gang elections,
-// engine tick throughput, and the statistics primitives the policies use.
+// engine tick throughput with and without the tracer and the counter-fault
+// hook, the parallel sweep harness, and the statistics primitives the
+// policies use. tests/test_perf_smoke.cc gates the same engine benches on
+// allocating nothing.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/election.h"
 #include "core/managed_scheduler.h"
+#include "experiments/parallel.h"
+#include "experiments/runner.h"
 #include "linuxsched/linux_sched.h"
+#include "obs/tracer.h"
 #include "sim/bus_model.h"
 #include "sim/engine.h"
 #include "stats/moving_window.h"
@@ -126,10 +133,14 @@ void BM_Election(benchmark::State& state) {
 }
 BENCHMARK(BM_Election)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
+// Arg 1 turns the counter-fault hook on: 10% of reads dropped, 10% noisy.
 void BM_EngineTickManaged(benchmark::State& state) {
   sim::EngineConfig ecfg;
   ecfg.max_time_us = sim::kForever;
   core::ManagedSchedulerConfig mcfg;
+  mcfg.counter_faults.enabled = state.range(0) != 0;
+  mcfg.counter_faults.drop_prob = 0.10;
+  mcfg.counter_faults.noise_prob = 0.10;
   sim::Engine eng(sim::MachineConfig{}, ecfg,
                   std::make_unique<core::ManagedScheduler>(mcfg));
   const sim::BusConfig bus;
@@ -141,7 +152,7 @@ void BM_EngineTickManaged(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EngineTickManaged);
+BENCHMARK(BM_EngineTickManaged)->Arg(0)->Arg(1);
 
 void BM_EngineTickLinux(benchmark::State& state) {
   sim::EngineConfig ecfg;
@@ -160,6 +171,60 @@ void BM_EngineTickLinux(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EngineTickLinux);
+
+// The Fig. 1 pinned engine (Raytrace + 2 BBMA, OS noise on), built and
+// warmed with the timer paused as the allocation gate warms it, then timed
+// over 5,000 ticks of run_until, which batches quiet ticks as the
+// experiments do. Arg 1 enables the tracer: the two rows' ratio is the
+// tracer's cost on the simulator.
+void BM_EngineRunUntil(benchmark::State& state) {
+  constexpr std::uint64_t kTicks = 5'000;
+  const experiments::ExperimentConfig cfg;
+  const auto w = workload::fig1_with_bbma(
+      workload::paper_application("Raytrace"), cfg.machine.bus);
+  obs::Tracer tracer({.enabled = state.range(0) != 0});
+  std::optional<sim::Engine> eng;
+  for (auto _ : state) {
+    state.PauseTiming();
+    eng.reset();
+    tracer.clear();
+    eng.emplace(cfg.machine, cfg.engine,
+                experiments::make_scheduler(
+                    experiments::SchedulerKind::kPinned, cfg));
+    eng->set_tracer(&tracer);
+    for (const auto& job : w.jobs) eng->add_job(job);
+    for (int i = 0; i < 512; ++i) eng->step();
+    eng->run_until(eng->now() + 2048 * eng->config().tick_us);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        eng->run_until(eng->now() + kTicks * eng->config().tick_us));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kTicks));
+}
+BENCHMARK(BM_EngineRunUntil)->Arg(0)->Arg(1);
+
+// Fig. 2's mixed Volrend set, Window scored against Linux over four seeds,
+// on a pool of 1, 2 and 4 workers. Every output is bit-identical to the
+// serial sweep (tests/test_parallel.cc); this times how the pool scales.
+void BM_ParallelSweep(benchmark::State& state) {
+  experiments::ExperimentConfig cfg;
+  cfg.time_scale = 0.1;
+  const auto w = workload::fig2_mixed(workload::paper_application("Volrend"),
+                                      cfg.machine.bus);
+  experiments::ParallelExecutor executor(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(experiments::parallel_sweep_improvement(
+        w, experiments::SchedulerKind::kQuantaWindow,
+        experiments::SchedulerKind::kLinux, cfg, 4, executor));
+  }
+}
+BENCHMARK(BM_ParallelSweep)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MovingWindowPush(benchmark::State& state) {
   stats::MovingWindow w(5);

@@ -19,8 +19,8 @@
 //                a justification-less allow is a finding, never a no-op)
 //
 // The hot-path (no allocation after warm-up) and lock-order contracts are
-// enforced dynamically: `perf_ticks --smoke` and the TSan leg of
-// tools/check.sh.
+// enforced dynamically: tests/test_perf_smoke.cc (`ctest -L perf_smoke`)
+// and the TSan leg of tools/check.sh.
 //
 // Files are added by repo-relative path (which drives rule scoping) with
 // their content, so tests lint in-memory fixture snippets through exactly

@@ -44,7 +44,7 @@ void elect_into(const std::vector<Candidate>& candidates, int nprocs,
   }
 
   // Reused scratch: per-quantum elections must not touch the heap once the
-  // buffer reached the list length (the perf_ticks zero-alloc gate).
+  // buffer reached the list length (the perf_smoke allocation gate).
   static thread_local std::vector<char> taken;
   taken.assign(candidates.size(), 0);
 

@@ -87,7 +87,8 @@ enum class ElectionRule {
 
 /// Allocation-free variant: fills `out` in place (its vectors keep their
 /// capacity across elections). The CPU manager's per-quantum path uses this
-/// so the steady-state managed tick path stays heap-free (bench/perf_ticks).
+/// so the steady-state managed tick path stays heap-free
+/// (tests/test_perf_smoke.cc).
 void elect_into(const std::vector<Candidate>& candidates, int nprocs,
                 double total_bus_bw, ElectionRule rule,
                 std::vector<CandidateDecision>* audit, ElectionResult& out);

@@ -13,7 +13,7 @@
 // The injector is allocation-free after construction: deciding the fate of
 // a read is a handful of xoshiro draws and comparisons, so the simulator's
 // allocation-free tick path stays allocation-free with injection compiled
-// in — enabled or not (bench/perf_ticks asserts both).
+// in — enabled or not (tests/test_perf_smoke.cc asserts both).
 #pragma once
 
 #include <cstdint>

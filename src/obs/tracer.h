@@ -4,7 +4,8 @@
 // `enabled()` (one branch on a bool) before even assembling the payload,
 // and a disabled tracer records nothing. Enabled, recording is two stores
 // into preallocated storage — the engine's allocation-free tick path stays
-// allocation-free with tracing on (bench/perf_ticks measures both modes).
+// allocation-free with tracing on (tests/test_perf_smoke.cc gates it, and
+// micro_benchmarks' BM_EngineRunUntil times both modes).
 //
 // The tracer is single-writer: in the simulator everything runs on one
 // thread; in the native runtime only the manager thread records (and

@@ -4,11 +4,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 #include <sys/stat.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include "experiments/cli.h"
 
@@ -209,8 +211,6 @@ TEST(Cli, EveryBinaryHelpAndUnknownFlag) {
       {"bench/fig1b_slowdown", true, {}},
       {"bench/fig2", true, {}},
       {"bench/fig2_sweep", true, {"--seeds=N"}},
-      {"bench/perf_ticks", true,
-       {"--ticks=N", "--seeds=N", "--workers=N", "--smoke"}},
       {"tools/bbsched_kernel", false,
        {"--kind=KIND", "--socket=PATH", "--name=NAME", "--tps=X",
         "--seconds=S", "--threads=N"}},
@@ -222,7 +222,7 @@ TEST(Cli, EveryBinaryHelpAndUnknownFlag) {
         "--procs=N", "--bus-tps=X", "--run-seconds=S",
         "--status-interval=S"}},
       {"tools/opt_solve", true, {"--procs=N", "--self-check"}},
-      {"tools/perf_compare", false, {"--min-speedup=X"}},
+      {"tools/perf_compare", false, {}},
       {"tools/proto_fuzz", false,
        {"--frames=N", "--seconds=N", "--seed=N", "--verbose"}},
       {"examples/trace_inspect", false, {"--demo", "--quantum=N", "--limit=N"}},
@@ -276,11 +276,6 @@ TEST(Cli, BinariesRejectBadValuesNamingTheFlag) {
       {"bench/fig2_sweep --seeds=abc", "--seeds"},
       {"bench/fig2_sweep --seeds=3x", "--seeds"},
       {"bench/fig2_sweep --seeds=-1", "--seeds"},
-      {"bench/perf_ticks --ticks=abc", "--ticks"},
-      {"bench/perf_ticks --ticks=0", "--ticks"},
-      {"bench/perf_ticks --seeds=0", "--seeds"},
-      {"bench/perf_ticks --seeds=2x", "--seeds"},
-      {"bench/perf_ticks --workers=-1", "--workers"},
       {"bench/fig1a_bus_transactions --app=Nope", "--app"},
       {"bench/fig2 --app=Nope", "--app"},
       {"bench/fig2_sweep --app=Nope", "--app"},
@@ -291,7 +286,6 @@ TEST(Cli, BinariesRejectBadValuesNamingTheFlag) {
       {"tools/opt_solve --procs=abc", "--procs"},
       {"tools/proto_fuzz --frames=abc", "--frames"},
       {"tools/proto_fuzz --seed=1x", "--seed"},
-      {"tools/perf_compare A B --min-speedup=abc", "--min-speedup"},
       {"examples/trace_inspect --demo --quantum=x", "--quantum"},
       {"examples/schedule_gantt SP abc", "SECONDS"},
       {"examples/policy_playground latest abc", "QUANTA"},
@@ -304,6 +298,38 @@ TEST(Cli, BinariesRejectBadValuesNamingTheFlag) {
     EXPECT_NE(out.find(std::string("invalid value")), std::string::npos)
         << c.command << ": " << out;
     EXPECT_NE(out.find(c.named), std::string::npos) << c.command << ": " << out;
+  }
+}
+
+// perf_compare reads the files `perfbench/compare.py --perf-compare-out`
+// writes: it prints each shared metric's old and new value per workload,
+// and exits 2 naming a file it cannot parse.
+TEST(Cli, PerfCompareReadsCompareOutput) {
+  const std::string base =
+      "/tmp/bbsched-perfcmp-" + std::to_string(::getpid());
+  const std::string parent = base + ".b.json";
+  const std::string change = base + ".a.json";
+  const std::string bad = base + ".bad.json";
+  std::ofstream(parent) << R"({"eval_serial": {"wall_s": 6.5, )"
+                           R"("setup_s": 0.002}, "managerd": {"wall_s": 5}})";
+  std::ofstream(change) << R"({"eval_serial": {"wall_s": 6.25, )"
+                           R"("setup_s": 0.0021}, "managerd": {"wall_s": 5}})";
+  std::ofstream(bad) << R"({"eval_serial": {"wall_s": 6.5,)";
+  const std::string tool = binary("tools/perf_compare");
+
+  std::string out;
+  EXPECT_EQ(run(tool + " " + parent + " " + change, out), 0) << out;
+  for (const char* want :
+       {"eval_serial\n", "managerd\n", "wall_s", "6.5 ->", "6.25",
+        "-3.8%", "setup_s", "0.002 ->", "0.0021", "+5.0%", "+0.0%"}) {
+    EXPECT_NE(out.find(want), std::string::npos) << want << " in: " << out;
+  }
+
+  std::string rejected;
+  EXPECT_EQ(run(tool + " " + parent + " " + bad, rejected), 2) << rejected;
+  EXPECT_NE(rejected.find(bad), std::string::npos) << rejected;
+  for (const std::string& file : {parent, change, bad}) {
+    std::remove(file.c_str());
   }
 }
 
