@@ -67,7 +67,8 @@ int main(int argc, char** argv) {
                           cost_cfg});
     }
   }
-  const auto runs = experiments::run_workloads_parallel(requests, opt.jobs);
+  const auto runs = experiments::run_workloads_parallel(
+      requests, experiments::ParallelExecutor(opt.jobs));
 
   const std::size_t stride = 2 * static_cast<std::size_t>(kSeeds);
   for (std::size_t c = 0; c < copy_counts.size(); ++c) {

@@ -45,7 +45,8 @@ int main(int argc, char** argv) {
     qcfg.managed.manager.quantum_us = q_ms * sim::kUsPerMs;
     requests.push_back({w, experiments::SchedulerKind::kQuantaWindow, qcfg});
   }
-  const auto runs = experiments::run_workloads_parallel(requests, opt.jobs);
+  const auto runs = experiments::run_workloads_parallel(
+      requests, experiments::ParallelExecutor(opt.jobs));
   const auto& linux_run = runs[0];
 
   stats::Table table("Manager quantum sweep (workload: " + w.name + ")");

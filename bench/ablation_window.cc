@@ -124,7 +124,8 @@ int main(int argc, char** argv) {
     wcfg.managed.manager.ewma_alpha = alpha;
     requests.push_back({w, experiments::SchedulerKind::kManagedCustom, wcfg});
   }
-  const auto runs = experiments::run_workloads_parallel(requests, opt.jobs);
+  const auto runs = experiments::run_workloads_parallel(
+      requests, experiments::ParallelExecutor(opt.jobs));
 
   const auto& linux_run = runs[0];
   auto improvement = [&](const experiments::RunResult& run) {

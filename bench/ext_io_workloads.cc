@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
     requests.push_back({w, experiments::SchedulerKind::kLatestQuantum, cfg});
     requests.push_back({w, experiments::SchedulerKind::kQuantaWindow, cfg});
   }
-  const auto runs = experiments::run_workloads_parallel(requests, opt.jobs);
+  const auto runs = experiments::run_workloads_parallel(
+      requests, experiments::ParallelExecutor(opt.jobs));
 
   for (std::size_t d = 0; d < dma_rates.size(); ++d) {
     const double dma_tps = dma_rates[d];

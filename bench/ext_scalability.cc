@@ -66,7 +66,8 @@ int main(int argc, char** argv) {
     requests.push_back({w, experiments::SchedulerKind::kLatestQuantum, cfg});
     requests.push_back({w, experiments::SchedulerKind::kQuantaWindow, cfg});
   }
-  const auto runs = experiments::run_workloads_parallel(requests, opt.jobs);
+  const auto runs = experiments::run_workloads_parallel(
+      requests, experiments::ParallelExecutor(opt.jobs));
 
   for (std::size_t c = 0; c < cpu_counts.size(); ++c) {
     const auto& linux_run = runs[3 * c];

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
                     "T_window HT(s)", "T_window HT-off(s)"});
 
   // Per app: linux/latest/window on the HT machine + the HT-off reference —
-  // 4 requests per app, all batched through the pool.
+  // 4 requests per app, all batched through the executor.
   std::vector<experiments::RunRequest> requests;
   for (const auto& name : names) {
     const auto& app = workload::paper_application(name);
@@ -75,7 +75,8 @@ int main(int argc, char** argv) {
     requests.push_back({off_w, experiments::SchedulerKind::kQuantaWindow,
                         off_cfg});
   }
-  const auto runs = experiments::run_workloads_parallel(requests, opt.jobs);
+  const auto runs = experiments::run_workloads_parallel(
+      requests, experiments::ParallelExecutor(opt.jobs));
 
   for (std::size_t a = 0; a < names.size(); ++a) {
     const auto& linux_run = runs[4 * a];

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     table.set_header(
         {"app", "linux", "equipartition", "latest", "window",
          "window vs equi"});
-    // Per app: one run per kind, whole set batched through the pool.
+    // Per app: one run per kind, whole set batched through the executor.
     std::vector<experiments::RunRequest> requests;
     for (const auto& name : names) {
       const auto& app = workload::paper_application(name);

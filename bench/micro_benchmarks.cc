@@ -205,8 +205,9 @@ void BM_EngineRunUntil(benchmark::State& state) {
 BENCHMARK(BM_EngineRunUntil)->Arg(0)->Arg(1);
 
 // Fig. 2's mixed Volrend set, Window scored against Linux over four seeds,
-// on a pool of 1, 2 and 4 workers. Every output is bit-identical to the
-// serial sweep (tests/test_parallel.cc); this times how the pool scales.
+// at 1, 2 and 4 workers: each sweep is one fork-join of 8 runs, the caller
+// among the workers. Every output is bit-identical to the serial sweep
+// (tests/test_parallel.cc); this times how the fork-join scales.
 void BM_ParallelSweep(benchmark::State& state) {
   experiments::ExperimentConfig cfg;
   cfg.time_scale = 0.1;

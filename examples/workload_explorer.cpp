@@ -96,7 +96,8 @@ int main(int argc, char** argv) {
                           experiments::SchedulerKind::kQuantaWindow}) {
     requests.push_back({w, kind, cfg});
   }
-  const auto runs = experiments::run_workloads_parallel(requests);
+  const auto runs = experiments::run_workloads_parallel(
+      requests, experiments::ParallelExecutor());
   for (const auto& r : runs) {
     std::printf("%-16s %12.2f s %11.1f%% %10.1f%% %11llu %11llu\n",
                 r.scheduler.c_str(), r.measured_mean_turnaround_us / 1e6,

@@ -30,7 +30,7 @@ workload::Workload make_fig2_workload(Fig2Set set,
 std::vector<Fig2Row> run_fig2(Fig2Set set,
                               const std::vector<workload::AppProfile>& apps,
                               const ExperimentConfig& cfg,
-                              ParallelExecutor& executor) {
+                              const ParallelExecutor& executor) {
   constexpr SchedulerKind kKinds[] = {SchedulerKind::kLinux,
                                       SchedulerKind::kLatestQuantum,
                                       SchedulerKind::kQuantaWindow};

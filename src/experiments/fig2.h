@@ -45,7 +45,7 @@ class ParallelExecutor;
 /// batch. Rows follow `apps` and are identical at any worker count.
 [[nodiscard]] std::vector<Fig2Row> run_fig2(
     Fig2Set set, const std::vector<workload::AppProfile>& apps,
-    const ExperimentConfig& cfg, ParallelExecutor& executor);
+    const ExperimentConfig& cfg, const ParallelExecutor& executor);
 
 /// Summary statistics over a set's rows (the paper quotes max and average
 /// improvements per set).

@@ -5,23 +5,17 @@
 namespace bbsched::experiments {
 
 std::vector<RunResult> run_workloads_parallel(
-    std::span<const RunRequest> requests, ParallelExecutor& executor) {
+    std::span<const RunRequest> requests, const ParallelExecutor& executor) {
   return executor.map(requests.size(), [&](std::size_t i) {
     const RunRequest& r = requests[i];
     return run_workload(r.workload, r.kind, r.cfg);
   });
 }
 
-std::vector<RunResult> run_workloads_parallel(
-    std::span<const RunRequest> requests, int workers) {
-  ParallelExecutor executor(workers);
-  return run_workloads_parallel(requests, executor);
-}
-
 std::vector<ImprovementStats> parallel_sweep_improvements(
     const workload::Workload& workload,
     std::span<const SchedulerKind> policies, SchedulerKind baseline,
-    const ExperimentConfig& cfg, int seeds, ParallelExecutor& executor) {
+    const ExperimentConfig& cfg, int seeds, const ParallelExecutor& executor) {
   // Seed s owns tasks [s * stride, (s + 1) * stride): its baseline run, then
   // one run per policy — the serial loop's runs in a fixed index layout,
   // with the baseline run shared by every policy instead of repeated.
@@ -56,21 +50,11 @@ ImprovementStats parallel_sweep_improvement(const workload::Workload& workload,
                                             SchedulerKind baseline,
                                             const ExperimentConfig& cfg,
                                             int seeds,
-                                            ParallelExecutor& executor) {
+                                            const ParallelExecutor& executor) {
   return parallel_sweep_improvements(
              workload, std::span<const SchedulerKind>(&policy, 1), baseline,
              cfg, seeds, executor)
       .front();
-}
-
-ImprovementStats parallel_sweep_improvement(const workload::Workload& workload,
-                                            SchedulerKind policy,
-                                            SchedulerKind baseline,
-                                            const ExperimentConfig& cfg,
-                                            int seeds, int workers) {
-  ParallelExecutor executor(workers);
-  return parallel_sweep_improvement(workload, policy, baseline, cfg, seeds,
-                                    executor);
 }
 
 }  // namespace bbsched::experiments

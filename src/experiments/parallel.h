@@ -11,54 +11,70 @@
 // workers).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <exception>
-#include <future>
 #include <span>
-#include <utility>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "experiments/runner.h"
 #include "experiments/sweep.h"
-#include "runtime/thread_pool.h"
 #include "workload/workload.h"
 
 namespace bbsched::experiments {
 
-/// Fans index-addressed tasks over a ThreadPool. Construct once and reuse
-/// across batches; the pool threads persist for the executor's lifetime.
+/// Fans index-addressed tasks over up to `workers` threads, one fork-join
+/// per batch: the caller works too, so one worker starts no thread.
 class ParallelExecutor {
  public:
-  /// `workers <= 0` sizes the pool to the hardware thread count.
-  explicit ParallelExecutor(int workers = 0) : pool_(workers) {}
+  /// `workers <= 0` means one per hardware thread.
+  explicit ParallelExecutor(int workers = 0)
+      : workers_(workers > 0
+                     ? static_cast<std::size_t>(workers)
+                     : std::max(1u, std::thread::hardware_concurrency())) {}
 
-  [[nodiscard]] int workers() const noexcept { return pool_.size(); }
-
-  /// Evaluates fn(i) for every i in [0, n) across the pool and returns the
-  /// results indexed by i. The result order is a function of `n` alone —
+  /// Evaluates fn(i) for every i in [0, n): the caller and
+  /// min(workers, n) - 1 helper threads take indices from one counter, and
+  /// each task writes slot i. The result order is a function of `n` alone —
   /// never of worker count or scheduling — so deterministic tasks yield
-  /// bit-identical batches at any pool size. Waits for the whole batch even
-  /// on failure, then rethrows the lowest-index exception.
+  /// bit-identical batches at any worker count. Waits for the whole batch
+  /// even on failure, then rethrows the lowest-index exception.
   template <class Fn>
-  auto map(std::size_t n, Fn&& fn)
+  auto map(std::size_t n, Fn&& fn) const
       -> std::vector<decltype(fn(std::size_t{}))> {
     using R = decltype(fn(std::size_t{}));
-    std::vector<std::future<R>> futures;
-    futures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      futures.push_back(pool_.submit([&fn, i] { return fn(i); }));
+    static_assert(!std::is_same_v<R, bool>,
+                  "std::vector<bool> packs slots into shared words");
+    std::vector<R> results(n);
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<std::size_t> next{0};
+    const auto work = [&] {
+      for (std::size_t i; (i = next.fetch_add(1)) < n;) {
+        try {
+          results[i] = fn(i);
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      }
+    };
+    {
+      std::vector<std::jthread> helpers;
+      for (std::size_t h = 1; h < std::min(workers_, n); ++h) {
+        helpers.emplace_back(work);
+      }
+      work();
+    }  // joins the helpers
+    for (const auto& e : errors) {
+      if (e) std::rethrow_exception(e);
     }
-    // Wait first so every task finishes before any result (or exception)
-    // is consumed: tasks reference `fn`, which must outlive them all.
-    for (auto& f : futures) f.wait();
-    std::vector<R> results;
-    results.reserve(n);
-    for (auto& f : futures) results.push_back(f.get());
     return results;
   }
 
  private:
-  runtime::ThreadPool pool_;
+  std::size_t workers_;
 };
 
 /// One simulation to run: a (workload, scheduler, config) triple.
@@ -68,15 +84,10 @@ struct RunRequest {
   ExperimentConfig cfg;
 };
 
-/// Runs every request through run_workload() across `executor`'s pool;
-/// results[i] corresponds to requests[i].
+/// Runs every request through run_workload() on `executor`; results[i]
+/// corresponds to requests[i].
 [[nodiscard]] std::vector<RunResult> run_workloads_parallel(
-    std::span<const RunRequest> requests, ParallelExecutor& executor);
-
-/// Convenience overload owning a one-shot pool of `workers` threads
-/// (`0` = hardware thread count).
-[[nodiscard]] std::vector<RunResult> run_workloads_parallel(
-    std::span<const RunRequest> requests, int workers = 0);
+    std::span<const RunRequest> requests, const ParallelExecutor& executor);
 
 /// Parallel counterpart of sweep_improvement() for several policies scored
 /// against one baseline. Each seed's baseline runs once and serves every
@@ -87,7 +98,7 @@ struct RunRequest {
 [[nodiscard]] std::vector<ImprovementStats> parallel_sweep_improvements(
     const workload::Workload& workload,
     std::span<const SchedulerKind> policies, SchedulerKind baseline,
-    const ExperimentConfig& cfg, int seeds, ParallelExecutor& executor);
+    const ExperimentConfig& cfg, int seeds, const ParallelExecutor& executor);
 
 /// One-policy case of parallel_sweep_improvements(): same seeds, same
 /// samples, same summary as sweep_improvement(), with the 2*seeds
@@ -95,12 +106,6 @@ struct RunRequest {
 [[nodiscard]] ImprovementStats parallel_sweep_improvement(
     const workload::Workload& workload, SchedulerKind policy,
     SchedulerKind baseline, const ExperimentConfig& cfg, int seeds,
-    ParallelExecutor& executor);
-
-/// Convenience overload owning a one-shot pool.
-[[nodiscard]] ImprovementStats parallel_sweep_improvement(
-    const workload::Workload& workload, SchedulerKind policy,
-    SchedulerKind baseline, const ExperimentConfig& cfg, int seeds,
-    int workers = 0);
+    const ParallelExecutor& executor);
 
 }  // namespace bbsched::experiments

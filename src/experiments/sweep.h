@@ -34,7 +34,7 @@ struct ImprovementStats {
 /// seeds (starting at cfg.engine.seed) and returns the distribution of
 ///   100 * (T_baseline - T_policy) / T_baseline.
 /// This is the serial reference path; experiments::parallel_sweep_improvement
-/// (experiments/parallel.h) produces bit-identical results on a thread pool.
+/// (experiments/parallel.h) produces bit-identical results at any worker count.
 [[nodiscard]] ImprovementStats sweep_improvement(
     const workload::Workload& workload, SchedulerKind policy,
     SchedulerKind baseline, const ExperimentConfig& cfg, int seeds);

@@ -21,8 +21,9 @@ namespace bbsched::obs {
 
 struct TracerConfig {
   bool enabled = false;
-  /// Ring capacity in events (~136 bytes each). The default holds every
-  /// event of a --fast fig-2 run (~40k ticks) with ample headroom.
+  /// Ring capacity in events (64 bytes each) when enabled; a disabled
+  /// tracer holds one slot. The default, 8 MiB, holds every event of a
+  /// --fast fig-2 run (~40k ticks) with ample headroom.
   std::size_t capacity = std::size_t{1} << 17;
 };
 
@@ -30,7 +31,7 @@ class Tracer {
  public:
   Tracer() : Tracer(TracerConfig{}) {}
   explicit Tracer(const TracerConfig& cfg)
-      : enabled_(cfg.enabled), ring_(cfg.capacity) {}
+      : enabled_(cfg.enabled), ring_(cfg.enabled ? cfg.capacity : 1) {}
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -221,7 +222,7 @@ TEST(Cli, EveryBinaryHelpAndUnknownFlag) {
        {"--socket=PATH", "--quantum-ms=N", "--policy=NAME", "--window=N",
         "--procs=N", "--bus-tps=X", "--run-seconds=S",
         "--status-interval=S"}},
-      {"tools/opt_solve", true, {"--procs=N", "--self-check"}},
+      {"tools/opt_solve", true, {"--procs=N"}},
       {"tools/perf_compare", false, {}},
       {"tools/proto_fuzz", false,
        {"--frames=N", "--seconds=N", "--seed=N", "--verbose"}},
@@ -299,6 +300,38 @@ TEST(Cli, BinariesRejectBadValuesNamingTheFlag) {
         << c.command << ": " << out;
     EXPECT_NE(out.find(c.named), std::string::npos) << c.command << ": " << out;
   }
+}
+
+// Started without --policy, managerd elects with the policy that its --help
+// names as the default.
+TEST(Cli, ManagerdStartsWithTheDefaultPolicyItsHelpNames) {
+  const std::string bin = binary("tools/bbsched_managerd");
+  std::string help;
+  ASSERT_EQ(run(bin + " --help", help), 0) << help;
+  const std::string marker = "(default ";
+  const std::size_t from = help.find(marker, help.find("--policy"));
+  ASSERT_NE(from, std::string::npos) << help;
+  const std::size_t start = from + marker.size();
+  const std::string named = help.substr(start, help.find(')', start) - start);
+  // --policy's names, and the names the listening line prints for them.
+  const std::map<std::string, std::string> printed = {
+      {"latest", "latest-quantum"},
+      {"window", "quanta-window"},
+      {"predictive", "predictive"}};
+  ASSERT_TRUE(printed.contains(named)) << help;
+
+  const std::string socket =
+      "/tmp/bbsched-cli-managerd-" + std::to_string(::getpid()) + ".sock";
+  std::string out;
+  EXPECT_EQ(run(bin + " --socket=" + socket +
+                    " --run-seconds=0.05 --status-interval=0",
+                out),
+            0)
+      << out;
+  EXPECT_NE(out.find("listening on " + socket + " (" + printed.at(named) +
+                     ", "),
+            std::string::npos)
+      << "--help names " << named << "; managerd printed: " << out;
 }
 
 // perf_compare reads the files `perfbench/compare.py --perf-compare-out`

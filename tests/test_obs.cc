@@ -77,6 +77,15 @@ TEST(Tracer, DisabledRecordsNothing) {
   EXPECT_EQ(tracer.dropped(), 0u);
 }
 
+TEST(Tracer, OnlyAnEnabledTracerHoldsItsRing) {
+  obs::Tracer off;
+  EXPECT_EQ(off.events().capacity(), 1u);
+  off.quantum_start(1, {});
+  EXPECT_TRUE(off.events().empty());
+  const obs::Tracer on({.enabled = true});
+  EXPECT_EQ(on.events().capacity(), obs::TracerConfig{}.capacity);
+}
+
 TEST(Tracer, EnabledRecordsTypedEventsInOrder) {
   obs::Tracer tracer({.enabled = true, .capacity = 16});
   tracer.quantum_start(100, {.index = 7, .nprocs = 4, .candidates = 3});

@@ -72,6 +72,15 @@ TEST(OptSolve, DpMatchesBruteForceOnSmallInstances) {
                                            {"idleish", 1, 500.0, 0.0037, 1.0}}));
 }
 
+TEST(OptSolve, DpMatchesBruteForceOnFig2MixedSet) {
+  // A paper workload end to end: make_instance skips the infinite
+  // backgrounds, leaving the measured SP instances.
+  sim::MachineConfig machine;
+  expect_dp_matches_brute_force(make_instance(
+      workload::fig2_mixed(workload::paper_application("SP"), machine.bus),
+      machine, 0.01));
+}
+
 TEST(OptSolve, SerialMachineForcesSequentialSchedule) {
   const OptInstance inst = synthetic(
       {{"a", 1, 100.0, 0.0, 1.0}, {"b", 1, 300.0, 0.0, 1.0}}, /*nprocs=*/1);

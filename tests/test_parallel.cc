@@ -1,9 +1,14 @@
 // Determinism tests for the parallel experiment harness: the parallel sweep
 // must be bit-identical to the serial reference path at every worker count,
-// and batched runs must land in their request slots.
+// batched runs must land in their request slots, and a batch starts no more
+// threads than it has tasks.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <stdexcept>
+#include <thread>
 
 #include "experiments/parallel.h"
 #include "experiments/sweep.h"
@@ -41,7 +46,7 @@ TEST(ParallelSweep, BitIdenticalToSerialAtAnyWorkerCount) {
   for (int workers : {1, 2, 8}) {
     const auto parallel = parallel_sweep_improvement(
         w, SchedulerKind::kQuantaWindow, SchedulerKind::kLinux, cfg, seeds,
-        workers);
+        ParallelExecutor(workers));
     SCOPED_TRACE("workers=" + std::to_string(workers));
     expect_identical(serial, parallel);
   }
@@ -102,7 +107,7 @@ TEST(RunWorkloadsParallel, ResultsLandInRequestOrder) {
                     SchedulerKind::kEquipartition}) {
     requests.push_back({w, kind, cfg});
   }
-  const auto results = run_workloads_parallel(requests, /*workers=*/4);
+  const auto results = run_workloads_parallel(requests, ParallelExecutor(4));
   ASSERT_EQ(results.size(), requests.size());
   EXPECT_EQ(results[0].scheduler, "linux-2.4");
   EXPECT_EQ(results[1].scheduler, "latest-quantum");
@@ -130,6 +135,47 @@ TEST(ParallelExecutor, MapPropagatesTaskExceptions) {
       3, [](std::size_t i) { return static_cast<int>(i) + 1; });
   ASSERT_EQ(ok.size(), 3u);
   EXPECT_EQ(ok[2], 3);
+}
+
+TEST(ParallelExecutor, MapRunsWholeBatchThenRethrowsLowestIndex) {
+  for (int workers : {1, 2, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::atomic<int> ran{0};
+    const auto task = [&ran](std::size_t i) -> int {
+      ++ran;
+      if (i == 1) throw std::invalid_argument("task 1");
+      if (i == 3) throw std::out_of_range("task 3");
+      return 0;
+    };
+    EXPECT_THROW(ParallelExecutor(workers).map(6, task), std::invalid_argument);
+    EXPECT_EQ(ran.load(), 6);
+  }
+}
+
+TEST(ParallelExecutor, NonPositiveWorkersMeanHardwareThreads) {
+  for (int workers : {0, -1}) {
+    const auto squares = ParallelExecutor(workers).map(
+        5, [](std::size_t i) { return static_cast<int>(i * i); });
+    EXPECT_EQ(squares, (std::vector<int>{0, 1, 4, 9, 16})) << workers;
+  }
+}
+
+/// Threads in this process: the entries of /proc/self/task.
+std::size_t thread_count() {
+  using std::filesystem::directory_iterator;
+  return static_cast<std::size_t>(std::distance(
+      directory_iterator("/proc/self/task"), directory_iterator()));
+}
+
+TEST(ParallelExecutor, BatchStartsOneHelperFewerThanItsTasks) {
+  // ThreadSanitizer starts a thread of its own beside the first thread a
+  // process starts; let it do so before counting.
+  std::jthread([] {}).join();
+  const std::size_t before = thread_count();
+  const ParallelExecutor executor(64);
+  const auto during =
+      executor.map(3, [](std::size_t) { return thread_count(); });
+  for (const std::size_t threads : during) EXPECT_LE(threads, before + 2);
 }
 
 }  // namespace

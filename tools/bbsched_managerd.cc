@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
         cli::set_text(cfg.socket_path)},
        {"--quantum-ms", "N", "scheduling quantum, 1..3600000 (default 200)",
         cli::number(quantum_ms, 1, kMaxQuantumMs)},
-       {"--policy", "NAME", "latest, window or predictive (default latest)",
+       {"--policy", "NAME", "latest, window or predictive (default window)",
         [&cfg](std::string_view p) {
           if (p != "latest" && p != "window" && p != "predictive") {
             return false;

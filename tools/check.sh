@@ -8,13 +8,15 @@
 # Each configuration gets its own build directory (build-check-<name>), so
 # repeat runs are incremental. The plain configuration runs the whole suite;
 # sanitizer configurations run the concurrency/robustness labels that the
-# instrumentation is for (chaos, soak, syschaos) plus the lint gate; the
-# address and undefined ones add the sim label (the simulator's bit-identity
-# guards and the machine/scheduler tests that index its per-thread arrays;
-# the undefined build aborts on the first report) and the gate label (the
-# signal gate, which TSan cannot run: it defers asynchronous signals). The
-# thread configuration adds the locks label (the mutex-taking thread pool,
-# client and manager-server tests) and skips the soak: the recovery soak
+# instrumentation is for (chaos, soak, syschaos) plus the lint gate and the
+# qos label (the credit tier, the offline solver's tests and a two-worker
+# ext_qos run); the address and undefined ones add the sim label (the
+# simulator's bit-identity guards and the machine/scheduler tests that index
+# its per-thread arrays; the undefined build aborts on the first report) and
+# the gate label (the signal gate, which TSan cannot run: it defers
+# asynchronous signals). The thread configuration adds the locks label (the
+# parallel harness, the mutex-taking client and manager-server tests and
+# the wire protocol) and skips the soak: the recovery soak
 # forks a supervised manager from a multi-threaded process, which TSan
 # refuses to run ("starting new threads after multi-threaded fork is not
 # supported"). The syschaos label stays fork-free by construction
@@ -106,13 +108,12 @@ for cfg in "${configs[@]}"; do
     || { skip_leg "$cfg" lint "build failed"; continue; }
 
   run_leg "$cfg" lint "$dir/tools/bbsched_lint" --root="$PWD" || true
-  run_leg "$cfg" opt_solve "$dir/tools/opt_solve" --self-check || true
 
   case "$cfg" in
     plain)  run_leg "$cfg" ctest ctest_leg "$dir" || true ;;
     stress) run_leg "$cfg" repeat stress_leg "$dir" || true ;;
-    thread) run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|fuzz|lint|locks|syschaos' || true ;;
-    *)      run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|soak|fuzz|lint|syschaos|sim|gate' || true ;;
+    thread) run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|fuzz|lint|locks|syschaos|qos' || true ;;
+    *)      run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|soak|fuzz|lint|syschaos|sim|gate|qos' || true ;;
   esac
 done
 
