@@ -137,10 +137,8 @@ ReattachResult run_inprocess_reattach(obs::Tracer& tracer,
   }
 
   std::thread app([&] {
-    runtime::ConnectRetry retry;
-    retry.attempts = 100;
-    retry.initial_backoff_us = 10'000;
-    retry.max_backoff_us = 100'000;
+    const runtime::ConnectRetry retry{
+        .attempts = 100, .backoff = {.initial_us = 10'000, .max_us = 100'000}};
     runtime::Client& c = client;
     c.set_reattach(retry);
     if (!c.connect(sock_path, "survivor", 1, retry) || !c.ready()) {
@@ -239,13 +237,11 @@ SoakResult run_chaos_soak(const Options& opt, obs::Tracer& tracer,
   scfg.server.nprocs = 1;  // 2 one-thread apps on 1 cpu: gang gating active
   scfg.server.journal_path = journal_path;
   scfg.server.journal_period_quanta = 2;
-  scfg.initial_backoff_us = 30'000;
-  scfg.max_backoff_us = 300'000;
+  scfg.backoff = {30'000, 300'000, opt.seed};
   scfg.heartbeat_period_us = 20'000;
   scfg.heartbeat_miss_limit = 8;  // watchdog fires ~170 ms into a stall
   scfg.max_restarts = 64;         // breaker must never trip in this soak
   scfg.breaker_window_us = 120'000'000;
-  scfg.seed = opt.seed;
   scfg.tracer = &tracer;
   scfg.metrics = &metrics;
 
@@ -265,11 +261,9 @@ SoakResult run_chaos_soak(const Options& opt, obs::Tracer& tracer,
   for (std::size_t i = 0; i < apps.size(); ++i) {
     SoakApp* app = apps[i].get();
     app->th = std::thread([&, app, i] {
-      runtime::ConnectRetry retry;
-      retry.attempts = 120;
-      retry.initial_backoff_us = 20'000;
-      retry.max_backoff_us = 250'000;
-      retry.seed = opt.seed ^ (0x9e3779b9ULL * (i + 1));
+      const runtime::ConnectRetry retry{
+          .attempts = 120,
+          .backoff = {20'000, 250'000, opt.seed ^ (0x9e3779b9ULL * (i + 1))}};
       app->client.set_reattach(retry);
       if (!app->client.connect(sock_path, app->name, 1, retry) ||
           !app->client.ready()) {

@@ -161,10 +161,10 @@ ScheduleResult run_schedule(int i, const Options& opt) {
   for (int a = 0; a < 2; ++a) {
     apps.emplace_back([&, a] {
       runtime::Client client;
-      runtime::ConnectRetry retry;
-      retry.attempts = 5;
-      retry.initial_backoff_us = 10'000;
-      retry.seed = opt.seed + static_cast<std::uint64_t>(a);
+      const runtime::ConnectRetry retry{
+          .attempts = 5,
+          .backoff = {.initial_us = 10'000,
+                      .seed = opt.seed + static_cast<std::uint64_t>(a)}};
       if (!client.connect(sock_path, "honest" + std::to_string(a), 1,
                           retry)) {
         return;  // refused under injection: the server must still survive

@@ -189,29 +189,24 @@ void JournalWriter::encode_record(const ManagerSnapshot& snap) {
   std::memcpy(record_.data(), &h, kHeaderSize);
 }
 
-bool JournalWriter::rewrite(const ManagerSnapshot& snap) {
+bool JournalWriter::append(const ManagerSnapshot& snap) {
   encode_record(snap);
-  // Single record to a temp file, then atomic rename. A crash (or ENOSPC)
-  // between the two leaves either the old journal or the new one — both
-  // restorable. Shrinking a multi-record journal to one record is also the
-  // degrade ladder's bounded rotation: when appends start failing ENOSPC,
-  // this reclaims every byte the journal can reclaim before the manager
-  // gives up on journaling.
-  if (!write_file(tmp_path_, /*append=*/false)) {
+  // Append only behind a record this writer landed: restore stops at a torn
+  // record (a failed append's prefix, a dead manager's tail).
+  if (records_ > 0 && records_ < kJournalMaxRecords &&
+      write_file(path_, /*append=*/true)) {
+    ++records_;
+    return true;
+  }
+  // Otherwise replace the file via temp file + atomic rename: a crash leaves
+  // the old journal or the new one, both restorable, and no torn tail.
+  records_ = 0;
+  if (!write_file(tmp_path_, /*append=*/false) ||
+      std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
     std::remove(tmp_path_.c_str());  // never leave a torn temp behind
     return false;
   }
-  if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0) return false;
   records_ = 1;
-  return true;
-}
-
-bool JournalWriter::append(const ManagerSnapshot& snap) {
-  if (records_ >= max_records_) return rewrite(snap);
-
-  encode_record(snap);
-  if (!write_file(path_, /*append=*/true)) return false;
-  ++records_;
   return true;
 }
 

@@ -20,8 +20,9 @@
 // cold-start defaults, never to a half-written snapshot
 // (tests/test_journal.cc tortures every byte offset to prove it).
 //
-// The journal is bounded: after `max_records` appends the writer compacts
-// the file to its latest record via write-to-temp + atomic rename.
+// Because the scan stops at a torn record, the writer appends only behind a
+// record it wrote itself; otherwise, and after kJournalMaxRecords records,
+// it replaces the file via write-to-temp + atomic rename.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,7 @@ namespace bbsched::core {
 
 inline constexpr std::uint32_t kJournalMagic = 0x4a534242;  // "BBSJ"
 inline constexpr std::uint32_t kJournalVersion = 1;
+inline constexpr int kJournalMaxRecords = 64;  ///< records per file
 
 /// CRC-32 (IEEE 802.3, reflected) over `len` bytes.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t len) noexcept;
@@ -78,29 +80,17 @@ void encode_snapshot(const ManagerSnapshot& snap, std::vector<char>& out);
 [[nodiscard]] bool decode_snapshot(const char* data, std::size_t len,
                                    ManagerSnapshot& out);
 
-/// Append-only journal writer with size-bounded compaction.
 class JournalWriter {
  public:
-  /// `max_records` appends before the file is compacted to one record.
-  explicit JournalWriter(std::string path, int max_records = 64)
-      : path_(std::move(path)),
-        tmp_path_(path_ + ".tmp"),
-        max_records_(max_records) {}
+  explicit JournalWriter(std::string path)
+      : path_(std::move(path)), tmp_path_(path_ + ".tmp") {}
 
-  /// Appends one snapshot record (open → write whole record → close).
-  /// Returns false on I/O failure; the manager treats that as advisory
-  /// (journaling must never take the control plane down).
+  /// Writes one snapshot record. Appends it (open → write whole record →
+  /// close) behind this writer's last record; replaces the file instead on
+  /// the first write, after a failed one, at kJournalMaxRecords, and when
+  /// the append fails. Returns false when nothing landed; the manager treats
+  /// that as advisory (journaling must never take the control plane down).
   bool append(const ManagerSnapshot& snap);
-
-  /// Compacts the journal to this single snapshot via write-to-temp +
-  /// atomic rename, reclaiming all space held by older records. `append`
-  /// calls it at the max_records boundary; the manager's ENOSPC degrade
-  /// ladder calls it directly as the bounded rotation step before falling
-  /// back to journal-less operation (docs/ROBUSTNESS.md §9).
-  bool rewrite(const ManagerSnapshot& snap);
-
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] int records_written() const noexcept { return records_; }
 
  private:
   /// Frames `snap` into record_: header, then the payload encoded in
@@ -110,10 +100,9 @@ class JournalWriter {
   bool write_file(const std::string& path, bool append) const;
 
   std::string path_;
-  std::string tmp_path_;      ///< compaction temp file, `path_` + ".tmp"
+  std::string tmp_path_;      ///< replacement temp file, `path_` + ".tmp"
   std::vector<char> record_;  ///< reused across appends: no steady allocs
-  int max_records_;
-  int records_ = 0;
+  int records_ = 0;  ///< this writer's records in the file; 0 = replace next
 };
 
 /// Scans `path` and restores the newest intact snapshot into `out`.

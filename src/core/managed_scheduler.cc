@@ -39,9 +39,8 @@ void ManagedScheduler::connect_app(const Machine& m, const sim::Job& job,
 }
 
 double ManagedScheduler::read_counters(const Machine& m, int job_id) const {
-  const sim::Job& job = m.job(job_id);
-  return cfg_.sample_attempts ? m.job_bus_attempts(job)
-                              : m.job_bus_transactions(job);
+  // Attempted transactions, as the Xeon bus-event counters report them.
+  return m.job_bus_attempts(m.job(job_id));
 }
 
 void ManagedScheduler::take_sample(Machine& m, SimTime now) {

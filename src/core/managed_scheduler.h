@@ -33,11 +33,6 @@ struct ManagedSchedulerConfig {
   /// counter polling).
   sim::SimTime overhead_per_app_us = 0;
 
-  /// Sample demand-side counters (attempted transactions, the quantity the
-  /// Xeon bus-event counters report) rather than the data actually moved.
-  /// See sim::SoAStore::bus_attempts.
-  bool sample_attempts = true;
-
   /// Seeded fault schedule applied to the manager's counter reads (one draw
   /// per read, applied at the sampling site). Disabled by default; disabled
   /// injection performs no draw, so fault-free runs are bit-identical to a

@@ -1,6 +1,5 @@
 #include "runtime/client.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <chrono>
@@ -14,7 +13,6 @@
 #include "faults/sysfail.h"
 #include "runtime/protocol.h"
 #include "runtime/signal_gate.h"
-#include "stats/rng.h"
 
 namespace bbsched::runtime {
 
@@ -25,24 +23,14 @@ Client::~Client() {
 
 bool Client::connect(const std::string& socket_path, const std::string& name,
                      int nthreads, const ConnectRetry& retry) {
-  stats::Rng rng(retry.seed);
-  std::uint64_t backoff = retry.initial_backoff_us;
+  Backoff backoff(retry.backoff);
   for (int attempt = 0;; ++attempt) {
     if (connect(socket_path, name, nthreads)) {
       last_connect_retries_ = attempt;
       return true;
     }
     if (attempt + 1 >= retry.attempts) return false;
-    // Jittered exponential backoff: sleep backoff * (1 ± jitter/2), then
-    // grow the base toward the ceiling.
-    const double factor = 1.0 + retry.jitter * (rng.uniform() - 0.5);
-    const auto sleep_us = static_cast<std::uint64_t>(
-        static_cast<double>(backoff) * (factor > 0.0 ? factor : 1.0));
-    std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
-    backoff = std::min(
-        static_cast<std::uint64_t>(static_cast<double>(backoff) *
-                                   retry.multiplier),
-        retry.max_backoff_us);
+    std::this_thread::sleep_for(std::chrono::microseconds(backoff.next_us()));
   }
 }
 
@@ -279,7 +267,7 @@ void Client::updater_loop() {
   // period. Deliberately NOT registered with the signal gate: the paper's
   // arena must stay fresh so the manager can always read a consistent
   // cumulative value.
-  stats::Rng rng(reattach_.seed);
+  Backoff backoff(reattach_.backoff);
   while (!stop_updater_.load(std::memory_order_relaxed)) {
     Arena* arena = arena_.load(std::memory_order_relaxed);
     arena->transactions.store(total_transactions(),
@@ -301,25 +289,16 @@ void Client::updater_loop() {
       SignalGate::instance().release_all();
       if (reattach_.attempts <= 0) return;  // permanent free-run
 
-      // Jittered-backoff reattach loop: the supervisor needs time to
-      // restart the manager, and a herd of clients must not stampede the
-      // fresh socket in lockstep.
+      // Reattach under the backoff: the supervisor needs time to restart
+      // the manager, and the jitter keeps a herd of clients out of lockstep.
       bool back = false;
-      std::uint64_t backoff = reattach_.initial_backoff_us;
+      backoff.reset();
       for (int attempt = 0; attempt < reattach_.attempts; ++attempt) {
         if (try_reattach()) {
           back = true;
           break;
         }
-        const double factor =
-            1.0 + reattach_.jitter * (rng.uniform() - 0.5);
-        const auto sleep_us = static_cast<std::uint64_t>(
-            static_cast<double>(backoff) * (factor > 0.0 ? factor : 1.0));
-        if (!interruptible_sleep_us(sleep_us)) return;
-        backoff = std::min(
-            static_cast<std::uint64_t>(static_cast<double>(backoff) *
-                                       reattach_.multiplier),
-            reattach_.max_backoff_us);
+        if (!interruptible_sleep_us(backoff.next_us())) return;
       }
       if (!back) return;  // budget spent: permanent free-run
       continue;           // reattached — resume publishing immediately

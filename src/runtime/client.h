@@ -31,22 +31,15 @@
 
 #include "perfctr/software_counters.h"
 #include "runtime/arena.h"
+#include "runtime/backoff.h"
 
 namespace bbsched::runtime {
 
-/// Retry budget for Client::connect: jittered exponential backoff between
-/// attempts (stats/rng.h supplies the deterministic jitter stream, so a
-/// seeded client replays identical sleep schedules). attempts == 1 is the
-/// legacy single-shot connect.
+/// Retry budget for Client::connect: `attempts` tries (1 = single shot)
+/// with the runtime's jittered backoff between them.
 struct ConnectRetry {
-  int attempts = 1;                         ///< total tries (>= 1)
-  std::uint64_t initial_backoff_us = 10'000;  ///< sleep after the 1st failure
-  double multiplier = 2.0;                  ///< backoff growth per failure
-  std::uint64_t max_backoff_us = 1'000'000; ///< backoff ceiling
-  /// Relative jitter: each sleep is backoff * (1 ± jitter/2), decorrelating
-  /// reconnect stampedes after a manager restart.
-  double jitter = 0.5;
-  std::uint64_t seed = 0x5eedULL;           ///< jitter stream seed
+  int attempts = 1;
+  BackoffConfig backoff{};
 };
 
 class Client {

@@ -115,8 +115,6 @@ ManagerServer::ManagerServer(const ServerConfig& cfg)
         "server.election_us",
         {5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
          10000.0});
-    m_journal_rotations_ =
-        &cfg_.metrics->counter("server.recovery.journal_rotations");
     m_journal_degraded_g_ = &cfg_.metrics->gauge("manager.journal.degraded");
     m_arena_failures_ =
         &cfg_.metrics->counter("server.faults.arena_exhausted");
@@ -268,8 +266,7 @@ bool ManagerServer::start() {
              static_cast<std::uint8_t>(snap.degraded ? 1 : 0)});
       }
     }
-    journal_ = std::make_unique<core::JournalWriter>(
-        cfg_.journal_path, std::max(1, cfg_.journal_max_records));
+    journal_ = std::make_unique<core::JournalWriter>(cfg_.journal_path);
     quanta_since_journal_ = 0;
   }
 
@@ -837,13 +834,10 @@ void ManagerServer::quantum_boundary(std::uint64_t now_us) {
   if (any_dead) reap_dead_locked(now_us);
 
   // Journal on a bounded cadence: the snapshot trails live state by at most
-  // journal_period_quanta elections. Append failure is advisory (counted,
-  // never fatal) — losing the journal must not take the manager down.
-  // ENOSPC degrade ladder (docs/ROBUSTNESS.md §9): a failed append first
-  // tries the bounded rotation (compact to one record, reclaiming every
-  // byte the journal holds); a streak of failures rotation cannot cure
-  // trips journal-less mode — one typed event, the degraded gauge, and the
-  // journal object dropped so no further quantum pays for doomed I/O.
+  // journal_period_quanta elections. A failed write (the writer already
+  // retried it as a whole-file replacement, docs/ROBUSTNESS.md §9.3) is
+  // advisory; a streak of them trips journal-less mode — one typed event,
+  // the degraded gauge, and no further quantum paying for doomed I/O.
   // Elections continue unaffected either way.
   if (journal_ != nullptr &&
       ++quanta_since_journal_ >= std::max(1, cfg_.journal_period_quanta)) {
@@ -855,12 +849,7 @@ void ManagerServer::quantum_boundary(std::uint64_t now_us) {
       if (m_journal_appends_ != nullptr) m_journal_appends_->inc();
     } else {
       if (m_journal_errors_ != nullptr) m_journal_errors_->inc();
-      if (m_journal_rotations_ != nullptr) m_journal_rotations_->inc();
-      if (journal_->rewrite(snap)) {
-        journal_fail_streak_ = 0;  // rotation cured it; journaling continues
-        if (m_journal_appends_ != nullptr) m_journal_appends_->inc();
-      } else if (++journal_fail_streak_ >=
-                 std::max(1, cfg_.journal_failure_limit)) {
+      if (++journal_fail_streak_ >= std::max(1, cfg_.journal_failure_limit)) {
         journal_.reset();
         journal_degraded_.store(true, std::memory_order_relaxed);
         count_fault(obs::FaultKind::kJournalDegraded, -1,

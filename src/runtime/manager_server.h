@@ -102,19 +102,10 @@ struct ServerConfig {
   /// state by at most this many quanta — the recovery staleness bound.
   int journal_period_quanta = 4;
 
-  /// Journal appends before compaction to a single record.
-  int journal_max_records = 64;
-
-  /// Consecutive journal-append failures (ENOSPC class) tolerated before
-  /// the manager degrades to journal-less operation. Each failure first
-  /// attempts the bounded rotation (compact the journal to its newest
-  /// record, reclaiming every byte it can); only a streak of failures that
-  /// rotation cannot cure trips the degrade. Degrading emits a
-  /// kJournalDegraded event, raises manager.journal.degraded, and flips
-  /// journal_degraded() so the supervised child can tell its supervisor
-  /// that recovery fidelity is reduced. Elections continue unaffected —
-  /// losing the journal never takes the control plane down. <= 0 degrades
-  /// on the first failed rotation.
+  /// Consecutive journal writes that landed nothing (ENOSPC class) before
+  /// the manager degrades to journal-less operation: a kJournalDegraded
+  /// event, manager.journal.degraded, and journal_degraded() for the
+  /// supervisor. Elections continue unaffected. <= 0 degrades on the first.
   int journal_failure_limit = 3;
 };
 
@@ -255,7 +246,7 @@ class ManagerServer {
   core::ManagerSnapshot journal_snapshot_;  ///< overwritten per append
   int quanta_since_journal_ = 0;
   int restored_feeds_ = 0;
-  int journal_fail_streak_ = 0;  ///< consecutive failed appends+rotations
+  int journal_fail_streak_ = 0;  ///< consecutive writes that landed nothing
   std::atomic<bool> journal_degraded_{false};  ///< journal-less mode latched
 
   // ---- server fault counters (non-owning; null = off) ----
@@ -285,7 +276,6 @@ class ManagerServer {
   obs::Histogram* m_quantum_late_us_ = nullptr;  ///< server.quantum_late_us
 
   // ---- OS-failure hardening instruments (docs/ROBUSTNESS.md §9) ----
-  obs::Counter* m_journal_rotations_ = nullptr; ///< .recovery.journal_rotations
   obs::Gauge* m_journal_degraded_g_ = nullptr;  ///< manager.journal.degraded
   obs::Counter* m_arena_failures_ = nullptr;    ///< server.faults.arena_exhausted
   obs::Gauge* m_sysfail_injected_ = nullptr;    ///< server.sysfail.injected

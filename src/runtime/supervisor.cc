@@ -1,6 +1,5 @@
 #include "runtime/supervisor.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -77,7 +76,7 @@ void child_term_handler(int) {
 }  // namespace
 
 Supervisor::Supervisor(const SupervisorConfig& cfg)
-    : cfg_(cfg), rng_(cfg.seed), backoff_us_(cfg.initial_backoff_us) {
+    : cfg_(cfg), backoff_(cfg.backoff) {
   if (cfg_.metrics != nullptr) {
     m_restarts_ =
         &cfg_.metrics->counter("server.recovery.supervisor_restarts");
@@ -132,7 +131,7 @@ bool Supervisor::spawn_child() {
   generation_.store(child_cfg.generation, std::memory_order_relaxed);
   child_pid_.store(pid, std::memory_order_relaxed);
   // Each child reports its own journal health; a fresh one may journal
-  // fine again (the disk recovered, or compaction freed space at start).
+  // fine again once the disk recovers.
   child_degraded_.store(false, std::memory_order_relaxed);
   if (m_child_degraded_ != nullptr) m_child_degraded_->set(0.0);
   return true;
@@ -181,20 +180,6 @@ bool Supervisor::breaker_allows(std::uint64_t now_us) {
   return static_cast<int>(restart_times_us_.size()) < cfg_.max_restarts;
 }
 
-bool Supervisor::backoff_sleep() {
-  const double factor = 1.0 + cfg_.jitter * (rng_.uniform() - 0.5);
-  const auto sleep_us = static_cast<std::uint64_t>(
-      static_cast<double>(backoff_us_) * (factor > 0.0 ? factor : 1.0));
-  backoff_us_ = std::min(
-      static_cast<std::uint64_t>(static_cast<double>(backoff_us_) *
-                                 cfg_.backoff_multiplier),
-      cfg_.max_backoff_us);
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait_for(lk, std::chrono::microseconds(sleep_us),
-               [this] { return stopping_; });
-  return !stopping_;
-}
-
 void Supervisor::monitor_loop() {
   int status = 0;
   for (;;) {
@@ -223,7 +208,7 @@ void Supervisor::monitor_loop() {
           misses = 0;
           // A live heartbeat proves the restart took: reset the backoff so
           // the *next* crash starts from the minimum again.
-          backoff_us_ = cfg_.initial_backoff_us;
+          backoff_.reset();
           for (ssize_t i = 0; i < n; ++i) {
             if (buf[i] == 'd' && !child_degraded_.exchange(
                                      true, std::memory_order_relaxed)) {
@@ -311,8 +296,10 @@ void Supervisor::monitor_loop() {
         return;
       }
 
-      const std::uint64_t backoff_taken = backoff_us_;
-      if (!backoff_sleep()) {
+      const std::uint64_t backoff_taken = backoff_.next_us();
+      if (std::unique_lock<std::mutex> lk(mu_);
+          cv_.wait_for(lk, std::chrono::microseconds(backoff_taken),
+                       [this] { return stopping_; })) {
         supervising_.store(false, std::memory_order_relaxed);
         return;  // stop() during the backoff; the child is already gone
       }

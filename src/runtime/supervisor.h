@@ -35,8 +35,8 @@
 #include <mutex>
 #include <thread>
 
+#include "runtime/backoff.h"
 #include "runtime/manager_server.h"
-#include "stats/rng.h"
 
 namespace bbsched::runtime {
 
@@ -45,13 +45,9 @@ struct SupervisorConfig {
   /// per restart; set `journal_path` to carry state across generations.
   ServerConfig server{};
 
-  // ---- restart backoff (jittered exponential) ----
-  std::uint64_t initial_backoff_us = 50'000;
-  double backoff_multiplier = 2.0;
-  std::uint64_t max_backoff_us = 2'000'000;
-  /// Relative jitter: each sleep is backoff * (1 ± jitter/2).
-  double jitter = 0.5;
-  std::uint64_t seed = 0xba5eba11ULL;  ///< jitter stream seed
+  /// Restart backoff (runtime/backoff.h); it returns to `initial_us` once
+  /// a restarted child heartbeats.
+  BackoffConfig backoff{50'000, 2'000'000, 0xba5eba11ULL};
 
   // ---- circuit breaker ----
   /// Restarts tolerated inside `breaker_window_us` before the supervisor
@@ -133,16 +129,12 @@ class Supervisor {
   /// fork failed.
   bool spawn_child();
   void monitor_loop();
-  /// Jittered-backoff sleep between restarts; false when stop() interrupted
-  /// it.
-  bool backoff_sleep();
   /// True when one more restart stays within the breaker budget.
   bool breaker_allows(std::uint64_t now_us);
   void close_heartbeat();
 
   SupervisorConfig cfg_;
-  stats::Rng rng_;
-  std::uint64_t backoff_us_;
+  Backoff backoff_;
 
   std::thread monitor_;
   std::atomic<pid_t> child_pid_{-1};

@@ -1,9 +1,10 @@
 // Tests for the crash-recovery journal (core/journal.h): record format,
-// bounded compaction, the byte-level torture the header promises —
+// the bounded file, the byte-level torture the header promises —
 // truncation and corruption at EVERY offset must either restore an intact
 // snapshot or fall back cleanly, never crash, never yield a half-written
-// image — and determinism: a manager restored from the journal elects
-// exactly like one that never crashed.
+// image — the writer's torn-tail rule (the next write that lands is the one
+// restore returns), and determinism: a manager restored from the journal
+// elects exactly like one that never crashed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -128,7 +129,6 @@ TEST(Journal, LoadPicksNewestRecord) {
   ASSERT_TRUE(w.append(sample_snapshot(0)));
   ASSERT_TRUE(w.append(sample_snapshot(1)));
   ASSERT_TRUE(w.append(sample_snapshot(2)));
-  EXPECT_EQ(w.records_written(), 3);
 
   ManagerSnapshot got;
   ASSERT_TRUE(load_latest_snapshot(j.path, got));
@@ -137,19 +137,20 @@ TEST(Journal, LoadPicksNewestRecord) {
 
 TEST(Journal, CompactionBoundsTheFile) {
   JournalFile j("compact");
-  JournalWriter w(j.path, /*max_records=*/3);
+  JournalWriter w(j.path);
   std::size_t size_at_cap = 0;
-  for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(w.append(sample_snapshot(i)));
+  constexpr int kWrites = 2 * kJournalMaxRecords + 8;
+  for (int i = 0; i < kWrites; ++i) {
+    ASSERT_TRUE(w.append(sample_snapshot(i % 10)));
     const std::size_t size = read_file(j.path).size();
-    if (i == 2) size_at_cap = size;
-    if (i > 2) {
+    if (i == kJournalMaxRecords - 1) size_at_cap = size;
+    if (i >= kJournalMaxRecords) {
       EXPECT_LE(size, size_at_cap) << "append " << i << " outgrew the cap";
     }
   }
   ManagerSnapshot got;
   ASSERT_TRUE(load_latest_snapshot(j.path, got));
-  EXPECT_TRUE(snaps_equal(got, sample_snapshot(11)));
+  EXPECT_TRUE(snaps_equal(got, sample_snapshot((kWrites - 1) % 10)));
 }
 
 TEST(Journal, MissingOrEmptyFileColdStarts) {
@@ -222,10 +223,19 @@ TEST(Journal, CorruptionTortureAtEveryOffset) {
 
 namespace sf = bbsched::faults;
 
-/// ENOSPC with a torn prefix of every length at the second append: the
-/// injected fwrite lands `cut` bytes of record 2 on disk and then fails.
-/// Restore must return record 1 bit-identically — the torn prefix is
-/// rejected by length/CRC — and append must report the failure.
+/// What a restore of `path` yields, printable: the restored snapshot's
+/// quantum_index, or "cold start".
+std::string restored_quantum(const std::string& path) {
+  ManagerSnapshot got;
+  return load_latest_snapshot(path, got) ? std::to_string(got.quantum_index)
+                                         : std::string("cold start");
+}
+
+/// ENOSPC with a torn prefix of every length at the second write, and its
+/// retry as a replacement failing too: the injected fwrite lands `cut`
+/// bytes of record 2 on disk and then fails. Restore must return record 1
+/// bit-identically — the torn prefix is rejected by length/CRC — append
+/// must report the failure, and no temp file may be left behind.
 TEST(Journal, EnospcShortWriteAtEveryRecordOffset) {
   const ManagerSnapshot first = sample_snapshot(0);
   const ManagerSnapshot second = sample_snapshot(1);
@@ -244,15 +254,18 @@ TEST(Journal, EnospcShortWriteAtEveryRecordOffset) {
     JournalFile j("enospc");
     sf::SysFailConfig cfg;
     cfg.enabled = true;
-    // fwrite call 0 = first append (clean); call 1 = the injected tear.
-    cfg.triggers.push_back(
-        {sf::SysOp::kJournalWrite, 1, ENOSPC, cut, 0});
+    // fwrite call 0 = first write (clean); call 1 = the torn append;
+    // call 2 = its retry as a replacement, failing outright.
+    cfg.triggers.push_back({sf::SysOp::kJournalWrite, 1, ENOSPC, cut, 0});
+    cfg.triggers.push_back({sf::SysOp::kJournalWrite, 2, ENOSPC, 0, 0});
     sf::ScopedSysFail scoped(cfg);
 
     JournalWriter w(j.path);
     ASSERT_TRUE(w.append(first)) << "cut " << cut;
     EXPECT_FALSE(w.append(second))
         << "cut " << cut << ": torn append reported success";
+    EXPECT_NE(::access((j.path + ".tmp").c_str(), F_OK), 0)
+        << "cut " << cut << ": torn temp file left behind";
 
     ManagerSnapshot got;
     ASSERT_TRUE(load_latest_snapshot(j.path, got))
@@ -263,80 +276,81 @@ TEST(Journal, EnospcShortWriteAtEveryRecordOffset) {
   }
 }
 
-// The degrade ladder's rotation step: a failed rewrite must leave the
-// previous journal intact and never leave a torn .tmp behind; a successful
-// rewrite after failures compacts to exactly the new snapshot.
-TEST(Journal, FailedRewriteLeavesOldJournalAndNoTempFile) {
-  const ManagerSnapshot first = sample_snapshot(0);
-  const ManagerSnapshot second = sample_snapshot(1);
-  JournalFile j("rewrite-fail");
-  const std::string tmp = j.path + ".tmp";
+// A torn append whose replacement also fails leaves a torn prefix at the
+// end of the file. The next write that lands must be the one restore
+// returns: a write appended behind that prefix would stay hidden, since
+// the restore scan stops at the first torn record.
+TEST(Journal, WriteAfterFailedReplacementIsRestored) {
+  JournalFile j("torn-retry");
+  sf::SysFailConfig cfg;
+  cfg.enabled = true;
+  cfg.triggers.push_back({sf::SysOp::kJournalWrite, 1, ENOSPC, 7, 0});
+  cfg.triggers.push_back({sf::SysOp::kJournalWrite, 2, ENOSPC, 0, 0});
+  sf::ScopedSysFail scoped(cfg);
 
   JournalWriter w(j.path);
-  ASSERT_TRUE(w.append(first));
-
-  {
-    sf::SysFailConfig cfg;
-    cfg.enabled = true;
-    // Tear the rewrite's temp-file write after 5 bytes.
-    cfg.triggers.push_back({sf::SysOp::kJournalWrite, 0, ENOSPC, 5, 0});
-    sf::ScopedSysFail scoped(cfg);
-    EXPECT_FALSE(w.rewrite(second));
+  ASSERT_TRUE(w.append(sample_snapshot(0)));
+  ASSERT_FALSE(w.append(sample_snapshot(1)));
+  int salt = 2;
+  while (!w.append(sample_snapshot(salt))) {
+    ASSERT_LT(++salt, 5) << "no write landed after the injected failures";
   }
-  EXPECT_NE(::access(tmp.c_str(), F_OK), 0) << "torn temp file left behind";
   ManagerSnapshot got;
   ASSERT_TRUE(load_latest_snapshot(j.path, got));
-  EXPECT_TRUE(snaps_equal(got, first))
-      << "failed rewrite damaged the existing journal";
-
-  // Uninjected retry succeeds and compacts to the new snapshot alone.
-  ASSERT_TRUE(w.rewrite(second));
-  ASSERT_TRUE(load_latest_snapshot(j.path, got));
-  EXPECT_TRUE(snaps_equal(got, second));
-  EXPECT_EQ(w.records_written(), 1);
+  EXPECT_TRUE(snaps_equal(got, sample_snapshot(salt)))
+      << "restore returned quantum " << got.quantum_index
+      << ", the last write that landed was quantum "
+      << sample_snapshot(salt).quantum_index;
+  std::vector<char> payload;
+  encode_snapshot(sample_snapshot(salt), payload);
+  EXPECT_EQ(read_file(j.path).size(), 16 + payload.size())
+      << "the write after a failure must replace the file with one record";
 }
 
-// Probabilistic soak: many seeds of ENOSPC/short-write noise; whatever the
-// injector does, the journal never yields a snapshot that was not fully
-// appended, and a final clean append always restores.
-TEST(Journal, EnospcSoakNeverRestoresAHalfRecord) {
+// A restarted manager builds a fresh writer on the journal its predecessor
+// left, which may end in a torn record (the predecessor died mid-append).
+// The fresh writer's first write must be the one restore returns.
+TEST(Journal, FreshWriterReplacesATornTail) {
+  JournalFile j("fresh-torn");
+  {
+    JournalWriter w(j.path);
+    ASSERT_TRUE(w.append(sample_snapshot(0)));
+    ASSERT_TRUE(w.append(sample_snapshot(1)));
+  }
+  std::vector<char> bytes = read_file(j.path);
+  bytes.resize(bytes.size() - 9);  // the dead manager's last append, torn
+  write_file(j.path, bytes.data(), bytes.size());
+  EXPECT_EQ(restored_quantum(j.path), "41");
+
+  JournalWriter w(j.path);
+  ASSERT_TRUE(w.append(sample_snapshot(2)));
+  ASSERT_TRUE(w.append(sample_snapshot(3)));
+  EXPECT_EQ(restored_quantum(j.path), "44")
+      << "a fresh writer's records went behind the torn tail";
+}
+
+// Probabilistic soak: many seeds of ENOSPC/short-write noise over more
+// writes than kJournalMaxRecords. Whatever the injector does, restore
+// returns exactly the last write that landed — never a half record, never
+// an older record hidden behind a torn tail — or cold-starts before any
+// write landed.
+TEST(Journal, EnospcSoakRestoresTheLastWriteThatLanded) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     JournalFile j("enospc-soak");
-    std::vector<ManagerSnapshot> appended;
-    {
-      sf::SysFailConfig cfg;
-      cfg.enabled = true;
-      cfg.seed = seed;
-      cfg.journal_fail_prob = 0.4;
-      sf::ScopedSysFail scoped(cfg);
-      JournalWriter w(j.path, /*max_records=*/4);
-      for (int i = 0; i < 16; ++i) {
-        if (w.append(sample_snapshot(i))) {
-          appended.push_back(sample_snapshot(i));
-        }
-      }
+    sf::SysFailConfig cfg;
+    cfg.enabled = true;
+    cfg.seed = seed;
+    cfg.journal_fail_prob = 0.4;
+    sf::ScopedSysFail scoped(cfg);
+    JournalWriter w(j.path);
+    std::string landed = "cold start";
+    for (int i = 0; i < kJournalMaxRecords + 16; ++i) {
+      ManagerSnapshot snap = sample_snapshot(i % 10);
+      snap.quantum_index = static_cast<std::uint64_t>(i);
+      if (w.append(snap)) landed = std::to_string(i);
+      ASSERT_EQ(restored_quantum(j.path), landed)
+          << "seed " << seed << ", write " << i;
     }
-    ManagerSnapshot got;
-    if (load_latest_snapshot(j.path, got)) {
-      bool known = false;
-      for (const ManagerSnapshot& snap : appended) {
-        if (snaps_equal(got, snap)) {
-          known = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(known) << "seed " << seed
-                         << ": restored a snapshot that never fully landed";
-    }
-    // After the storm, one rotation — the ladder's response to a failed
-    // append — must always restore cleanly: the tmp+rename rewrite cures
-    // whatever torn tail the storm left behind (a plain append could stay
-    // hidden behind it, since the restore scan stops at the first bad
-    // record).
-    JournalWriter w2(j.path);
-    ASSERT_TRUE(w2.rewrite(sample_snapshot(99)));
-    ASSERT_TRUE(load_latest_snapshot(j.path, got));
-    EXPECT_TRUE(snaps_equal(got, sample_snapshot(99))) << "seed " << seed;
   }
 }
 
@@ -433,7 +447,8 @@ TEST(Journal, ReusedSnapshotAndBuffersEncodeByteIdentically) {
   const ManagerConfig c = det_cfg();
   CpuManager mgr(c);
   JournalFile j("reuse");
-  JournalWriter w(j.path, /*max_records=*/3);  // compactions along the way
+  JournalWriter w(j.path);
+  int writes = 0;
   ManagerSnapshot reused;
   std::map<std::string, int> ids;
   std::uint64_t now = 0;
@@ -459,7 +474,7 @@ TEST(Journal, ReusedSnapshotAndBuffersEncodeByteIdentically) {
       mgr.disconnect(ids.at(name));
       ids.erase(name);
     }
-    for (int q = 0; q < 4; ++q) {
+    for (int q = 0; q < 6; ++q) {
       SCOPED_TRACE("step " + std::to_string(step) + " quantum " +
                    std::to_string(q));
       for (int id : mgr.running()) {
@@ -473,6 +488,7 @@ TEST(Journal, ReusedSnapshotAndBuffersEncodeByteIdentically) {
 
       mgr.snapshot(reused);
       ASSERT_TRUE(w.append(reused));
+      ++writes;
       ManagerSnapshot fresh;
       mgr.snapshot(fresh);
       std::vector<char> want;
@@ -490,6 +506,7 @@ TEST(Journal, ReusedSnapshotAndBuffersEncodeByteIdentically) {
           << "journaled record differs from a fresh encoding";
     }
   }
+  EXPECT_GT(writes, kJournalMaxRecords) << "no replacement along the way";
   ManagerSnapshot restored;
   ASSERT_TRUE(load_latest_snapshot(j.path, restored));
   EXPECT_TRUE(snaps_equal(restored, reused));

@@ -564,8 +564,8 @@ TEST_F(ManagerServerTest, ConnectRetryRidesOutLateServerStart) {
 
   ConnectRetry retry;
   retry.attempts = 20;
-  retry.initial_backoff_us = 20'000;
-  retry.max_backoff_us = 100'000;
+  retry.backoff.initial_us = 20'000;
+  retry.backoff.max_us = 100'000;
   Client client;
   EXPECT_TRUE(client.connect(cfg.socket_path, "early-bird", 1, retry));
   EXPECT_GT(client.last_connect_retries(), 0);
@@ -578,8 +578,8 @@ TEST_F(ManagerServerTest, ConnectRetryRidesOutLateServerStart) {
 TEST_F(ManagerServerTest, ConnectRetryBudgetExhausts) {
   ConnectRetry retry;
   retry.attempts = 3;
-  retry.initial_backoff_us = 1'000;
-  retry.max_backoff_us = 2'000;
+  retry.backoff.initial_us = 1'000;
+  retry.backoff.max_us = 2'000;
   Client client;
   EXPECT_FALSE(client.connect("/tmp/bbsched-no-such-socket.sock", "x", 1,
                               retry));

@@ -64,31 +64,24 @@ TEST(Engine, RunCountsEveryTick) {
   EXPECT_EQ(eng.now(), eng.stats().total_ticks * ecfg.tick_us);
 }
 
-TEST(ManagedSampling, GrantModeReadsFewerTransactionsWhenSaturated) {
-  // With sample_attempts=false the manager sees completed transfers, which
-  // under saturation are strictly below the attempted demand.
-  auto run_mode = [&](bool attempts) {
-    core::ManagedSchedulerConfig mcfg;
-    mcfg.sample_attempts = attempts;
-    EngineConfig ecfg;
-    ecfg.os_noise_interval_us = 0;
-    Engine eng(MachineConfig{}, ecfg,
-               std::make_unique<core::ManagedScheduler>(mcfg));
-    JobSpec hungry;
-    hungry.name = "hungry";
-    hungry.nthreads = 4;
-    hungry.work_us = 2.0e6;
-    hungry.demand = std::make_shared<SteadyDemand>(12.0);
-    hungry.cache.cold_demand_boost = 0.0;
-    eng.add_job(hungry);
-    eng.run_until(sim::ms(900));  // a few quanta
-    auto& sched = dynamic_cast<core::ManagedScheduler&>(eng.scheduler());
-    return sched.manager().policy_estimate(0);
-  };
-  const double grant_est = run_mode(false);
-  const double attempt_est = run_mode(true);
-  EXPECT_GT(attempt_est, grant_est * 1.2);
-  EXPECT_NEAR(attempt_est, 12.0, 1.5);  // attempts track demand
+TEST(ManagedSampling, SaturatedEstimateTracksAttemptedDemand) {
+  // The manager samples attempted transactions, so a job demanding 12
+  // trans/µs reads about 12 even though the saturated bus grants less.
+  EngineConfig ecfg;
+  ecfg.os_noise_interval_us = 0;
+  Engine eng(MachineConfig{}, ecfg,
+             std::make_unique<core::ManagedScheduler>(
+                 core::ManagedSchedulerConfig{}));
+  JobSpec hungry;
+  hungry.name = "hungry";
+  hungry.nthreads = 4;
+  hungry.work_us = 2.0e6;
+  hungry.demand = std::make_shared<SteadyDemand>(12.0);
+  hungry.cache.cold_demand_boost = 0.0;
+  eng.add_job(hungry);
+  eng.run_until(sim::ms(900));  // a few quanta
+  auto& sched = dynamic_cast<core::ManagedScheduler&>(eng.scheduler());
+  EXPECT_NEAR(sched.manager().policy_estimate(0), 12.0, 1.5);
 }
 
 TEST(MachineTopology, DefaultSingleContextCores) {

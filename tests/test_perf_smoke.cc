@@ -15,7 +15,8 @@
 // * ManagerAllocGate: a live in-process ManagerServer runs steady quanta
 //   with everything on: four in-process clients on two processors (so every
 //   quantum blocks and unblocks someone), an enabled tracer, a metrics
-//   registry, and a journal small enough to compact inside the window.
+//   registry, and a journal written every quantum, so that the window
+//   holds a whole-file replacement as well as plain appends.
 //
 // ctest -L perf_smoke runs this file. micro_benchmarks times the Fig. 1
 // pinned bench untraced and traced (BM_EngineRunUntil).
@@ -32,6 +33,7 @@
 
 #include <unistd.h>
 
+#include "core/journal.h"
 #include "core/managed_scheduler.h"
 #include "experiments/runner.h"
 #include "obs/metrics.h"
@@ -255,8 +257,7 @@ TEST(ManagerAllocGate, SteadyQuantaAllocateNothing) {
   cfg.journal_path = base + ".journal";
   cfg.nprocs = 2;
   cfg.manager.quantum_us = 5'000;
-  cfg.journal_period_quanta = 2;
-  cfg.journal_max_records = 8;  // a compaction every 16 quanta
+  cfg.journal_period_quanta = 1;  // a replacement every 64 quanta
   cfg.tracer = &tracer;
   cfg.metrics = &metrics;
   ::unlink(cfg.journal_path.c_str());
@@ -315,9 +316,9 @@ TEST(ManagerAllocGate, SteadyQuantaAllocateNothing) {
                          << " clients attached";
   ASSERT_TRUE(warmed) << "the manager stopped electing during warm-up";
   ASSERT_GE(e1 - e0, 200u) << "too few quanta measured";
-  // journal_max_records appends end in a compaction, so more appends than
-  // that put at least one rewrite inside the window.
-  EXPECT_GT(appends1 - appends0, static_cast<double>(cfg.journal_max_records));
+  // Every kJournalMaxRecords-th write replaces the file, so more writes
+  // than that put at least one replacement inside the window.
+  EXPECT_GT(appends1 - appends0, static_cast<double>(core::kJournalMaxRecords));
   EXPECT_GT(tracer.events().size(), 0u);
   EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) /
                                static_cast<double>(e1 - e0)

@@ -1,8 +1,9 @@
 // Crash-recovery integration tests (docs/ROBUSTNESS.md §7): the journaled
 // manager server restarting in-process, clients reattaching across
 // generations without restarting threads, the reattach budget exhausting
-// into permanent free-run, and the seeded process-chaos schedule
-// (faults/runtime_fault_plan.h) being a pure function of its config.
+// into permanent free-run, the seeded process-chaos schedule
+// (faults/runtime_fault_plan.h) being a pure function of its config, and
+// the jittered backoff that paces connect, reattach and restart.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,6 +18,7 @@
 #include "faults/runtime_fault_plan.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "runtime/backoff.h"
 #include "runtime/client.h"
 #include "runtime/manager_server.h"
 
@@ -139,8 +141,8 @@ TEST(Recovery, RestartRestoresJournalAndClientReattaches) {
   std::thread app([&] {
     ConnectRetry retry;
     retry.attempts = 200;
-    retry.initial_backoff_us = 5'000;
-    retry.max_backoff_us = 50'000;
+    retry.backoff.initial_us = 5'000;
+    retry.backoff.max_us = 50'000;
     client.set_reattach(retry);
     if (!client.connect(sock_path, "phoenix", 1, retry) || !client.ready()) {
       return;
@@ -219,8 +221,8 @@ TEST(Recovery, ReattachBudgetExhaustsIntoPermanentFreeRun) {
   std::thread app([&] {
     ConnectRetry retry;
     retry.attempts = 3;  // tiny budget; the manager never comes back
-    retry.initial_backoff_us = 5'000;
-    retry.max_backoff_us = 10'000;
+    retry.backoff.initial_us = 5'000;
+    retry.backoff.max_us = 10'000;
     client.set_reattach(retry);
     if (client.connect(sock_path, "doomed", 1)) {
       ready_ok.store(client.ready());
@@ -269,6 +271,30 @@ TEST(Recovery, ColdStartWithUnreadableJournalStillServes) {
   client.disconnect();
   server.stop();
   ::unlink(journal_path.c_str());
+}
+
+// The first sleeps for one seed, pinned to what the connect, reattach and
+// restart loops slept before they shared Backoff (base × (1 + 0.5·(u −
+// 0.5)), the base doubling up to the cap), so every seeded schedule replays
+// unchanged. reset() returns to the initial base while the jitter stream
+// continues.
+TEST(Backoff, SeededScheduleDoublesToItsCapAndResets) {
+  Backoff backoff({.initial_us = 1'000, .max_us = 6'000, .seed = 0x5eedULL});
+  for (const std::uint64_t want : {1'217, 2'382, 4'692, 7'424, 6'556, 6'081}) {
+    EXPECT_EQ(backoff.next_us(), want);
+  }
+  backoff.reset();
+  EXPECT_EQ(backoff.next_us(), 902u);    // base 1,000, the 7th draw
+  EXPECT_EQ(backoff.next_us(), 1'922u);  // base 2,000
+
+  // Capped: however long the streak, each sleep stays within ±25% of
+  // max_us.
+  for (int i = 0; i < 64; ++i) {
+    const std::uint64_t sleep_us = backoff.next_us();
+    if (i == 0) continue;  // base 4,000; every later one is capped
+    EXPECT_GE(sleep_us, 4'500u);
+    EXPECT_LE(sleep_us, 7'500u);
+  }
 }
 
 }  // namespace

@@ -49,8 +49,8 @@ SupervisorConfig fast_config(const char* tag) {
   cfg.server.socket_path = unique_sock(tag);
   cfg.server.manager.quantum_us = 40'000;
   cfg.server.nprocs = 1;
-  cfg.initial_backoff_us = 10'000;
-  cfg.max_backoff_us = 50'000;
+  cfg.backoff.initial_us = 10'000;
+  cfg.backoff.max_us = 50'000;
   cfg.heartbeat_period_us = 15'000;
   cfg.heartbeat_miss_limit = 6;  // watchdog fires after ~90ms of silence
   cfg.max_restarts = 32;
@@ -102,15 +102,26 @@ TEST(Supervisor, WatchdogKillsStalledChild) {
   sup.stop();
 
   // Every spawn is traced with the generation it started (the initial
-  // start included); the watchdog restart must appear as generation >= 2.
+  // start included); the watchdog restart must appear as generation >= 2,
+  // carrying the jittered sleep it took: the first backoff, within ±25% of
+  // initial_us and (for this seed) not equal to it.
   std::uint32_t max_generation = 0;
+  std::uint64_t first_backoff_us = 0;
   tracer.events().for_each([&](const obs::TraceEvent& e) {
     if (e.type == obs::EventType::kSupervisorRestart) {
       max_generation = std::max(max_generation, e.supervisor.generation);
       EXPECT_EQ(e.supervisor.gave_up, 0);
+      if (e.supervisor.generation == 2) {
+        first_backoff_us = e.supervisor.backoff_us;
+      }
     }
   });
   EXPECT_GE(max_generation, 2u);
+  const std::uint64_t initial_us = cfg.backoff.initial_us;
+  EXPECT_GE(first_backoff_us, initial_us * 3 / 4);
+  EXPECT_LE(first_backoff_us, initial_us * 5 / 4);
+  EXPECT_NE(first_backoff_us, initial_us)
+      << "the restart event carries the base, not the jittered sleep";
 }
 
 TEST(Supervisor, BreakerTripsPermanentlyUnderRestartStorm) {

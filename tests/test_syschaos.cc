@@ -7,9 +7,10 @@
 //     and the process's fd table returns to its baseline (no leak);
 //   * arena creation failure (ENOMEM class) produces the *typed*
 //     kResourceExhausted nack on the wire and the server stays answerable;
-//   * the journal ENOSPC degrade ladder runs end to end in-process:
-//     bounded rotation, then journal-less mode with the degraded gauge —
-//     never a dead manager;
+//   * the journal ENOSPC degrade ladder runs end to end in-process: a
+//     torn append never hides the writes after it, and a streak of failed
+//     writes ends in journal-less mode with the degraded gauge — never a
+//     dead manager;
 //   * injected clock jumps are clamped (time never runs backwards) while
 //     the election loop keeps ticking, and a forward leap of many quanta
 //     costs one election plus a skip count, never a burst;
@@ -132,7 +133,7 @@ TEST_F(SysChaosTest, TwentySeededSchedulesNoCrashNoFdDrift) {
         Client client;
         ConnectRetry retry;
         retry.attempts = 5;
-        retry.initial_backoff_us = 10'000;
+        retry.backoff.initial_us = 10'000;
         if (!client.connect(cfg.socket_path, "soak" + std::to_string(a), 1,
                             retry)) {
           return;
@@ -239,7 +240,7 @@ TEST_F(SysChaosTest, JournalDegradeLadderEndsJournalLessNotDead) {
 
   sf::SysFailConfig fcfg;
   fcfg.enabled = true;
-  fcfg.journal_fail_prob = 1.0;  // every append and every rotation fails
+  fcfg.journal_fail_prob = 1.0;  // every append and every replacement fails
   sf::ScopedSysFail scoped(fcfg);
 
   obs::MetricsRegistry metrics;
@@ -256,8 +257,6 @@ TEST_F(SysChaosTest, JournalDegradeLadderEndsJournalLessNotDead) {
   ASSERT_TRUE(eventually([&] { return server.journal_degraded(); }))
       << "degrade ladder never latched journal-less mode";
   EXPECT_DOUBLE_EQ(metrics.gauge("manager.journal.degraded").value(), 1.0);
-  EXPECT_GE(metrics.counter("server.recovery.journal_rotations").value(),
-            1.0);
   EXPECT_GE(metrics.counter("server.recovery.journal_errors").value(), 2.0);
 
   // Journal-less is degraded, not dead: admission and elections continue.
@@ -267,6 +266,45 @@ TEST_F(SysChaosTest, JournalDegradeLadderEndsJournalLessNotDead) {
   EXPECT_TRUE(eventually([&] { return server.elections() > before; }));
   client.disconnect();
   server.stop();
+  ::unlink(journal.c_str());
+}
+
+// One append torn after 7 bytes, and its retry as a replacement failing:
+// the journal must still trail the live manager by at most one period.
+// Writes appended behind the torn prefix would stay hidden from restore
+// until the file was next replaced.
+TEST_F(SysChaosTest, TornJournalAppendHidesNoLaterWrite) {
+  const std::string journal =
+      "/tmp/bbsched-syschaos-torn-" + std::to_string(::getpid());
+  ::unlink(journal.c_str());
+
+  sf::SysFailConfig fcfg;
+  fcfg.enabled = true;
+  fcfg.triggers.push_back({sf::SysOp::kJournalWrite, 1, ENOSPC, 7, 0});
+  fcfg.triggers.push_back({sf::SysOp::kJournalWrite, 2, ENOSPC, 0, 0});
+  sf::ScopedSysFail scoped(fcfg);
+
+  obs::MetricsRegistry metrics;
+  ServerConfig cfg;
+  cfg.socket_path = syschaos_socket("torn");
+  cfg.manager.quantum_us = 5'000;
+  cfg.metrics = &metrics;
+  cfg.journal_path = journal;
+  cfg.journal_period_quanta = 1;
+  ManagerServer server(cfg);
+  ASSERT_TRUE(server.start());
+  ASSERT_TRUE(eventually([&] { return server.elections() >= 60; }));
+  server.stop();
+
+  EXPECT_DOUBLE_EQ(metrics.counter("server.recovery.journal_errors").value(),
+                   1.0);
+  EXPECT_FALSE(server.journal_degraded());
+  core::ManagerSnapshot snap;
+  ASSERT_TRUE(core::load_latest_snapshot(journal, snap));
+  EXPECT_GE(snap.quantum_index + cfg.journal_period_quanta,
+            server.elections())
+      << "restored quantum " << snap.quantum_index << " of "
+      << server.elections();
   ::unlink(journal.c_str());
 }
 
@@ -413,13 +451,9 @@ TEST_F(SysChaosTest, ElectionsBitIdenticalUnderAndAfterInjection) {
         elected = drive(mgr, now, mc.quantum_us).elected;
         core::ManagerSnapshot snap;
         mgr.snapshot(snap);
-        // Failed appends left a torn tail; the ladder's rotation step
-        // (rewrite via temp + rename) is what cures it once space returns.
-        if (q == 6) {
-          EXPECT_TRUE(w.rewrite(snap)) << "quantum " << q;
-        } else {
-          EXPECT_TRUE(w.append(snap)) << "quantum " << q;
-        }
+        // Failed appends left a torn tail; the first write that lands
+        // replaces the file, which cures it.
+        EXPECT_TRUE(w.append(snap)) << "quantum " << q;
       }
       EXPECT_EQ(elected, reference[static_cast<std::size_t>(q)])
           << "election " << q << " diverged under injection";

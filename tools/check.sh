@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Full local gate: build + lint + test across the sanitizer matrix, then
-# a stress leg.
+# Full local gate: build + lint + test across the sanitizer matrix, a
+# native-target leg, then a stress leg.
 #
-#   tools/check.sh            # plain, thread, address, undefined, stress
+#   tools/check.sh            # plain, thread, address, undefined, native, stress
 #   tools/check.sh plain tsan # subset: plain + thread
 #
 # Each configuration gets its own build directory (build-check-<name>), so
@@ -22,6 +22,10 @@
 # supported"). The syschaos label stays fork-free by construction
 # (tests/CMakeLists.txt), so TSan runs it in full.
 #
+# The native configuration builds with -march=native (FMA on most hosts)
+# and runs the repro and sim labels (DESIGN.md §1: the flags the goldens
+# assume).
+#
 # The stress configuration reuses the plain build: it repeats every
 # syschaos, soak, locks and gate test until it fails (at most 20 times)
 # beside a `ctest -L repro` load loop, and keeps the console output, with
@@ -38,7 +42,7 @@ jobs=$(nproc 2>/dev/null || echo 4)
 
 configs=("$@")
 if [ ${#configs[@]} -eq 0 ]; then
-  configs=(plain thread address undefined stress)
+  configs=(plain thread address undefined native stress)
 fi
 
 legs=()      # "<config>/<step>" per leg, in run order
@@ -90,11 +94,13 @@ stress_leg() {  # stress_leg <builddir>
 }
 
 for cfg in "${configs[@]}"; do
+  cxxflags=""
   case "$cfg" in
     plain)               sanitize="" ;;
     thread|tsan)         cfg=thread;    sanitize=thread ;;
     address|asan)        cfg=address;   sanitize=address ;;
     undefined|ubsan)     cfg=undefined; sanitize=undefined ;;
+    native)              sanitize="";   cxxflags=-march=native ;;
     stress)              sanitize="" ;;
     *) echo "check.sh: unknown configuration '$cfg'" >&2; exit 2 ;;
   esac
@@ -103,6 +109,7 @@ for cfg in "${configs[@]}"; do
 
   run_leg "$cfg" configure \
     cmake -S . -B "$dir" -DBBSCHED_SANITIZE="$sanitize" \
+      -DCMAKE_CXX_FLAGS="$cxxflags" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo || { skip_leg "$cfg" build "configure failed"; continue; }
   run_leg "$cfg" build cmake --build "$dir" -j "$jobs" \
     || { skip_leg "$cfg" lint "build failed"; continue; }
@@ -113,6 +120,7 @@ for cfg in "${configs[@]}"; do
     plain)  run_leg "$cfg" ctest ctest_leg "$dir" || true ;;
     stress) run_leg "$cfg" repeat stress_leg "$dir" || true ;;
     thread) run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|fuzz|lint|locks|syschaos|qos' || true ;;
+    native) run_leg "$cfg" ctest ctest_leg "$dir" 'repro|sim' || true ;;
     *)      run_leg "$cfg" ctest ctest_leg "$dir" 'chaos|soak|fuzz|lint|syschaos|sim|gate|qos' || true ;;
   esac
 done
